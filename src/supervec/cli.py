@@ -262,10 +262,8 @@ def cmd_report(args, out):
         lines.append("gr.dim_even=%d" % report.comparison.gr_dims[0])
         lines.append("gr.dim_odd=%d" % report.comparison.gr_dims[1])
         lines.append("gr.split=%s" % ("true" if report.comparison.split else "false"))
-        lines.append(
-            "gr.inequality=%s"
-            % ("holds" if sum(report.comparison.dims) <= sum(report.comparison.gr_dims) else "violated")
-        )
+        # gr_comparison raises GrInequalityViolated unless the inequality holds
+        lines.append("gr.inequality=holds")
         lines.append(
             "conjugation_identity=%s" % ("true" if report.conjugation_identity_ok else "false")
         )
@@ -292,12 +290,8 @@ def cmd_report(args, out):
             )
         )
         lines.append(
-            "gr inequality (total %d <= %d): %s"
-            % (
-                sum(report.comparison.dims),
-                sum(report.comparison.gr_dims),
-                "holds" if sum(report.comparison.dims) <= sum(report.comparison.gr_dims) else "VIOLATED",
-            )
+            "gr inequality (total %d <= %d): holds"
+            % (sum(report.comparison.dims), sum(report.comparison.gr_dims))
         )
         lines.append(
             "conjugation identity check: %s"

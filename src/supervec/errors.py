@@ -100,6 +100,14 @@ class CapNotSaturated(MathDomainError):
         self.dims_next = dims_next
 
 
+class NotLaurentSystem(MathDomainError):
+    code = "NotLaurentSystem"
+
+
+class GrInequalityViolated(MathDomainError):
+    code = "GrInequalityViolated"
+
+
 class BadReducedMap(InputError):
     code = "BadReducedMap"
 

@@ -21,6 +21,7 @@ idempotent on text.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -219,11 +220,20 @@ def parse_superfunction(text, odd_dim=None, chart="chart0"):
     return value
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text):
-    """Rational scalar for command-line parameters ('3', '-1/2')."""
+    """Rational scalar for command-line parameters ('3', '-1/2').
+
+    Only the integer and ``int/int`` forms of the grammar are accepted;
+    decimals, exponents and digit separators are rejected.
+    """
+    if not _RATIONAL.fullmatch(text):
+        raise ExprSyntaxError("not a rational number: %r" % text, 0)
     try:
         return GaussianRational(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         raise ExprSyntaxError("not a rational number: %r" % text, 0)
 
 

@@ -1,9 +1,12 @@
 """Global super vector fields and their Lie-superalgebra structure.
 
 The solver parametrizes unknown polynomial-coefficient derivations on both
-charts up to a degree cap, imposes the transition-compatibility equations
-coefficient-wise (clearing denominators by powers of z), and reads a basis
-off the exact kernel.  A mandatory saturation re-solve at cap + 2 turns the
+charts up to a degree cap and imposes the transition-compatibility equations
+one Laurent coefficient at a time.  The rows are built once per parity, sparse,
+at cap + 2; the cap system is the same rows restricted to the columns of
+z-power <= cap.  Each system is eliminated one connected block at a time
+(``sparse_kernel_basis``), and the basis is read off the exact kernel at cap.
+The separate elimination at cap + 2 is the saturation check that turns the
 cap heuristic into a checked result.
 
 On top of the basis: exact structure constants, the graded-Jacobi check,
@@ -18,10 +21,12 @@ from fractions import Fraction
 
 from .errors import (
     CapNotSaturated,
+    GrInequalityViolated,
     NotClosed,
     NotDiagonalizable,
     NotGlobal,
     NotInSpan,
+    NotLaurentSystem,
     OddCartan,
 )
 from .derivations import SuperDerivation, pullback_invert
@@ -33,7 +38,7 @@ from .geometry import (
     morphism_check_global,
 )
 from .grassmann import PullbackData, SuperFunction, idx_sort_key, idx_weight
-from .linalg import kernel_basis, mat_mul, rank, rref, solve_columns
+from .linalg import kernel_basis, mat_mul, rank, rref, solve_columns, sparse_kernel_basis
 from .scalars import (
     GR_ONE,
     GR_ZERO,
@@ -127,92 +132,119 @@ def solve_global_fields(manifold, cap=None):
         return _point_basis(manifold)
     if cap is None:
         cap = default_cap(manifold)
-    evens, n_even = _solve_parity(manifold, cap, 0)
-    odds, n_odd = _solve_parity(manifold, cap, 1)
-    evens2, _ = _solve_parity(manifold, cap + 2, 0)
-    odds2, _ = _solve_parity(manifold, cap + 2, 1)
+    evens, evens2, n_even = _solve_parity(manifold, cap, 0)
+    odds, odds2, n_odd = _solve_parity(manifold, cap, 1)
     if (len(evens), len(odds)) != (len(evens2), len(odds2)):
         raise CapNotSaturated(cap, (len(evens), len(odds)), (len(evens2), len(odds2)))
     return SuperalgebraBasis(manifold, evens, odds, cap, max(n_even, n_odd))
 
 
 def _solve_parity(manifold, cap, parity):
-    """Kernel of the compatibility equations for one parity of unknown fields."""
+    """Global fields of one parity at ``cap`` and at ``cap + 2``.
+
+    The rows are built once, at cap + 2.  A column's contribution does not
+    depend on the cap, so the cap system is those rows restricted to the
+    columns with z-power e <= cap.  The two systems are eliminated separately.
+    Returns (fields at cap, fields at cap + 2, clearing exponent at cap): the
+    power of z that clears every denominator of the cap system.
+    """
+    columns, rows = _compatibility_rows(manifold, cap + 2, parity)
+    kept = [c for c, key in enumerate(columns) if key[3] <= cap]
+    renumber = {c: i for i, c in enumerate(kept)}
+    cap_rows = {}
+    for key, row in rows.items():
+        cut = {renumber[c]: x for c, x in row.items() if c in renumber}
+        if cut:
+            cap_rows[key] = cut
+    clearing = max([0] + [-p for (_, _, p) in cap_rows])
+    cap_kernel = sparse_kernel_basis(list(cap_rows.values()), len(kept))
+    fields = _kernel_fields(manifold, parity, [columns[c] for c in kept], cap_kernel)
+    kernel = sparse_kernel_basis(list(rows.values()), len(columns))
+    return fields, _kernel_fields(manifold, parity, columns, kernel), clearing
+
+
+def _laurent_terms(f):
+    """(mu, z-power, coefficient) for every Laurent coefficient of ``f``."""
+    out = []
+    for mu, rf in f.terms.items():
+        den = rf.den.coeffs
+        if len(den) != 1:
+            raise NotLaurentSystem("compatibility coefficient %r is not Laurent" % (rf,))
+        (shift,) = den  # the denominator is monic, so it is z^shift
+        out.extend((mu, exp - shift, c) for exp, c in rf.num.coeffs.items())
+    return out
+
+
+def _compatibility_rows(manifold, cap, parity):
+    """Columns and sparse rows of the compatibility equations for one parity.
+
+    A column is an unknown (chart, component, multi-index, z-power e <= cap);
+    component -1 is the even-direction coefficient, j >= 0 the odd
+    directions.  A row is one Laurent coefficient (eq, mu, z-power) of
+    equation eq, stored as a dict column -> nonzero coefficient.
+    """
     n = manifold.odd_dim
     chi = manifold.transition
     same = _indices_of_parity(n, parity)
     flip = _indices_of_parity(n, (parity + 1) % 2)
-
-    # unknown layout: (chart, component, multi-index, z-power); component -1
-    # is the even-direction coefficient, j >= 0 the odd directions
-    columns = []
-    for chart in (0, 1):
-        for comp in [-1] + list(range(n)):
-            for nu in (same if comp == -1 else flip):
-                for e in range(cap + 1):
-                    columns.append((chart, comp, nu, e))
+    comps = [(-1, same)] + [(j, flip) for j in range(n)]
+    columns = [
+        (chart, comp, nu, e)
+        for chart in (0, 1)
+        for comp, nus in comps
+        for nu in nus
+        for e in range(cap + 1)
+    ]
     col_index = {key: c for c, key in enumerate(columns)}
+    rows = {}
 
-    # chart-1 monomial images under the transition
+    def put(eq, terms, col, shift=0):
+        for mu, p, c in terms:
+            row = rows.setdefault((eq, mu, p + shift), {})
+            row[col] = row[col] + c if col in row else c
+
+    # chart 0: the unknown z^e theta^nu times the derivative of each
+    # transition image, with z^e applied as a shift of the Laurent powers
+    coords = [chi.even_image] + list(chi.odd_images)
+    for comp, nus in comps:
+        targets = [img.d_even() if comp == -1 else img.d_odd(comp) for img in coords]
+        for nu in nus:
+            mono = SuperFunction.monomial(CHART0, n, nu, RationalFunction.one())
+            for eq, target in enumerate(targets):
+                if not target:
+                    continue
+                terms = _laurent_terms(-(mono * target))
+                for e in range(cap + 1):
+                    put(eq, terms, col_index[(0, comp, nu, e)], e)
+
+    # chart 1: the transition image w^e eta^nu of the unknown's monomial
     w_powers = [SuperFunction.one(CHART0, n)]
     for _ in range(cap):
         w_powers.append(w_powers[-1] * chi.even_image)
-    odd_products = {nu: chi.odd_product(nu) for nu in set(same) | set(flip)}
+    images = {}
+    for nu in same + flip:
+        odd_product = chi.odd_product(nu)
+        for e in range(cap + 1):
+            images[(nu, e)] = _laurent_terms(w_powers[e] * odd_product)
+    for comp, nus in comps:
+        eq = 0 if comp == -1 else comp + 1
+        for nu in nus:
+            for e in range(cap + 1):
+                put(eq, images[(nu, e)], col_index[(1, comp, nu, e)])
 
-    coords = [chi.even_image] + list(chi.odd_images)
-    d_even = [img.d_even() for img in coords]
-    d_odd = [[img.d_odd(j) for j in range(n)] for img in coords]
+    sparse = {}
+    for key, row in rows.items():
+        nonzero = {c: x for c, x in row.items() if x}
+        if nonzero:
+            sparse[key] = nonzero
+    return columns, sparse
 
-    # rows[(eq, mu)] maps column -> Laurent coefficient
-    rows = {}
 
-    def put(eq, contribution, col):
-        for mu, rf in contribution.terms.items():
-            rows.setdefault((eq, mu), {}).setdefault(col, RationalFunction.zero())
-            rows[(eq, mu)][col] = rows[(eq, mu)][col] + rf
-
-    for (chart, comp, nu, e), col in col_index.items():
-        if chart == 1:
-            image = w_powers[e] * odd_products[nu]
-            eq = 0 if comp == -1 else comp + 1
-            put(eq, image, col)
-        else:
-            mono = SuperFunction.monomial(
-                CHART0, n, nu, RationalFunction.monomial(e)
-            )
-            for eq in range(n + 1):
-                target = d_even[eq] if comp == -1 else d_odd[eq][comp]
-                if target:
-                    put(eq, -(mono * target), col)
-
-    matrix = []
-    clearing = 0
-    for eq in range(n + 1):
-        for mu in sorted({m for (e, m) in rows if e == eq}, key=idx_sort_key):
-            entries = rows[(eq, mu)]
-            shift = 0
-            top = 0
-            for rf in entries.values():
-                if rf:
-                    # transition data is Laurent, so every denominator here
-                    # is a plain power of z and clearing by z^N is exact
-                    assert len(rf.den.coeffs) == 1
-                    shift = max(shift, int(rf.den.degree()))
-                    top = max(top, int(rf.num.degree()) if rf.num else 0)
-            clearing = max(clearing, shift)
-            width = shift + top + 1
-            power_rows = [[GR_ZERO] * len(columns) for _ in range(width)]
-            for col, rf in entries.items():
-                if not rf:
-                    continue
-                offset = shift - int(rf.den.degree())
-                for exp, c in rf.num.coeffs.items():
-                    power_rows[exp + offset][col] = c
-            matrix.extend(r for r in power_rows if any(r))
-
-    kern = kernel_basis(matrix, len(columns))
+def _kernel_fields(manifold, parity, columns, kernel):
+    """Global fields of the kernel vectors, in a canonical order."""
+    n = manifold.odd_dim
     fields = []
-    for vec in kern:
+    for vec in kernel:
         ders = []
         for chart_id, chart_no in ((CHART0, 0), (CHART1, 1)):
             even_terms = {}
@@ -246,7 +278,7 @@ def _solve_parity(manifold, cap, parity):
         return (top_weight, tuple(c.sort_key() for c in vec))
 
     fields.sort(key=sort_key)
-    return [field for _, field in fields], clearing
+    return [field for _, field in fields]
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +631,10 @@ def gr_comparison(manifold, cap=None):
         gr_basis = solve_global_fields(split_model, cap)
     dims = basis.dims
     gr_dims = gr_basis.dims
-    assert sum(dims) <= sum(gr_dims)
+    if sum(dims) > sum(gr_dims):
+        raise GrInequalityViolated(
+            "total dimension %d exceeds the split model's %d" % (sum(dims), sum(gr_dims))
+        )
     split = manifold.is_split and dims == gr_dims
     return GrComparison(
         manifold, split_model, dims, gr_dims, split, basis.cap_used, gr_basis.cap_used

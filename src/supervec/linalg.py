@@ -86,6 +86,67 @@ def kernel_basis(matrix, ncols, zero=GR_ZERO, one=GR_ONE):
     return basis
 
 
+def sparse_kernel_basis(rows, ncols):
+    """``kernel_basis`` of a sparse matrix, eliminated one connected block at a time.
+
+    ``rows`` are dicts column -> ``GaussianRational``.  Columns that share a
+    nonzero entry in some row form one block (union-find); each block is
+    reduced with the dense ``rref`` and untouched columns give unit vectors.
+    This is structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990).
+    Blocks share no rows, so a column is a pivot of the whole matrix exactly
+    when it is one of its block, and the result is the free-column basis, in
+    free-column order, that ``kernel_basis`` gives on the dense form.
+    """
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    supports = [[c for c, x in row.items() if x] for row in rows]
+    for cols in supports:
+        root = find(cols[0]) if cols else None
+        for c in cols[1:]:
+            other = find(c)
+            if other != root:
+                parent[other] = root
+    blocks = {}
+    for row, cols in zip(rows, supports):
+        if cols:
+            blocks.setdefault(find(cols[0]), []).append((row, cols))
+    vectors = {}
+    for block in blocks.values():
+        cols = sorted({c for _, support in block for c in support})
+        local = {c: i for i, c in enumerate(cols)}
+        dense = []
+        for row, support in block:
+            line = [GR_ZERO] * len(cols)
+            for c in support:
+                line[local[c]] = row[c]
+            dense.append(line)
+        reduced, pivots = rref(dense)
+        pivot_set = set(pivots)
+        for fc in range(len(cols)):
+            if fc in pivot_set:
+                continue
+            v = [GR_ZERO] * ncols
+            v[cols[fc]] = GR_ONE
+            for r, pc in enumerate(pivots):
+                entry = reduced[r][fc]
+                if entry:
+                    v[cols[pc]] = -entry
+            vectors[cols[fc]] = v
+    touched = {c for cols in supports for c in cols}
+    for c in range(ncols):
+        if c not in touched:
+            v = [GR_ZERO] * ncols
+            v[c] = GR_ONE
+            vectors[c] = v
+    return [vectors[c] for c in sorted(vectors)]
+
+
 def solve_columns(matrix, rhs_columns, zero=GR_ZERO):
     """Solve ``matrix @ x = b`` for every column b of ``rhs_columns``.
 

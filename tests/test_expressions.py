@@ -146,3 +146,16 @@ def test_parse_rational():
     assert parse_rational("-4") == GaussianRational(-4)
     with pytest.raises(ExprSyntaxError):
         parse_rational("x")
+
+
+@pytest.mark.parametrize("text", ["3", "-1/2", "-3/2", "+2", "0"])
+def test_parse_rational_accepts_integers_and_fractions(text):
+    assert parse_rational(text) == GaussianRational(Fraction(text))
+
+
+@pytest.mark.parametrize(
+    "text", ["0.5", "1e3", "1_0", ".5", "2.", "1/2.0", "1/0", "1 / 2", " 3", "", "1/-2"]
+)
+def test_parse_rational_rejects_decimals_and_other_forms(text):
+    with pytest.raises(ExprSyntaxError):
+        parse_rational(text)

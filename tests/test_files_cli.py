@@ -16,7 +16,7 @@ from supervec.files import (
     pullback_text,
     resolve_manifold,
 )
-from supervec.geometry import CHART0
+from supervec.geometry import CHART0, SuperManifoldData
 from supervec.grassmann import PullbackData
 
 
@@ -128,6 +128,25 @@ def test_cli_math_error_exit_3():
     code, out, err = run(["vec", "--manifold", "k5", "--cap", "3"])
     assert code == 3
     assert "CapNotSaturated" in err
+
+
+def test_cli_gr_inequality_violation_exit_3(monkeypatch):
+    # pretend the split model is k5, whose 10 fields are fewer than the 12 of
+    # nonsplit-2-2, so the inequality check in gr_comparison must fire
+    k5 = load_bundled_manifold("k5")
+    monkeypatch.setattr(SuperManifoldData, "gr", lambda self: k5)
+    for argv in (["report", "--manifold", "nonsplit-2-2"], ["gr", "--manifold", "nonsplit-2-2"]):
+        code, out, err = run(argv)
+        assert code == 3
+        assert not out
+        assert "GrInequalityViolated" in err and "12" in err and "10" in err
+
+
+def test_cli_flow_rejects_decimal_time():
+    for time in ("0.5", "1e3", "1_0"):
+        code, out, err = run(["flow", "--field", "z^3*t1*t2", "--time", time])
+        assert code == 2
+        assert not out and "SyntaxError" in err
 
 
 def test_cli_weights():

@@ -114,7 +114,9 @@ def test_compatibility_holds_for_every_basis_field(manifolds, basis_cache):
 def test_saturation_error_when_cap_too_small(manifolds):
     with pytest.raises(CapNotSaturated) as info:
         solve_global_fields(manifolds["k5"], cap=3)
-    assert info.value.dims != info.value.dims_next
+    assert info.value.cap == 3
+    assert info.value.dims == (4, 2)
+    assert info.value.dims_next == (4, 6)
 
 
 def test_explicit_cap_matches_default(manifolds, basis_cache):

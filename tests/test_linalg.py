@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from supervec.errors import NotInvertible
 from supervec.linalg import (
@@ -12,6 +13,7 @@ from supervec.linalg import (
     rank,
     rref,
     solve_columns,
+    sparse_kernel_basis,
 )
 from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial, RationalFunction
 
@@ -67,6 +69,50 @@ def test_kernel_ordering_by_free_column():
     basis = kernel_basis(m, 4)
     assert len(basis) == 2
     assert basis[0][1] == GR_ONE and basis[1][3] == GR_ONE
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+entries = st.builds(GaussianRational, small, st.sampled_from([0, 0, 1, Fraction(-1, 2)]))
+
+
+@st.composite
+def sparse_systems(draw):
+    """Rows (dicts column -> entry) over several column blocks.
+
+    Columns of block 3 are never used, most rows stay inside one block and
+    some span all blocks; entries may be zero, and a duplicate row and a
+    zero row are always present.
+    """
+    ncols = draw(st.integers(min_value=0, max_value=10))
+    block_of = draw(st.lists(st.integers(0, 3), min_size=ncols, max_size=ncols))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        block = draw(st.integers(-1, 2))
+        cols = [c for c in range(ncols) if block_of[c] != 3 and block in (-1, block_of[c])]
+        chosen = draw(st.lists(st.sampled_from(cols), unique=True, max_size=4)) if cols else []
+        rows.append({c: draw(entries) for c in chosen})
+    if rows:
+        rows.append(dict(draw(st.sampled_from(rows))))
+    rows.append({})
+    return draw(st.permutations(rows)), ncols
+
+
+@given(sparse_systems())
+def test_sparse_kernel_matches_dense_kernel(system):
+    rows, ncols = system
+    dense = [[row.get(c, GR_ZERO) for c in range(ncols)] for row in rows]
+    assert sparse_kernel_basis(rows, ncols) == kernel_basis(dense, ncols)
+
+
+def test_sparse_kernel_blocks_and_empty_columns():
+    # blocks {0, 2} and {3}; columns 1 and 4 are untouched
+    rows = [{0: g(1), 2: g(2)}, {3: g(5)}, {2: g(0)}]
+    basis = sparse_kernel_basis(rows, 5)
+    assert basis == [
+        [g(0), g(1), g(0), g(0), g(0)],
+        [g(-2), g(0), g(1), g(0), g(0)],
+        [g(0), g(0), g(0), g(0), g(1)],
+    ]
 
 
 def test_rref_is_idempotent():

@@ -1,0 +1,192 @@
+"""The sparse solver against the dense reference solver it replaced.
+
+``dense_solve`` is the original solver kept verbatim as an oracle: dense
+rows built per cap from ``RationalFunction`` sums, one dense ``kernel_basis``
+over the whole system, and a second full solve at cap + 2.  The sparse solver
+must give the same basis field by field, the same cap and the same clearing
+exponent.
+"""
+
+import pytest
+
+from supervec.derivations import SuperDerivation
+from supervec.errors import CapNotSaturated, NotLaurentSystem
+from supervec.files import parse_manifold_text
+from supervec.geometry import CHART0, CHART1, KIND_C01, GlobalVectorField
+from supervec.grassmann import SuperFunction, idx_sort_key, idx_weight
+from supervec.liealg import (
+    SuperalgebraBasis,
+    _indices_of_parity,
+    _laurent_terms,
+    default_cap,
+    solve_global_fields,
+)
+from supervec.linalg import kernel_basis
+from supervec.scalars import GR_ZERO, Polynomial, RationalFunction
+
+SYNTHETIC = {
+    "ns33": "odd_dim = 2\n\n[transition]\nw = z^-1 + z^-4*t1*t2\neta1 = z^-3*t1\neta2 = z^-3*t2\n",
+    "s222": "odd_dim = 3\n\n[transition]\nw = z^-1\n"
+    "eta1 = z^-2*t1\neta2 = z^-2*t2\neta3 = z^-2*t3\n",
+}
+
+
+def dense_solve(manifold, cap=None):
+    if manifold.kind == KIND_C01:
+        return solve_global_fields(manifold)
+    if cap is None:
+        cap = default_cap(manifold)
+    evens, n_even = _dense_solve_parity(manifold, cap, 0)
+    odds, n_odd = _dense_solve_parity(manifold, cap, 1)
+    evens2, _ = _dense_solve_parity(manifold, cap + 2, 0)
+    odds2, _ = _dense_solve_parity(manifold, cap + 2, 1)
+    if (len(evens), len(odds)) != (len(evens2), len(odds2)):
+        raise CapNotSaturated(cap, (len(evens), len(odds)), (len(evens2), len(odds2)))
+    return SuperalgebraBasis(manifold, evens, odds, cap, max(n_even, n_odd))
+
+
+def _dense_solve_parity(manifold, cap, parity):
+    n = manifold.odd_dim
+    chi = manifold.transition
+    same = _indices_of_parity(n, parity)
+    flip = _indices_of_parity(n, (parity + 1) % 2)
+
+    columns = []
+    for chart in (0, 1):
+        for comp in [-1] + list(range(n)):
+            for nu in (same if comp == -1 else flip):
+                for e in range(cap + 1):
+                    columns.append((chart, comp, nu, e))
+    col_index = {key: c for c, key in enumerate(columns)}
+
+    w_powers = [SuperFunction.one(CHART0, n)]
+    for _ in range(cap):
+        w_powers.append(w_powers[-1] * chi.even_image)
+    odd_products = {nu: chi.odd_product(nu) for nu in set(same) | set(flip)}
+
+    coords = [chi.even_image] + list(chi.odd_images)
+    d_even = [img.d_even() for img in coords]
+    d_odd = [[img.d_odd(j) for j in range(n)] for img in coords]
+
+    rows = {}
+
+    def put(eq, contribution, col):
+        for mu, rf in contribution.terms.items():
+            rows.setdefault((eq, mu), {}).setdefault(col, RationalFunction.zero())
+            rows[(eq, mu)][col] = rows[(eq, mu)][col] + rf
+
+    for (chart, comp, nu, e), col in col_index.items():
+        if chart == 1:
+            image = w_powers[e] * odd_products[nu]
+            eq = 0 if comp == -1 else comp + 1
+            put(eq, image, col)
+        else:
+            mono = SuperFunction.monomial(CHART0, n, nu, RationalFunction.monomial(e))
+            for eq in range(n + 1):
+                target = d_even[eq] if comp == -1 else d_odd[eq][comp]
+                if target:
+                    put(eq, -(mono * target), col)
+
+    matrix = []
+    clearing = 0
+    for eq in range(n + 1):
+        for mu in sorted({m for (e, m) in rows if e == eq}, key=idx_sort_key):
+            entries = rows[(eq, mu)]
+            shift = 0
+            top = 0
+            for rf in entries.values():
+                if rf:
+                    assert len(rf.den.coeffs) == 1
+                    shift = max(shift, int(rf.den.degree()))
+                    top = max(top, int(rf.num.degree()) if rf.num else 0)
+            clearing = max(clearing, shift)
+            width = shift + top + 1
+            power_rows = [[GR_ZERO] * len(columns) for _ in range(width)]
+            for col, rf in entries.items():
+                if not rf:
+                    continue
+                offset = shift - int(rf.den.degree())
+                for exp, c in rf.num.coeffs.items():
+                    power_rows[exp + offset][col] = c
+            matrix.extend(r for r in power_rows if any(r))
+
+    kern = kernel_basis(matrix, len(columns))
+    fields = []
+    for vec in kern:
+        ders = []
+        for chart_id, chart_no in ((CHART0, 0), (CHART1, 1)):
+            even_terms = {}
+            odd_terms = [dict() for _ in range(n)]
+            for (chart, comp, nu, e), c in zip(columns, vec):
+                if chart != chart_no or not c:
+                    continue
+                bucket = even_terms if comp == -1 else odd_terms[comp]
+                poly = bucket.setdefault(nu, {})
+                poly[e] = c
+            even = SuperFunction(
+                chart_id,
+                n,
+                {nu: RationalFunction(Polynomial(p)) for nu, p in even_terms.items()},
+            )
+            odds = [
+                SuperFunction(
+                    chart_id,
+                    n,
+                    {nu: RationalFunction(Polynomial(p)) for nu, p in terms.items()},
+                )
+                for terms in odd_terms
+            ]
+            ders.append(SuperDerivation(chart_id, n, even, odds))
+        fields.append((vec, GlobalVectorField(manifold, ders[0], ders[1], parity)))
+
+    def sort_key(item):
+        vec, field = item
+        even_coeff = field.chart0_der.even_coeff
+        top_weight = max((idx_weight(i) for i in even_coeff.terms), default=0)
+        return (top_weight, tuple(c.sort_key() for c in vec))
+
+    fields.sort(key=sort_key)
+    return [field for _, field in fields], clearing
+
+
+def assert_same_basis(got, want):
+    assert got.dims == want.dims
+    assert got.even_basis == want.even_basis
+    assert got.odd_basis == want.odd_basis
+    assert got.cap_used == want.cap_used
+    assert got.clearing_exponent == want.clearing_exponent
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["k-1", "k0", "k1", "k2", "k3", "k5", "split-2-2", "split-3-1", "nonsplit-2-2", "c01"],
+)
+def test_sparse_solver_matches_dense_on_bundled(manifolds, basis_cache, name):
+    assert_same_basis(basis_cache(name), dense_solve(manifolds[name]))
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC))
+def test_sparse_solver_matches_dense_on_synthetic(name):
+    manifold = parse_manifold_text("[manifold]\nname = %s\n%s" % (name, SYNTHETIC[name]))
+    assert_same_basis(solve_global_fields(manifold), dense_solve(manifold))
+
+
+def test_sparse_solver_matches_dense_at_explicit_caps(manifolds):
+    for name, cap in (("k2", 6), ("nonsplit-2-2", 9)):
+        manifold = manifolds[name]
+        assert_same_basis(solve_global_fields(manifold, cap), dense_solve(manifold, cap))
+
+
+def test_saturation_payload_matches_dense(manifolds):
+    payloads = []
+    for solve in (solve_global_fields, dense_solve):
+        with pytest.raises(CapNotSaturated) as info:
+            solve(manifolds["k5"], cap=3)
+        payloads.append((info.value.cap, info.value.dims, info.value.dims_next, info.value.message))
+    assert payloads[0] == payloads[1]
+
+
+def test_non_laurent_coefficient_is_a_coded_error():
+    rf = RationalFunction(Polynomial.one(), Polynomial({0: 1, 1: 1}))
+    with pytest.raises(NotLaurentSystem):
+        _laurent_terms(SuperFunction.from_rf(CHART0, 1, rf))
