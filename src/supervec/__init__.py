@@ -13,7 +13,7 @@ from .errors import (
     MathDomainError,
     ToolkitError,
 )
-from .scalars import GaussianRational, Polynomial, RationalFunction, gaussian
+from .scalars import GaussianRational, Polynomial, RationalFunction
 from .grassmann import PullbackData, SuperFunction, compose
 from .derivations import (
     RothsteinParts,
@@ -28,7 +28,6 @@ from .geometry import (
     CHART1,
     GlobalVectorField,
     SuperManifoldData,
-    gr_manifold,
     manifold_from_transition,
     mobius_lift,
     morphism_check_global,

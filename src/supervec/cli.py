@@ -205,7 +205,6 @@ def cmd_check(args, out):
 def cmd_decompose(args, out):
     pullback = load_pullback(args.pullback)
     parts = rothstein_decompose(pullback)
-    lines = [pullback_text(parts.degree_zero).rstrip("\n"), ""]
     gen = parts.nilpotent_generator
     if args.machine:
         lines = ["degree_zero.z=%s" % superfunction_text(parts.degree_zero.even_image)]
@@ -213,6 +212,7 @@ def cmd_decompose(args, out):
             lines.append("degree_zero.t%d=%s" % (j + 1, superfunction_text(img)))
         lines.append("generator=%s" % derivation_text(gen))
     else:
+        lines = [pullback_text(parts.degree_zero).rstrip("\n"), ""]
         lines.append("generator (target-chart coordinates): %s" % derivation_text(gen))
     _emit(lines, out)
     return 0

@@ -19,6 +19,8 @@ from .errors import (
     MixedParity,
     NotInvertible,
     NotNilpotent,
+    RecombinationMismatch,
+    ResidualNotCleared,
     UnsupportedReducedMap,
 )
 from .grassmann import PullbackData, SuperFunction, compose, idx_sort_key, idx_weight
@@ -329,13 +331,14 @@ def rothstein_decompose(p):
         ]
         gen = gen + SuperDerivation(target, n, even_add, odd_adds)
         cur = recombine(RothsteinParts(phi0, gen))
-        residual = p.even_image - cur.even_image
-        assert all(idx_weight(i) > d for i in residual.terms)
-        for j in range(n):
-            residual = p.odd_images[j] - cur.odd_images[j]
-            assert all(idx_weight(i) > d + 1 for i in residual.terms)
+        residuals = [(p.even_image - cur.even_image, d)]
+        residuals += [(p.odd_images[j] - cur.odd_images[j], d + 1) for j in range(n)]
+        for residual, weight in residuals:
+            if any(idx_weight(i) <= weight for i in residual.terms):
+                raise ResidualNotCleared("degree-%d residual survives stage %d" % (weight, d))
     parts = RothsteinParts(phi0, gen)
-    assert recombine(parts) == p
+    if recombine(parts) != p:
+        raise RecombinationMismatch("recombined parts differ from the pullback")
     return parts
 
 

@@ -108,6 +108,18 @@ class GrInequalityViolated(MathDomainError):
     code = "GrInequalityViolated"
 
 
+class ResidualNotCleared(MathDomainError):
+    code = "ResidualNotCleared"
+
+
+class RecombinationMismatch(MathDomainError):
+    code = "RecombinationMismatch"
+
+
+class InexactRootDivision(MathDomainError):
+    code = "InexactRootDivision"
+
+
 class BadReducedMap(InputError):
     code = "BadReducedMap"
 

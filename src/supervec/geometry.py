@@ -8,10 +8,9 @@ with one odd coordinate, where there is no transition at all.
 
 Closed-form morphism families (fractional-linear lifts, traceless-matrix
 embeddings, nilpotent flows) are data-driven copies of the displayed
-formulas for the three bundled families:
+formulas for two families:
 
-* ``line``     -- (1|1), transition eta = z^-k * theta
-* ``split``    -- (1|2), transition eta_j = z^-k_j * theta_j
+* ``diagonal`` -- split (1|n), transition eta_j = z^-k_j * theta_j, any n
 * ``nonsplit`` -- the (1|2) manifold with w-image 1/z + z^-3 theta_1 theta_2
 """
 
@@ -137,10 +136,6 @@ class SuperManifoldData:
             self.odd_dim,
             self.kind,
         )
-
-
-def gr_manifold(manifold):
-    return manifold.gr()
 
 
 class GlobalVectorField:
@@ -270,8 +265,7 @@ def morphism_check_global(manifold, p):
 # ---------------------------------------------------------------------------
 # closed-form families
 
-FAMILY_LINE = "line"
-FAMILY_SPLIT = "split"
+FAMILY_DIAGONAL = "diagonal"
 FAMILY_NONSPLIT = "nonsplit"
 
 
@@ -294,25 +288,10 @@ def _monomial_exponent(rf):
     return nc / dc, ne - de
 
 
-def _line_degree(manifold):
-    """Bundle parameter k of a (1|1) manifold with transition eta = z^-k theta."""
-    if manifold.kind != KIND_P1 or manifold.odd_dim != 1:
-        raise FamilyShapeMismatch("family needs a (1|1) two-chart manifold")
-    if manifold.transition.even_image.nilpotent_part():
-        raise FamilyShapeMismatch("family needs a split transition")
-    img = manifold.transition.odd_images[0]
-    if list(img.terms.keys()) != [1]:
-        raise FamilyShapeMismatch("odd transition must be a multiple of theta")
-    mono = _monomial_exponent(img.coefficient(1))
-    if mono is None or mono[0] != 1:
-        raise FamilyShapeMismatch("odd transition must be exactly z^-k * theta")
-    return -mono[1]
-
-
-def _split_degrees(manifold):
-    """Bundle parameters (k_1, k_2) of a split (1|2) manifold with diagonal transition."""
-    if manifold.kind != KIND_P1 or manifold.odd_dim != 2:
-        raise FamilyShapeMismatch("family needs a (1|2) two-chart manifold")
+def _diagonal_degrees(manifold):
+    """Bundle parameters k_j of a split manifold with transition eta_j = z^-k_j theta_j."""
+    if manifold.kind != KIND_P1:
+        raise FamilyShapeMismatch("family needs a two-chart manifold")
     if manifold.transition.even_image.nilpotent_part():
         raise FamilyShapeMismatch("family needs a split transition")
     ks = []
@@ -323,7 +302,7 @@ def _split_degrees(manifold):
         if mono is None or mono[0] != 1:
             raise FamilyShapeMismatch("odd transition must be exactly z^-k_j * theta_j")
         ks.append(-mono[1])
-    return tuple(ks)
+    return ks
 
 
 def nonsplit_transition():
@@ -359,29 +338,26 @@ def mobius_lift(manifold, family, matrix, s=0):
     """Automorphism pullback lifting a unit-determinant 2x2 matrix.
 
     Pullbacks act on chart-0 coordinates by the displayed closed forms of
-    the family; ``s`` is the extra scaling parameter of the ``line`` family
-    (image of theta gains ``+ s * theta``).
+    the family; ``s`` is the extra scaling parameter of the ``diagonal``
+    family (the image of every theta_j gains ``+ s * theta_j``).
     """
     a, b, c, d = _as_matrix2(matrix)
     if a * d - b * c != 1:
         raise BadDeterminant("lift requires determinant 1")
     if not isinstance(s, GaussianRational):
         s = GaussianRational(s)
-    if family == FAMILY_LINE:
-        k = _line_degree(manifold)
-        even = SuperFunction.from_rf(CHART0, 1, _mobius_rf(a, b, c, d))
-        odd = SuperFunction(CHART0, 1, {1: _base_power(a, b, k) + RationalFunction.constant(s)})
-        return PullbackData(CHART0, CHART0, even, [odd])
-    if s:
-        raise FamilyShapeMismatch("parameter s applies to the line family only")
-    if family == FAMILY_SPLIT:
-        k1, k2 = _split_degrees(manifold)
-        even = SuperFunction.from_rf(CHART0, 2, _mobius_rf(a, b, c, d))
+    if family == FAMILY_DIAGONAL:
+        ks = _diagonal_degrees(manifold)
+        n = len(ks)
+        even = SuperFunction.from_rf(CHART0, n, _mobius_rf(a, b, c, d))
+        shift = RationalFunction.constant(s)
         odds = [
-            SuperFunction(CHART0, 2, {1: _base_power(a, b, k1)}),
-            SuperFunction(CHART0, 2, {2: _base_power(a, b, k2)}),
+            SuperFunction(CHART0, n, {1 << j: _base_power(a, b, k) + shift})
+            for j, k in enumerate(ks)
         ]
         return PullbackData(CHART0, CHART0, even, odds)
+    if s:
+        raise FamilyShapeMismatch("parameter s applies to the diagonal family only")
     if family == FAMILY_NONSPLIT:
         _require_nonsplit(manifold)
         correction = _base_power(a, b, 3) * (-b) if b else RationalFunction.zero()
@@ -400,28 +376,33 @@ def mobius_lift(manifold, family, matrix, s=0):
 def sl2_embedding(manifold, family, matrix, scalar_part=0):
     """Chart-0 vector field attached to a traceless 2x2 matrix.
 
-    For the ``line`` family an extra scalar parameter extends the image by
-    the theta-scaling direction.  The map is linear and sends matrix
-    commutators to super brackets.
+    For the ``diagonal`` family an extra scalar parameter extends the image
+    by the theta-scaling direction.  The map is linear; for ``diagonal`` it
+    sends matrix commutators to super brackets, for ``nonsplit`` (the exact
+    derivative of its lift action) it reverses their order.
     """
     a, b, c, d = _as_matrix2(matrix)
     if a + d != 0:
         raise NotTraceless("embedding requires a traceless matrix")
     if not isinstance(scalar_part, GaussianRational):
         scalar_part = GaussianRational(scalar_part)
-    if family == FAMILY_LINE:
-        k = _line_degree(manifold)
+    if family == FAMILY_DIAGONAL:
+        ks = _diagonal_degrees(manifold)
+        n = len(ks)
         even = SuperFunction.from_rf(
-            CHART0, 1, RationalFunction(Polynomial({0: -b, 1: -2 * a, 2: c}))
+            CHART0, n, RationalFunction(Polynomial({0: -b, 1: -2 * a, 2: c}))
         )
-        odd = SuperFunction(
-            CHART0,
-            1,
-            {1: RationalFunction(Polynomial({0: scalar_part - k * a, 1: k * c}))},
-        )
-        return SuperDerivation(CHART0, 1, even, [odd])
+        odds = [
+            SuperFunction(
+                CHART0,
+                n,
+                {1 << j: RationalFunction(Polynomial({0: scalar_part - k * a, 1: k * c}))},
+            )
+            for j, k in enumerate(ks)
+        ]
+        return SuperDerivation(CHART0, n, even, odds)
     if scalar_part:
-        raise FamilyShapeMismatch("scalar part applies to the line family only")
+        raise FamilyShapeMismatch("scalar part applies to the diagonal family only")
     if family == FAMILY_NONSPLIT:
         _require_nonsplit(manifold)
         even = SuperFunction(

@@ -342,11 +342,6 @@ class PullbackData:
             [SuperFunction.odd_var(chart, odd_dim, j) for j in range(odd_dim)],
         )
 
-    def is_identity(self):
-        return self == PullbackData.identity(self.source_chart, self.odd_dim) and (
-            self.source_chart == self.target_chart
-        )
-
     def __eq__(self, other):
         if not isinstance(other, PullbackData):
             return NotImplemented
@@ -405,10 +400,6 @@ class PullbackData:
                 expanded = expanded * self.odd_product(idx)
             out = out + expanded
         return out
-
-    def after(self, inner):
-        """Pullback of the composed morphism self o inner."""
-        return compose(self, inner)
 
     def __repr__(self):
         return "PullbackData(%r -> %r)" % (self.source_chart, self.target_chart)

@@ -17,11 +17,13 @@ automorphism pullbacks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
     CapNotSaturated,
     GrInequalityViolated,
+    InexactRootDivision,
     NotClosed,
     NotDiagonalizable,
     NotGlobal,
@@ -61,7 +63,8 @@ class SuperalgebraBasis:
         self.clearing_exponent = clearing_exponent
         fields = self.fields
         if fields:
-            matrix = _coefficient_matrix([f.chart0_der for f in fields])
+            ders = [f.chart0_der for f in fields]
+            matrix = _coefficient_matrix(ders, _derivation_slots(ders))
             if rank(matrix) != len(fields):
                 raise NotClosed("solver produced linearly dependent basis fields")
 
@@ -85,9 +88,6 @@ class StructureConstants:
     def __init__(self, basis, table):
         self.basis = basis
         self.table = table
-
-    def coefficients(self, i, j):
-        return self.table[(i, j)]
 
 
 def default_cap(manifold):
@@ -286,6 +286,10 @@ def _kernel_fields(manifold, parity, columns, kernel):
 
 
 def _derivation_slots(ders):
+    """Row index of every (component, multi-index, z-power) the derivations use.
+
+    None when some coefficient is not a polynomial.
+    """
     slots = set()
     for der in ders:
         for comp, coeff in [(-1, der.even_coeff)] + list(enumerate(der.odd_coeffs)):
@@ -294,11 +298,11 @@ def _derivation_slots(ders):
                     return None
                 for e in rf.num.coeffs:
                     slots.add((comp, nu, e))
-    return sorted(slots)
+    return {s: i for i, s in enumerate(sorted(slots))}
 
 
-def _derivation_vector(der, slots, slot_index):
-    vec = [GR_ZERO] * len(slots)
+def _derivation_vector(der, slot_index):
+    vec = [GR_ZERO] * len(slot_index)
     for comp, coeff in [(-1, der.even_coeff)] + list(enumerate(der.odd_coeffs)):
         for nu, rf in coeff.terms.items():
             lead = rf.den.leading_coeff()
@@ -307,25 +311,20 @@ def _derivation_vector(der, slots, slot_index):
     return vec
 
 
-def _coefficient_matrix(ders):
-    slots = _derivation_slots(ders)
-    slot_index = {s: i for i, s in enumerate(slots)}
-    vectors = [_derivation_vector(d, slots, slot_index) for d in ders]
-    return [[vectors[c][r] for c in range(len(ders))] for r in range(len(slots))]
+def _coefficient_matrix(ders, slot_index):
+    """One column per derivation, one row per slot."""
+    vectors = [_derivation_vector(d, slot_index) for d in ders]
+    return [[vec[r] for vec in vectors] for r in range(len(slot_index))]
 
 
 def expand_in_basis(basis, ders):
     """Coefficients of chart-0 derivations in the basis; NotInSpan on failure."""
     base_ders = [f.chart0_der for f in basis.fields]
-    slots = _derivation_slots(base_ders + list(ders))
-    if slots is None:
+    slot_index = _derivation_slots(base_ders + list(ders))
+    if slot_index is None:
         raise NotInSpan("derivation has non-polynomial coefficients")
-    slot_index = {s: i for i, s in enumerate(slots)}
-    base_vecs = [_derivation_vector(d, slots, slot_index) for d in base_ders]
-    matrix = [
-        [base_vecs[c][r] for c in range(len(base_ders))] for r in range(len(slots))
-    ]
-    targets = [_derivation_vector(d, slots, slot_index) for d in ders]
+    matrix = _coefficient_matrix(base_ders, slot_index)
+    targets = [_derivation_vector(d, slot_index) for d in ders]
     solutions = solve_columns(matrix, targets)
     out = []
     for sol in solutions:
@@ -460,10 +459,7 @@ def _rational_roots(poly):
             p = Polynomial({e - const_exp: c for e, c in p.coeffs.items()})
             continue
         # clear denominators so the integer rational-root bound applies
-        denom_lcm = 1
-        for c in p.coeffs.values():
-            d = c.re.denominator
-            denom_lcm = denom_lcm * d // _gcd(denom_lcm, d)
+        denom_lcm = math.lcm(*(c.re.denominator for c in p.coeffs.values()))
         const = abs(int(p.coeffs[0].re * denom_lcm))
         lead = abs(int(p.coeffs[max(p.coeffs)].re * denom_lcm))
         found = None
@@ -483,14 +479,9 @@ def _rational_roots(poly):
         roots.append(found)
         linear = Polynomial({1: GR_ONE, 0: -found})
         p, rem = divmod(p, linear)
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise InexactRootDivision("root %s left remainder %r" % (found, rem))
     return roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(value):

@@ -126,18 +126,12 @@ def sparse_kernel_basis(rows, ncols):
             for c in support:
                 line[local[c]] = row[c]
             dense.append(line)
-        reduced, pivots = rref(dense)
-        pivot_set = set(pivots)
-        for fc in range(len(cols)):
-            if fc in pivot_set:
-                continue
+        for short in kernel_basis(dense, len(cols)):
             v = [GR_ZERO] * ncols
-            v[cols[fc]] = GR_ONE
-            for r, pc in enumerate(pivots):
-                entry = reduced[r][fc]
-                if entry:
-                    v[cols[pc]] = -entry
-            vectors[cols[fc]] = v
+            for c, x in zip(cols, short):
+                v[c] = x
+            # the free column is the last nonzero entry: pivots lie to its left
+            vectors[max(c for c, x in zip(cols, short) if x)] = v
     touched = {c for cols in supports for c in cols}
     for c in range(ncols):
         if c not in touched:
@@ -147,59 +141,39 @@ def sparse_kernel_basis(rows, ncols):
     return [vectors[c] for c in sorted(vectors)]
 
 
-def solve_columns(matrix, rhs_columns, zero=GR_ZERO):
+def solve_columns(matrix, rhs_columns):
     """Solve ``matrix @ x = b`` for every column b of ``rhs_columns``.
 
     The coefficient matrix must have full column rank (NotInvertible
     otherwise).  Returns one solution vector per column, with None in place
-    of inconsistent columns.
+    of inconsistent columns.  One joint elimination serves every column: the
+    rows from ``ncols`` on have a zero matrix part, and a column is consistent
+    exactly when it vanishes on them.  A pivot in the right-hand columns only
+    mixes those rows, so a consistent column's solution entries are never
+    touched.
     """
-    nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
-    aug = [list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(nrows)]
+    aug = [list(row) + [col[i] for col in rhs_columns] for i, row in enumerate(matrix)]
     rows, pivot_cols = rref(aug)
-    main_pivots = [c for c in pivot_cols if c < ncols]
-    if len(main_pivots) < ncols:
+    if pivot_cols[:ncols] != list(range(ncols)):
         raise NotInvertible("coefficient matrix does not have full column rank")
-    if len(main_pivots) == len(pivot_cols):
-        # every system is consistent: any row with zero matrix part and a
-        # nonzero right-hand entry would have produced a pivot there
-        return [[rows[r][ncols + j] for r in range(ncols)] for j in range(len(rhs_columns))]
-    # at least one inconsistent column corrupted the joint elimination:
-    # redo each column on its own
-    solutions = []
-    for col in rhs_columns:
-        aug = [list(matrix[i]) + [col[i]] for i in range(nrows)]
-        rows, pivot_cols = rref(aug)
-        if any(c >= ncols for c in pivot_cols):
-            solutions.append(None)
-        else:
-            solutions.append([rows[r][ncols] for r in range(ncols)])
-    return solutions
+    solved, rest = rows[:ncols], rows[ncols:]
+    return [
+        None if any(row[j] for row in rest) else [row[j] for row in solved]
+        for j in range(ncols, ncols + len(rhs_columns))
+    ]
 
 
 def solve_square(matrix, rhs, zero, one):
     """Solve a square full-rank system over any field; NotInvertible if singular."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    rows, pivot_cols = rref(aug)
-    if pivot_cols != list(range(n)):
-        raise NotInvertible("singular or inconsistent square system")
-    return [rows[i][n] for i in range(n)]
+    return solve_columns(matrix, [rhs])[0]
 
 
 def invert_matrix(matrix, zero, one):
     """Inverse of a square matrix over any field; NotInvertible if singular."""
     n = len(matrix)
-    aug = []
-    for i in range(n):
-        row = list(matrix[i]) + [zero] * n
-        row[n + i] = one
-        aug.append(row)
-    rows, pivot_cols = rref(aug)
-    if pivot_cols[:n] != list(range(n)):
-        raise NotInvertible("singular matrix")
-    return [rows[i][n:] for i in range(n)]
+    units = [[one if r == c else zero for r in range(n)] for c in range(n)]
+    return [list(row) for row in zip(*solve_columns(matrix, units))]
 
 
 def determinant(matrix, zero, one):
@@ -245,15 +219,4 @@ def mat_mul(a, b, zero):
                     acc = acc + a[i][t] * b[t][j]
             row.append(acc)
         out.append(row)
-    return out
-
-
-def mat_vec(a, v, zero):
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
     return out

@@ -121,9 +121,6 @@ class GaussianRational:
             k >>= 1
         return out
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def sort_key(self):
         """Total order key (lexicographic on components), for determinism only."""
         return (self.re, self.im)
@@ -149,18 +146,8 @@ def _as_gaussian(value):
     return None
 
 
-def gaussian(re=0, im=0):
-    """Convenience constructor accepting ints, Fractions or 'a/b' strings."""
-    if isinstance(re, str):
-        re = Fraction(re)
-    if isinstance(im, str):
-        im = Fraction(im)
-    return GaussianRational(re, im)
-
-
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 class Polynomial:
@@ -187,10 +174,6 @@ class Polynomial:
         return _POLY_ONE
 
     @classmethod
-    def x(cls):
-        return _POLY_X
-
-    @classmethod
     def constant(cls, c):
         return cls({0: c})
 
@@ -199,11 +182,6 @@ class Polynomial:
         if exp < 0:
             raise ValueError("polynomial exponents are non-negative")
         return cls({exp: coeff})
-
-    @classmethod
-    def from_list(cls, coeffs):
-        """coeffs[k] is the coefficient of x^k."""
-        return cls({k: c for k, c in enumerate(coeffs)})
 
     def is_zero(self):
         return not self.coeffs
@@ -336,13 +314,6 @@ class Polynomial:
             acc = acc + c * point**e
         return acc
 
-    def compose_poly(self, other):
-        """Substitute another polynomial for the variable."""
-        acc = _POLY_ZERO
-        for e in sorted(self.coeffs, reverse=True):
-            acc = acc + _raw_poly({0: self.coeffs[e]}) * other**e
-        return acc
-
     def root_multiplicity(self, point):
         if self.is_zero():
             raise ValueError("every point is a root of the zero polynomial")
@@ -423,10 +394,6 @@ class RationalFunction:
         return cls(Polynomial.constant(c))
 
     @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
-    @classmethod
     def monomial(cls, exp, coeff=1):
         """c * z^exp for any integer exp (negative exponents give poles at 0)."""
         if exp >= 0:
@@ -438,9 +405,6 @@ class RationalFunction:
 
     def __bool__(self):
         return not self.num.is_zero()
-
-    def is_one(self):
-        return self.num == _POLY_ONE and self.den == _POLY_ONE
 
     def is_polynomial(self):
         return self.den.degree() == 0

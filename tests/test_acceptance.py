@@ -120,7 +120,7 @@ def test_criterion_4_weight_certification(manifolds, basis_cache, structure_cach
         name = LINE_NAMES[k]
         basis = basis_cache(name)
         structure = structure_cache(name)
-        h_field = sl2_embedding(manifolds[name], "line", ((1, 0), (0, -1)))
+        h_field = sl2_embedding(manifolds[name], "diagonal", ((1, 0), (0, -1)))
         (vec,) = expand_in_basis(basis, [h_field])
         n_even = len(basis.even_basis)
         assert all(not c for c in vec[n_even:])
@@ -147,7 +147,7 @@ def test_criterion_5_nonsplit_comparison(manifolds):
 
 def test_criterion_6_group_law_suite(manifolds):
     rng = random.Random(101)
-    for name, family in (("k2", "line"), ("nonsplit-2-2", "nonsplit")):
+    for name, family in (("k2", "diagonal"), ("nonsplit-2-2", "nonsplit")):
         manifold = manifolds[name]
         for _ in range(5):
             A, B = rand_sl2(rng), rand_sl2(rng)

@@ -1,8 +1,13 @@
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import supervec
+from supervec import derivations, liealg
 from supervec.cli import main
 from supervec.errors import FileFormatError
 from supervec.files import (
@@ -18,6 +23,7 @@ from supervec.files import (
 )
 from supervec.geometry import CHART0, SuperManifoldData
 from supervec.grassmann import PullbackData
+from supervec.scalars import Polynomial
 
 
 def run(argv):
@@ -140,6 +146,46 @@ def test_cli_gr_inequality_violation_exit_3(monkeypatch):
         assert code == 3
         assert not out
         assert "GrInequalityViolated" in err and "12" in err and "10" in err
+
+
+def test_cli_decompose_postconditions_exit_3(monkeypatch, tmp_path):
+    # a recombination that always returns the identity breaks both checks:
+    # with n = 1 only the final comparison runs, with n = 2 the degree-2
+    # residual survives first
+    def identity(parts):
+        return PullbackData.identity(CHART0, parts.degree_zero.odd_dim)
+
+    monkeypatch.setattr(derivations, "recombine", identity)
+    cases = (
+        ("[pullback]\nz = 2*z\nt1 = t1\n", "RecombinationMismatch"),
+        ("[pullback]\nz = z + z^2*t1*t2\nt1 = 2*t1\nt2 = 1/2*t2\n", "ResidualNotCleared"),
+    )
+    for text, code_name in cases:
+        p = tmp_path / "p.spb"
+        p.write_text(text)
+        code, out, err = run(["decompose", "--pullback", str(p)])
+        assert code == 3
+        assert not out and code_name in err
+
+
+def test_cli_weights_inexact_root_division_exit_3(monkeypatch):
+    monkeypatch.setattr(liealg, "divmod", lambda p, q: (p, Polynomial.one()), raising=False)
+    code, out, err = run(["weights", "--manifold", "k1", "--cartan", "1"])
+    assert code == 3
+    assert not out and "InexactRootDivision" in err
+
+
+def test_report_under_python_O_matches():
+    # the postconditions are coded checks, not asserts, so -O changes nothing
+    argv = ["report", "--manifold", "nonsplit-2-2", "--machine"]
+    env = dict(os.environ, PYTHONPATH=str(Path(supervec.__file__).parents[1]))
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "supervec", *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, out, err = run(argv)
+    assert code == 0
+    assert optimized.stdout == out and not optimized.stderr
 
 
 def test_cli_flow_rejects_decimal_time():

@@ -27,7 +27,8 @@ from supervec.geometry import (
     sl2_embedding,
 )
 from supervec.grassmann import PullbackData, SuperFunction, compose
-from supervec.liealg import solve_global_fields
+from supervec.files import parse_manifold_text
+from supervec.liealg import expand_in_basis, solve_global_fields
 from supervec.linalg import kernel_basis, solve_square
 from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial, RationalFunction
 
@@ -106,7 +107,7 @@ def test_mobius_lift_identity_and_determinant(manifolds):
     with pytest.raises(FamilyShapeMismatch):
         mobius_lift(manifolds["k2"], "nonsplit", ((1, 0), (0, 1)))
     with pytest.raises(FamilyShapeMismatch):
-        mobius_lift(manifolds["split-2-2"], "line", ((1, 0), (0, 1)))
+        mobius_lift(manifolds["nonsplit-2-2"], "diagonal", ((1, 0), (0, 1)))
 
 
 def test_mobius_lift_nonsplit_display(manifolds):
@@ -120,7 +121,7 @@ def test_mobius_lift_nonsplit_display(manifolds):
     assert p.odd_images[1] == sf(2, {2: sq})
 
 
-@pytest.mark.parametrize("name,family", [("k2", "line"), ("split-2-2", "split"), ("nonsplit-2-2", "nonsplit")])
+@pytest.mark.parametrize("name,family", [("k2", "diagonal"), ("split-2-2", "diagonal"), ("nonsplit-2-2", "nonsplit")])
 def test_mobius_lift_group_law(manifolds, name, family):
     m = manifolds[name]
     rng = random.Random(hash(name) & 0xFFFF)
@@ -130,7 +131,7 @@ def test_mobius_lift_group_law(manifolds, name, family):
         assert lhs == mobius_lift(m, family, matmul2(A, B))
 
 
-@pytest.mark.parametrize("name,family", [("k2", "line"), ("nonsplit-2-2", "nonsplit")])
+@pytest.mark.parametrize("name,family", [("k2", "diagonal"), ("nonsplit-2-2", "nonsplit")])
 def test_mobius_lift_negation_even_degree(manifolds, name, family):
     m = manifolds[name]
     rng = random.Random(23)
@@ -142,12 +143,12 @@ def test_mobius_lift_negation_even_degree(manifolds, name, family):
 def test_mobius_lift_negation_differs_for_odd_degree(manifolds):
     m = manifolds["k1"]
     A = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
-    assert mobius_lift(m, "line", A) != mobius_lift(m, "line", neg2(A))
+    assert mobius_lift(m, "diagonal", A) != mobius_lift(m, "diagonal", neg2(A))
 
 
 def test_mobius_lift_always_global(manifolds):
     rng = random.Random(24)
-    for name, family in (("k-1", "line"), ("k3", "line"), ("split-3-1", "split"), ("nonsplit-2-2", "nonsplit")):
+    for name, family in (("k-1", "diagonal"), ("k3", "diagonal"), ("split-3-1", "diagonal"), ("nonsplit-2-2", "nonsplit")):
         m = manifolds[name]
         for _ in range(3):
             p = mobius_lift(m, family, rand_sl2(rng))
@@ -156,7 +157,7 @@ def test_mobius_lift_always_global(manifolds):
 
 def test_mobius_lift_line_scaling_parameter(manifolds):
     m = manifolds["k2"]
-    p = mobius_lift(m, "line", ((1, 0), (0, 1)), s=Fraction(3))
+    p = mobius_lift(m, "diagonal", ((1, 0), (0, 1)), s=Fraction(3))
     assert p.odd_images[0] == sf(1, {1: RationalFunction.constant(4)})
     assert morphism_check_global(m, p) == "global"
 
@@ -171,7 +172,7 @@ def test_sl2_embedding_displays(manifolds):
 
     for k in (1, 2, 5):
         mk = manifolds["k%d" % k]
-        e_minus = sl2_embedding(mk, "line", ((0, 0), (1, 0)))
+        e_minus = sl2_embedding(mk, "diagonal", ((0, 0), (1, 0)))
         assert e_minus.even_coeff == sf(1, {0: RationalFunction(Polynomial.monomial(2))})
         assert e_minus.odd_coeffs[0] == sf(1, {1: RationalFunction(Polynomial.monomial(1, k))})
 
@@ -185,8 +186,57 @@ def test_sl2_embedding_line_is_bracket_homomorphism(manifolds):
     Ep = ((0, 1), (0, 0))
     Em = ((0, 0), (1, 0))
     for E, F in ((H, Ep), (H, Em), (Ep, Em)):
-        lhs = bracket(sl2_embedding(m, "line", E), sl2_embedding(m, "line", F))
-        assert lhs == sl2_embedding(m, "line", commutator2(E, F))
+        lhs = bracket(sl2_embedding(m, "diagonal", E), sl2_embedding(m, "diagonal", F))
+        assert lhs == sl2_embedding(m, "diagonal", commutator2(E, F))
+
+
+S210_TEXT = (
+    "[manifold]\nname = s210\nodd_dim = 3\n\n[transition]\n"
+    "w = z^-1\neta1 = z^-2*t1\neta2 = z^-1*t2\neta3 = t3\n"
+)
+
+
+@pytest.fixture(scope="module")
+def diagonal_manifolds(manifolds):
+    return {"split-2-2": manifolds["split-2-2"], "s210": parse_manifold_text(S210_TEXT)}
+
+
+@pytest.mark.parametrize("name", ["split-2-2", "s210"])
+def test_diagonal_lifts_global_and_group_law(diagonal_manifolds, name):
+    m = diagonal_manifolds[name]
+    rng = random.Random(31)
+    for _ in range(3):
+        A, B = rand_sl2(rng), rand_sl2(rng)
+        lift_a = mobius_lift(m, "diagonal", A)
+        assert morphism_check_global(m, lift_a) == "global"
+        lhs = compose(lift_a, mobius_lift(m, "diagonal", B))
+        assert lhs == mobius_lift(m, "diagonal", matmul2(A, B))
+
+
+@pytest.mark.parametrize("name", ["split-2-2", "s210"])
+def test_diagonal_sl2_embedding_in_solved_basis(diagonal_manifolds, name):
+    m = diagonal_manifolds[name]
+    H, E, F = ((1, 0), (0, -1)), ((0, 1), (0, 0)), ((0, 0), (1, 0))
+    for X, Y in ((H, E), (H, F), (E, F)):
+        lhs = bracket(sl2_embedding(m, "diagonal", X), sl2_embedding(m, "diagonal", Y))
+        assert lhs == sl2_embedding(m, "diagonal", commutator2(X, Y))
+    fields = [sl2_embedding(m, "diagonal", X) for X in (H, E, F)]
+    fields.append(sl2_embedding(m, "diagonal", ((0, 0), (0, 0)), scalar_part=1))
+    basis = solve_global_fields(m)
+    ders = [f.chart0_der for f in basis.fields]
+    for field, coeffs in zip(fields, expand_in_basis(basis, fields)):
+        total = SuperDerivation.zero(CHART0, m.odd_dim)
+        for der, c in zip(ders, coeffs):
+            total = total + der.scale(c)
+        assert total == field
+
+
+def test_diagonal_scaling_parameter_on_two_odd(manifolds):
+    m = manifolds["split-2-2"]
+    p = mobius_lift(m, "diagonal", ((1, 0), (0, 1)), s=3)
+    four = RationalFunction.constant(4)
+    assert p.odd_images == (sf(2, {1: four}), sf(2, {2: four}))
+    assert morphism_check_global(m, p) == "global"
 
 
 def test_sl2_embedding_nonsplit_matches_lift_orientation(manifolds):
@@ -309,7 +359,7 @@ def test_flows_commute(manifolds):
 
 def test_invert_lift_is_lift_of_inverse_matrix(manifolds):
     rng = random.Random(31)
-    for name, family in (("k2", "line"), ("nonsplit-2-2", "nonsplit")):
+    for name, family in (("k2", "diagonal"), ("nonsplit-2-2", "nonsplit")):
         m = manifolds[name]
         for _ in range(3):
             A = rand_sl2(rng)
@@ -324,9 +374,9 @@ def test_morphism_check_affine_lift_branch(manifolds):
     # chart-1 representation at w = 0
     m = manifolds["k2"]
     A = ((Fraction(1), Fraction(0)), (Fraction(3), Fraction(1)))  # z -> z + 3
-    assert morphism_check_global(m, mobius_lift(m, "line", A)) == "global"
+    assert morphism_check_global(m, mobius_lift(m, "diagonal", A)) == "global"
     B = ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(2)))  # z -> 4z
-    assert morphism_check_global(m, mobius_lift(m, "line", B)) == "global"
+    assert morphism_check_global(m, mobius_lift(m, "diagonal", B)) == "global"
 
 
 def test_point_scaling_automorphisms(manifolds):

@@ -203,7 +203,7 @@ def test_jacobi_negative_control(structure_cache):
 
 
 def _h_vector(manifolds, basis, name):
-    field = sl2_embedding(manifolds[name], "line", ((1, 0), (0, -1)))
+    field = sl2_embedding(manifolds[name], "diagonal", ((1, 0), (0, -1)))
     (vec,) = expand_in_basis(basis, [field])
     n_even = len(basis.even_basis)
     assert all(not c for c in vec[n_even:])
@@ -251,7 +251,7 @@ def test_weights_reject_defective_element(structure_cache):
     structure = structure_cache("k2")
     basis = structure.basis
     # a nilpotent even element: ad on the odd part is defective
-    field = sl2_embedding(basis.manifold, "line", ((0, 1), (0, 0)))
+    field = sl2_embedding(basis.manifold, "diagonal", ((0, 1), (0, 0)))
     (vec,) = expand_in_basis(basis, [field])
     n_even = len(basis.even_basis)
     with pytest.raises(NotDiagonalizable):
@@ -425,7 +425,7 @@ def test_conjugation_preserves_brackets(basis_cache, structure_cache, manifolds)
     structure = structure_cache("k2")
     rng = random.Random(28)
     A = rand_sl2(rng)
-    c = conjugation_action(basis, mobius_lift(manifolds["k2"], "line", A))
+    c = conjugation_action(basis, mobius_lift(manifolds["k2"], "diagonal", A))
     m = len(basis.fields)
 
     def column(k):

@@ -9,7 +9,7 @@ from supervec.linalg import (
     determinant,
     invert_matrix,
     kernel_basis,
-    mat_vec,
+    mat_mul,
     rank,
     rref,
     solve_columns,
@@ -57,7 +57,7 @@ def test_kernel_vectors_annihilate_and_count_matches_rank():
         m = rand_matrix(rng, rows, cols)
         basis = kernel_basis(m, cols)
         for vec in basis:
-            assert all(not c for c in mat_vec(m, vec, GR_ZERO))
+            assert all(not row[0] for row in mat_mul(m, [[c] for c in vec], GR_ZERO))
         # independent elimination order: reverse the columns
         reversed_m = [list(reversed(row)) for row in m]
         assert len(basis) == cols - rank(reversed_m)
@@ -131,6 +131,57 @@ def test_solve_columns_exact_and_inconsistent():
     sols = solve_columns(m, [good, bad])
     assert sols[0] == [g(1), g(2)]
     assert sols[1] is None
+
+
+def two_path_solve_columns(matrix, rhs_columns, zero=GR_ZERO):
+    """Reference: one joint elimination, redone per column when any is inconsistent."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if matrix else 0
+    aug = [list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(nrows)]
+    rows, pivot_cols = rref(aug)
+    main_pivots = [c for c in pivot_cols if c < ncols]
+    if len(main_pivots) < ncols:
+        raise NotInvertible("coefficient matrix does not have full column rank")
+    if len(main_pivots) == len(pivot_cols):
+        return [[rows[r][ncols + j] for r in range(ncols)] for j in range(len(rhs_columns))]
+    solutions = []
+    for col in rhs_columns:
+        aug = [list(matrix[i]) + [col[i]] for i in range(nrows)]
+        rows, pivot_cols = rref(aug)
+        if any(c >= ncols for c in pivot_cols):
+            solutions.append(None)
+        else:
+            solutions.append([rows[r][ncols] for r in range(ncols)])
+    return solutions
+
+
+@st.composite
+def tall_systems(draw):
+    """A tall matrix (often of full column rank) and right-hand columns, some
+    of them images of the matrix and so consistent, some arbitrary."""
+    ncols = draw(st.integers(0, 4))
+    nrows = ncols + draw(st.integers(0, 3))
+    matrix = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            x = [draw(entries) for _ in range(ncols)]
+            rhs.append([sum((a * b for a, b in zip(row, x)), GR_ZERO) for row in matrix])
+        else:
+            rhs.append([draw(entries) for _ in range(nrows)])
+    return matrix, rhs
+
+
+@given(tall_systems())
+def test_solve_columns_matches_two_path_reference(system):
+    matrix, rhs = system
+    try:
+        expected = two_path_solve_columns(matrix, rhs)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            solve_columns(matrix, rhs)
+        return
+    assert solve_columns(matrix, rhs) == expected
 
 
 def test_invert_matrix_over_rational_functions():
