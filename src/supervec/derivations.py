@@ -351,7 +351,6 @@ def _solve_degree_slice(phi0, delta, weight, rho_inv):
         return SuperFunction.zero(target, n)
     indices = [i for i in range(1 << n) if idx_weight(i) == weight]
     indices.sort(key=idx_sort_key)
-    rf_zero, rf_one = RationalFunction.zero(), RationalFunction.one()
     # column nu: coefficients of phi0*(eta^nu) on the source chart
     columns = []
     for nu in indices:
@@ -359,7 +358,7 @@ def _solve_degree_slice(phi0, delta, weight, rho_inv):
         columns.append([image.coefficient(mu) for mu in indices])
     matrix = [[columns[c][r] for c in range(len(indices))] for r in range(len(indices))]
     rhs = [delta.coefficient(mu) for mu in indices]
-    composed = solve_square(matrix, rhs, rf_zero, rf_one)
+    composed = solve_square(matrix, rhs)
     terms = {}
     for nu, u in zip(indices, composed):
         if u:

@@ -3,11 +3,11 @@
 The solver parametrizes unknown polynomial-coefficient derivations on both
 charts up to a degree cap and imposes the transition-compatibility equations
 one Laurent coefficient at a time.  The rows are built once per parity, sparse,
-at cap + 2; the cap system is the same rows restricted to the columns of
-z-power <= cap.  Each system is eliminated one connected block at a time
-(``sparse_kernel_basis``), and the basis is read off the exact kernel at cap.
-The separate elimination at cap + 2 is the saturation check that turns the
-cap heuristic into a checked result.
+at cap + 2, with the columns of z-power <= cap first, and eliminated once, one
+connected block at a time (``sparse_kernel_basis``).  The basis is read off
+the kernel vectors that vanish on the later columns, which are exactly the
+kernel at cap; the kernel dimension at cap + 2 is the saturation check that
+turns the cap heuristic into a checked result.
 
 On top of the basis: exact structure constants, the graded-Jacobi check,
 adjoint matrices and weight decompositions, the span of odd-odd brackets,
@@ -132,35 +132,30 @@ def solve_global_fields(manifold, cap=None):
         return _point_basis(manifold)
     if cap is None:
         cap = default_cap(manifold)
-    evens, evens2, n_even = _solve_parity(manifold, cap, 0)
-    odds, odds2, n_odd = _solve_parity(manifold, cap, 1)
-    if (len(evens), len(odds)) != (len(evens2), len(odds2)):
-        raise CapNotSaturated(cap, (len(evens), len(odds)), (len(evens2), len(odds2)))
-    return SuperalgebraBasis(manifold, evens, odds, cap, max(n_even, n_odd))
+    evens, n_even_next, clear_even = _solve_parity(manifold, cap, 0)
+    odds, n_odd_next, clear_odd = _solve_parity(manifold, cap, 1)
+    dims = (len(evens), len(odds))
+    if dims != (n_even_next, n_odd_next):
+        raise CapNotSaturated(cap, dims, (n_even_next, n_odd_next))
+    return SuperalgebraBasis(manifold, evens, odds, cap, max(clear_even, clear_odd))
 
 
 def _solve_parity(manifold, cap, parity):
-    """Global fields of one parity at ``cap`` and at ``cap + 2``.
+    """Global fields of one parity at ``cap``, from one elimination at ``cap + 2``.
 
-    The rows are built once, at cap + 2.  A column's contribution does not
-    depend on the cap, so the cap system is those rows restricted to the
-    columns with z-power e <= cap.  The two systems are eliminated separately.
-    Returns (fields at cap, fields at cap + 2, clearing exponent at cap): the
-    power of z that clears every denominator of the cap system.
+    The columns of z-power e <= cap come first and the elimination runs left
+    to right, so the left block of the reduced system is the reduced cap
+    system.  The cap kernel is therefore exactly the cap + 2 kernel vectors
+    that vanish on every column with e > cap.  Returns (fields at cap, kernel
+    dimension at cap + 2, clearing exponent at cap): the power of z that
+    clears every denominator of the rows touching a column with e <= cap.
     """
-    columns, rows = _compatibility_rows(manifold, cap + 2, parity)
-    kept = [c for c, key in enumerate(columns) if key[3] <= cap]
-    renumber = {c: i for i, c in enumerate(kept)}
-    cap_rows = {}
-    for key, row in rows.items():
-        cut = {renumber[c]: x for c, x in row.items() if c in renumber}
-        if cut:
-            cap_rows[key] = cut
-    clearing = max([0] + [-p for (_, _, p) in cap_rows])
-    cap_kernel = sparse_kernel_basis(list(cap_rows.values()), len(kept))
-    fields = _kernel_fields(manifold, parity, [columns[c] for c in kept], cap_kernel)
+    columns, rows = _compatibility_rows(manifold, cap, parity)
+    low = sum(1 for key in columns if key[3] <= cap)
+    clearing = max([0] + [-p for (_, _, p), row in rows.items() if min(row) < low])
     kernel = sparse_kernel_basis(list(rows.values()), len(columns))
-    return fields, _kernel_fields(manifold, parity, columns, kernel), clearing
+    fields = _kernel_fields(manifold, parity, columns, kernel)
+    return [field for vec, field in fields if not any(vec[low:])], len(kernel), clearing
 
 
 def _laurent_terms(f):
@@ -178,23 +173,28 @@ def _laurent_terms(f):
 def _compatibility_rows(manifold, cap, parity):
     """Columns and sparse rows of the compatibility equations for one parity.
 
-    A column is an unknown (chart, component, multi-index, z-power e <= cap);
+    A column is an unknown (chart, component, multi-index, z-power e <= cap + 2);
     component -1 is the even-direction coefficient, j >= 0 the odd
-    directions.  A row is one Laurent coefficient (eq, mu, z-power) of
-    equation eq, stored as a dict column -> nonzero coefficient.
+    directions.  The columns with e <= cap come first.  A row is one Laurent
+    coefficient (eq, mu, z-power) of equation eq, stored as a dict
+    column -> nonzero coefficient.
     """
+    top = cap + 2
     n = manifold.odd_dim
     chi = manifold.transition
     same = _indices_of_parity(n, parity)
     flip = _indices_of_parity(n, (parity + 1) % 2)
     comps = [(-1, same)] + [(j, flip) for j in range(n)]
-    columns = [
-        (chart, comp, nu, e)
-        for chart in (0, 1)
-        for comp, nus in comps
-        for nu in nus
-        for e in range(cap + 1)
-    ]
+    columns = sorted(
+        (
+            (chart, comp, nu, e)
+            for chart in (0, 1)
+            for comp, nus in comps
+            for nu in nus
+            for e in range(top + 1)
+        ),
+        key=lambda key: key[3] > cap,
+    )
     col_index = {key: c for c, key in enumerate(columns)}
     rows = {}
 
@@ -214,22 +214,22 @@ def _compatibility_rows(manifold, cap, parity):
                 if not target:
                     continue
                 terms = _laurent_terms(-(mono * target))
-                for e in range(cap + 1):
+                for e in range(top + 1):
                     put(eq, terms, col_index[(0, comp, nu, e)], e)
 
     # chart 1: the transition image w^e eta^nu of the unknown's monomial
     w_powers = [SuperFunction.one(CHART0, n)]
-    for _ in range(cap):
+    for _ in range(top):
         w_powers.append(w_powers[-1] * chi.even_image)
     images = {}
     for nu in same + flip:
         odd_product = chi.odd_product(nu)
-        for e in range(cap + 1):
+        for e in range(top + 1):
             images[(nu, e)] = _laurent_terms(w_powers[e] * odd_product)
     for comp, nus in comps:
         eq = 0 if comp == -1 else comp + 1
         for nu in nus:
-            for e in range(cap + 1):
+            for e in range(top + 1):
                 put(eq, images[(nu, e)], col_index[(1, comp, nu, e)])
 
     sparse = {}
@@ -241,7 +241,7 @@ def _compatibility_rows(manifold, cap, parity):
 
 
 def _kernel_fields(manifold, parity, columns, kernel):
-    """Global fields of the kernel vectors, in a canonical order."""
+    """(kernel vector, global field) pairs, in a canonical order."""
     n = manifold.odd_dim
     fields = []
     for vec in kernel:
@@ -278,7 +278,7 @@ def _kernel_fields(manifold, parity, columns, kernel):
         return (top_weight, tuple(c.sort_key() for c in vec))
 
     fields.sort(key=sort_key)
-    return [field for _, field in fields]
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +600,13 @@ def conjugation_action(basis, pullback):
 
 
 class GrComparison:
-    __slots__ = ("manifold", "gr", "dims", "gr_dims", "split", "cap", "gr_cap")
+    __slots__ = ("gr", "dims", "gr_dims", "split")
 
-    def __init__(self, manifold, gr, dims, gr_dims, split, cap, gr_cap):
-        self.manifold = manifold
+    def __init__(self, gr, dims, gr_dims, split):
         self.gr = gr
         self.dims = dims
         self.gr_dims = gr_dims
         self.split = split
-        self.cap = cap
-        self.gr_cap = gr_cap
 
 
 def gr_comparison(manifold, cap=None):
@@ -627,9 +624,7 @@ def gr_comparison(manifold, cap=None):
             "total dimension %d exceeds the split model's %d" % (sum(dims), sum(gr_dims))
         )
     split = manifold.is_split and dims == gr_dims
-    return GrComparison(
-        manifold, split_model, dims, gr_dims, split, basis.cap_used, gr_basis.cap_used
-    )
+    return GrComparison(split_model, dims, gr_dims, split)
 
 
 class HCReport:
@@ -637,12 +632,10 @@ class HCReport:
     finite witnesses."""
 
     __slots__ = (
-        "manifold",
         "basis",
         "structure",
         "jacobi",
         "derived_dim",
-        "derived_basis",
         "kernel_dim",
         "split_supergroup",
         "comparison",
@@ -658,7 +651,7 @@ def hc_pair_report(manifold, cap=None):
     basis = solve_global_fields(manifold, cap)
     structure = structure_constants(basis)
     jacobi = jacobi_check(structure)
-    derived_dim, derived_basis = odd_derived_span(structure)
+    derived_dim, _ = odd_derived_span(structure)
     kernel_dim, _ = reduced_trivial_subspace(basis)
     comparison = gr_comparison(manifold, cap)
     identity = PullbackData.identity(manifold.chart0, manifold.odd_dim)
@@ -668,12 +661,10 @@ def hc_pair_report(manifold, cap=None):
         conj[r][s] == (GR_ONE if r == s else GR_ZERO) for r in range(m) for s in range(m)
     )
     return HCReport(
-        manifold=manifold,
         basis=basis,
         structure=structure,
         jacobi=jacobi,
         derived_dim=derived_dim,
-        derived_basis=derived_basis,
         kernel_dim=kernel_dim,
         split_supergroup=(derived_dim == 0),
         comparison=comparison,

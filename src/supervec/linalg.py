@@ -58,7 +58,7 @@ def rank(matrix):
     return len(rref(matrix)[1])
 
 
-def kernel_basis(matrix, ncols, zero=GR_ZERO, one=GR_ONE):
+def kernel_basis(matrix, ncols):
     """Basis of the right null space of ``matrix`` (``ncols`` columns).
 
     The basis comes from the reduced row echelon form: one vector per free
@@ -67,8 +67,8 @@ def kernel_basis(matrix, ncols, zero=GR_ZERO, one=GR_ONE):
     if not matrix:
         basis = []
         for j in range(ncols):
-            v = [zero] * ncols
-            v[j] = one
+            v = [GR_ZERO] * ncols
+            v[j] = GR_ONE
             basis.append(v)
         return basis
     rows, pivot_cols = rref(matrix)
@@ -76,12 +76,12 @@ def kernel_basis(matrix, ncols, zero=GR_ZERO, one=GR_ONE):
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free_cols:
-        v = [zero] * ncols
-        v[fc] = one
+        v = [GR_ZERO] * ncols
+        v[fc] = GR_ONE
         for r, pc in enumerate(pivot_cols):
             entry = rows[r][fc]
             if entry:
-                v[pc] = zero - entry
+                v[pc] = -entry
         basis.append(v)
     return basis
 
@@ -164,7 +164,7 @@ def solve_columns(matrix, rhs_columns):
     ]
 
 
-def solve_square(matrix, rhs, zero, one):
+def solve_square(matrix, rhs):
     """Solve a square full-rank system over any field; NotInvertible if singular."""
     return solve_columns(matrix, [rhs])[0]
 

@@ -331,9 +331,7 @@ def test_criterion_10_infinitesimal_adjoint(manifolds, basis_cache, structure_ca
         linear = [[GR_ZERO] * m for _ in range(m)]
         for r in range(m):
             for s in range(m):
-                series = solve_square(
-                    vandermonde, [mats[i][r][s] for i in range(5)], GR_ZERO, GR_ONE
-                )
+                series = solve_square(vandermonde, [mats[i][r][s] for i in range(5)])
                 linear[r][s] = series[1]
         for r in range(m):
             for s in range(m):

@@ -104,6 +104,21 @@ def test_sparse_kernel_matches_dense_kernel(system):
     assert sparse_kernel_basis(rows, ncols) == kernel_basis(dense, ncols)
 
 
+@given(sparse_systems(), st.data())
+def test_kernel_vanishing_on_late_columns_is_kernel_of_early_columns(system, data):
+    """What the solver's single elimination at cap + 2 rests on.
+
+    Reduction runs left to right, so the kernel vectors that vanish from
+    column ``low`` on, cut to ``low``, are the kernel basis of the first
+    ``low`` columns alone.
+    """
+    rows, ncols = system
+    low = data.draw(st.integers(0, ncols))
+    early = [[row.get(c, GR_ZERO) for c in range(low)] for row in rows]
+    cut = [vec[:low] for vec in sparse_kernel_basis(rows, ncols) if not any(vec[low:])]
+    assert cut == kernel_basis(early, low)
+
+
 def test_sparse_kernel_blocks_and_empty_columns():
     # blocks {0, 2} and {3}; columns 1 and 4 are untouched
     rows = [{0: g(1), 2: g(2)}, {3: g(5)}, {2: g(0)}]
