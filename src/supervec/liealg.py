@@ -154,8 +154,8 @@ def _solve_parity(manifold, cap, parity):
     low = sum(1 for key in columns if key[3] <= cap)
     clearing = max([0] + [-p for (_, _, p), row in rows.items() if min(row) < low])
     kernel = sparse_kernel_basis(list(rows.values()), len(columns))
-    fields = _kernel_fields(manifold, parity, columns, kernel)
-    return [field for vec, field in fields if not any(vec[low:])], len(kernel), clearing
+    pairs = _kernel_fields(manifold, parity, columns, kernel)
+    return [field for vec, field in pairs if not any(vec[low:])], len(kernel), clearing
 
 
 def _laurent_terms(f):
