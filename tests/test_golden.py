@@ -1,11 +1,12 @@
 """Byte-for-byte golden outputs of the CLI.
 
 The files under ``tests/golden`` pin ``report`` (human and ``--machine``) and
-``gr --machine`` on every bundled manifold, and ``vec --machine`` on the
+``gr --machine`` on every bundled manifold, ``vec --machine`` on the
 synthetic manifolds of ``test_solver_oracle`` at their default cap and at
-cap + 2.  Regenerate one only for an intended output change, with
+cap + 2, and ``brackets --machine`` on the same synthetic manifolds at their
+default cap.  Regenerate one only for an intended output change, with
 ``python -m supervec report --manifold NAME [--machine] > tests/golden/...``
-(likewise ``gr`` and ``vec``).
+(likewise ``gr``, ``vec`` and ``brackets``).
 """
 
 import io
@@ -46,12 +47,17 @@ def test_gr_matches_golden(name):
     assert run_cli(["gr", "--manifold", name, "--machine"]) == expected
 
 
-@pytest.mark.parametrize("extra", [0, 2], ids=["cap", "cap+2"])
-@pytest.mark.parametrize("name", sorted(SYNTHETIC))
-def test_vec_on_synthetic_matches_golden(tmp_path, name, extra):
+def write_synthetic(tmp_path, name):
     text = "[manifold]\nname = %s\n%s" % (name, SYNTHETIC[name])
     path = tmp_path / (name + ".smf")
     path.write_text(text)
+    return text, path
+
+
+@pytest.mark.parametrize("extra", [0, 2], ids=["cap", "cap+2"])
+@pytest.mark.parametrize("name", sorted(SYNTHETIC))
+def test_vec_on_synthetic_matches_golden(tmp_path, name, extra):
+    text, path = write_synthetic(tmp_path, name)
     argv = ["vec", "--manifold", str(path), "--machine"]
     stem = "vec-" + name
     if extra:
@@ -60,3 +66,10 @@ def test_vec_on_synthetic_matches_golden(tmp_path, name, extra):
         stem += "-cap%d" % cap
     expected = (GOLDEN / (stem + ".machine.txt")).read_text()
     assert run_cli(argv) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC))
+def test_brackets_on_synthetic_matches_golden(tmp_path, name):
+    _, path = write_synthetic(tmp_path, name)
+    expected = (GOLDEN / ("brackets-" + name + ".machine.txt")).read_text()
+    assert run_cli(["brackets", "--manifold", str(path), "--machine"]) == expected
