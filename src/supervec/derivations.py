@@ -158,7 +158,12 @@ class SuperDerivation:
     __call__ = apply
 
     def bracket(self, other):
-        """Super bracket [X, Y] = X Y - (-1)^{|X||Y|} Y X, extracted on coordinates."""
+        """Super bracket [X, Y] = X Y - (-1)^{|X||Y|} Y X.
+
+        A field is its values on the coordinates z, t_j, and those values are
+        its coefficients, so the coefficients of [X, Y] are X(Y_u) - s Y(X_u)
+        for u the even coefficient and each odd one, with s = (-1)^{|X||Y|}.
+        """
         if other.chart != self.chart or other.odd_dim != self.odd_dim:
             raise ChartMismatch("bracket of derivations on different charts")
         px = self.parity()
@@ -166,14 +171,10 @@ class SuperDerivation:
         if px is None or py is None:
             raise MixedParity("bracket requires parity-homogeneous derivations")
         sign = -1 if (px and py) else 1
-        n = self.odd_dim
-        zc = SuperFunction.coordinate(self.chart, n)
-        even = self.apply(other.apply(zc)) - other.apply(self.apply(zc)).scale(sign)
-        odds = []
-        for j in range(n):
-            tj = SuperFunction.odd_var(self.chart, n, j)
-            odds.append(self.apply(other.apply(tj)) - other.apply(self.apply(tj)).scale(sign))
-        return SuperDerivation(self.chart, n, even, odds)
+        xs = (self.even_coeff,) + self.odd_coeffs
+        ys = (other.even_coeff,) + other.odd_coeffs
+        coeffs = [self.apply(y) - other.apply(x).scale(sign) for x, y in zip(xs, ys)]
+        return SuperDerivation(self.chart, self.odd_dim, coeffs[0], coeffs[1:])
 
     def filtration_level(self):
         """Largest k such that the field raises Grassmann degree by k.

@@ -305,9 +305,8 @@ def _derivation_vector(der, slot_index):
     vec = [GR_ZERO] * len(slot_index)
     for comp, coeff in [(-1, der.even_coeff)] + list(enumerate(der.odd_coeffs)):
         for nu, rf in coeff.terms.items():
-            lead = rf.den.leading_coeff()
             for e, c in rf.num.coeffs.items():
-                vec[slot_index[(comp, nu, e)]] = c / lead
+                vec[slot_index[(comp, nu, e)]] = c
     return vec
 
 
@@ -357,47 +356,39 @@ def structure_constants(basis):
 
 
 def jacobi_check(structure):
-    """Graded antisymmetry and the super Jacobi identity on the table."""
-    basis = structure.basis
-    fields = basis.fields
-    m = len(fields)
-    par = [f.parity for f in fields]
+    """Graded antisymmetry, parity additivity and the super Jacobi identity.
+
+    One pass over the table checks both preconditions and keeps the nonzero
+    (k, c) pairs of each entry.  The Jacobiator J(i, j, k) =
+    (-1)^{p_i p_k} [b_i, [b_j, b_k]] + cyclic is cyclic by definition, and on
+    an antisymmetric table rewriting each inner bracket gives J(j, i, k) =
+    -(-1)^{p_i p_j + p_j p_k + p_k p_i} J(i, j, k), so the sorted triples
+    i <= j <= k decide it.  Parity additivity is the other condition for a
+    Lie superalgebra bracket.  Repeated indices stay: [x, [x, x]] = 0 for odd
+    x does not follow from antisymmetry.
+    """
+    par = [f.parity for f in structure.basis.fields]
+    m = len(par)
     table = structure.table
-
-    def ksign(p, q):
-        return -1 if (p and q) else 1
-
-    for i in range(m):
-        for j in range(m):
-            lhs = table[(i, j)]
-            rhs = table[(j, i)]
-            s = ksign(par[i], par[j])
-            if any(a + GaussianRational(s) * b for a, b in zip(lhs, rhs)):
+    rows = {}
+    for (i, j), vec in table.items():
+        both_odd = par[i] and par[j]
+        parity = (par[i] + par[j]) % 2
+        for k, (a, b) in enumerate(zip(vec, table[(j, i)])):
+            if (a - b if both_odd else a + b) or (a and par[k] != parity):
                 return False
-
-    def bracket_vec(vec, j):
-        out = [GR_ZERO] * m
-        for l, c in enumerate(vec):
-            if not c:
-                continue
-            row = table[(j, l)]
-            for k, d in enumerate(row):
-                if d:
-                    out[k] = out[k] + c * d
-        return out
-
+        rows[(i, j)] = [(k, c) for k, c in enumerate(vec) if c]
     for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                total = [GR_ZERO] * m
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = table[(b, c)]
-                    term = bracket_vec(inner, a)
-                    s = ksign(par[a], par[c])
-                    for t in range(m):
-                        if term[t]:
-                            total[t] = total[t] + GaussianRational(s) * term[t]
-                if any(total):
+        for j in range(i, m):
+            for k in range(j, m):
+                total = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    negate = par[a] and par[c]
+                    for l, x in rows[(b, c)]:
+                        for t, y in rows[(a, l)]:
+                            cur = total.get(t, GR_ZERO)
+                            total[t] = cur - x * y if negate else cur + x * y
+                if any(total.values()):
                     return False
     return True
 
@@ -564,10 +555,9 @@ def reduced_trivial_subspace(basis):
     rows = {}
     for c, field in enumerate(basis.even_basis):
         red = field.chart0_der.even_coeff.reduced_part()
-        lead = red.den.leading_coeff() if red else GR_ONE
         for e, coeff in red.num.coeffs.items():
             rows.setdefault(e, [GR_ZERO] * n_even)
-            rows[e][c] = coeff / lead
+            rows[e][c] = coeff
     matrix = [rows[e] for e in sorted(rows)]
     kern = kernel_basis(matrix, n_even)
     return len(kern), [tuple(v) for v in kern]

@@ -124,6 +124,30 @@ def test_bracket_super_antisymmetry_and_jacobi():
         assert jac.is_zero()
 
 
+def coordinate_bracket(x, y):
+    """Reference bracket: applies both fields to the coordinates z, t_j."""
+    sign = -1 if (x.parity() and y.parity()) else 1
+    n = x.odd_dim
+    zc = SuperFunction.coordinate(x.chart, n)
+    even = x.apply(y.apply(zc)) - y.apply(x.apply(zc)).scale(sign)
+    odds = []
+    for j in range(n):
+        tj = SuperFunction.odd_var(x.chart, n, j)
+        odds.append(x.apply(y.apply(tj)) - y.apply(x.apply(tj)).scale(sign))
+    return SuperDerivation(x.chart, n, even, odds)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bracket_matches_coordinate_reference(n):
+    rng = random.Random(20 + n)
+    for px in (0, 1):
+        for py in (0, 1):
+            for _ in range(4):
+                x = rand_derivation(rng, n, px)
+                y = rand_derivation(rng, n, py)
+                assert bracket(x, y) == coordinate_bracket(x, y)
+
+
 def test_bracket_requires_parity():
     mixed = SuperDerivation(
         C, 1,

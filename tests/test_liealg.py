@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import commutator2, matmul2, rand_sl2
+from test_solver_oracle import SYNTHETIC
 
 from supervec.derivations import SuperDerivation, bracket
 from supervec.errors import (
     CapNotSaturated,
+    NotClosed,
     NotDiagonalizable,
     NotGlobal,
     NotInSpan,
@@ -20,8 +23,11 @@ from supervec.geometry import (
     mobius_lift,
     sl2_embedding,
 )
+from supervec.files import parse_manifold_text
 from supervec.grassmann import PullbackData, SuperFunction, compose
 from supervec.liealg import (
+    StructureConstants,
+    SuperalgebraBasis,
     adjoint_matrix,
     conjugation_action,
     expand_in_basis,
@@ -136,6 +142,28 @@ def test_point_bracket_table(structure_cache):
     assert jacobi_check(structure)
 
 
+def test_basis_with_repeated_field_is_not_closed(basis_cache):
+    basis = basis_cache("k1")
+    evens = basis.even_basis + basis.even_basis[:1]
+    with pytest.raises(NotClosed):
+        SuperalgebraBasis(
+            basis.manifold, evens, basis.odd_basis, basis.cap_used, basis.clearing_exponent
+        )
+
+
+def test_bracket_leaving_the_span_is_not_closed(basis_cache):
+    basis = basis_cache("k1")
+    smaller = SuperalgebraBasis(
+        basis.manifold,
+        basis.even_basis[1:],
+        basis.odd_basis,
+        basis.cap_used,
+        basis.clearing_exponent,
+    )
+    with pytest.raises(NotClosed, match="left the span"):
+        structure_constants(smaller)
+
+
 def test_even_self_bracket_vanishes(structure_cache):
     structure = structure_cache("k1")
     n_even = len(structure.basis.even_basis)
@@ -184,9 +212,149 @@ def test_jacobi_on_all_bundled_tables(structure_cache):
         assert jacobi_check(structure_cache(name))
 
 
-def test_jacobi_negative_control(structure_cache):
-    from supervec.liealg import StructureConstants
+def reference_jacobi_check(structure):
+    """The full-triple Jacobi check that the sorted-triple loop replaced."""
+    basis = structure.basis
+    fields = basis.fields
+    m = len(fields)
+    par = [f.parity for f in fields]
+    table = structure.table
 
+    def ksign(p, q):
+        return -1 if (p and q) else 1
+
+    for i in range(m):
+        for j in range(m):
+            lhs = table[(i, j)]
+            rhs = table[(j, i)]
+            s = ksign(par[i], par[j])
+            if any(a + GaussianRational(s) * b for a, b in zip(lhs, rhs)):
+                return False
+
+    def bracket_vec(vec, j):
+        out = [GR_ZERO] * m
+        for l, c in enumerate(vec):
+            if not c:
+                continue
+            row = table[(j, l)]
+            for k, d in enumerate(row):
+                if d:
+                    out[k] = out[k] + c * d
+        return out
+
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                total = [GR_ZERO] * m
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner = table[(b, c)]
+                    term = bracket_vec(inner, a)
+                    s = ksign(par[a], par[c])
+                    for t in range(m):
+                        if term[t]:
+                            total[t] = total[t] + GaussianRational(s) * term[t]
+                if any(total):
+                    return False
+    return True
+
+
+def assert_rejected(structure):
+    assert not jacobi_check(structure)
+    assert not reference_jacobi_check(structure)
+
+
+def test_jacobi_matches_reference_on_bundled_and_s222(manifolds, structure_cache):
+    structures = [structure_cache(name) for name in manifolds]
+    s222 = parse_manifold_text("[manifold]\nname = s222\n" + SYNTHETIC["s222"])
+    structures.append(structure_constants(solve_global_fields(s222)))
+    for structure in structures:
+        assert jacobi_check(structure) == reference_jacobi_check(structure)
+
+
+def test_jacobi_rejects_antisymmetric_parity_additive_corruption(structure_cache):
+    # +1 at (i, j)[k] and -s at (j, i)[k] keeps antisymmetry and parity
+    # additivity, so only the triple loop can reject the table
+    structure = structure_cache("nonsplit-2-2")
+    par = [f.parity for f in structure.basis.fields]
+    m = len(par)
+    for i in range(m):
+        for j in range(i + 1, m):
+            k = par.index((par[i] + par[j]) % 2)
+            s = -1 if (par[i] and par[j]) else 1
+            table = dict(structure.table)
+            for key, delta in (((i, j), 1), ((j, i), -s)):
+                vec = list(table[key])
+                vec[k] = vec[k] + GaussianRational(delta)
+                table[key] = tuple(vec)
+            assert_rejected(StructureConstants(structure.basis, table))
+
+
+def small_structure(parities, entries):
+    """A table on a basis of the given parities from its nonzero entries."""
+    basis = SimpleNamespace(fields=[SimpleNamespace(parity=p) for p in parities])
+    m = len(parities)
+    table = {(i, j): (GR_ZERO,) * m for i in range(m) for j in range(m)}
+    for key, vec in entries.items():
+        table[key] = tuple(GaussianRational(c) for c in vec)
+    return StructureConstants(basis, table)
+
+
+def jacobiator(structure, i, j, k):
+    """J(i, j, k) straight from the definition, as a dense vector."""
+    par = [f.parity for f in structure.basis.fields]
+    table = structure.table
+    m = len(par)
+    total = [GR_ZERO] * m
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        sign = GaussianRational(-1 if (par[a] and par[c]) else 1)
+        for l, x in enumerate(table[(b, c)]):
+            for t, y in enumerate(table[(a, l)]):
+                total[t] = total[t] + sign * x * y
+    return total
+
+
+def nonzero_sorted_jacobiators(structure):
+    m = len(structure.basis.fields)
+    triples = [(i, j, k) for i in range(m) for j in range(i, m) for k in range(j, m)]
+    return [t for t in triples if any(jacobiator(structure, *t))]
+
+
+def test_jacobi_keeps_repeated_indices():
+    # the c01 parities (b0 even, b1 odd); antisymmetric and parity additive,
+    # and with two elements every triple repeats an index
+    structure = small_structure([0, 1], {(1, 1): (1, 0), (1, 0): (0, 1), (0, 1): (0, -1)})
+    assert_rejected(structure)
+    # odd x, [x, x] = y, [x, y] = w: only J(x, x, x) = -3 w is nonzero
+    structure = small_structure(
+        [0, 1, 1], {(1, 1): (1, 0, 0), (1, 0): (0, 0, 1), (0, 1): (0, 0, -1)}
+    )
+    assert nonzero_sorted_jacobiators(structure) == [(1, 1, 1)]
+    assert_rejected(structure)
+
+
+def test_jacobi_rejects_parity_violation():
+    # the c01 table plus an even component on the odd bracket [b0, b1],
+    # antisymmetric
+    structure = small_structure([0, 1], {(0, 1): (1, -1), (1, 0): (-1, 1)})
+    assert_rejected(structure)
+    # even x, y and odd z with [x, y] = z central: an antisymmetric table
+    # whose Jacobiator vanishes, so only the parity check rejects it (the
+    # full-triple reference, which left parity to structure_constants, does not)
+    structure = small_structure([0, 0, 1], {(0, 1): (0, 0, 1), (1, 0): (0, 0, -1)})
+    assert nonzero_sorted_jacobiators(structure) == []
+    assert reference_jacobi_check(structure)
+    assert not jacobi_check(structure)
+
+
+def test_jacobi_rejects_non_antisymmetric_table():
+    # [b1, b0] = b1 and nothing else: every sorted triple's Jacobiator
+    # vanishes, so only the antisymmetry check rejects it
+    structure = small_structure([0, 1], {(1, 0): (0, 1)})
+    assert nonzero_sorted_jacobiators(structure) == []
+    assert_rejected(structure)
+
+
+def test_jacobi_negative_control(structure_cache):
     structure = structure_cache("k1")
     corrupted = dict(structure.table)
     for key, vec in corrupted.items():
@@ -195,7 +363,7 @@ def test_jacobi_negative_control(structure_cache):
                             for i, c in enumerate(vec))
             corrupted[key] = flipped
             break
-    assert not jacobi_check(StructureConstants(structure.basis, corrupted))
+    assert_rejected(StructureConstants(structure.basis, corrupted))
 
 
 # ---------------------------------------------------------------------------
