@@ -4,9 +4,15 @@ The files under ``tests/golden`` pin ``report`` (human and ``--machine``) and
 ``gr --machine`` on every bundled manifold, ``vec --machine`` on the
 synthetic manifolds of ``test_solver_oracle`` at their default cap and at
 cap + 2, and ``brackets --machine`` on the same synthetic manifolds at their
-default cap.  Regenerate one only for an intended output change, with
+default cap.  The pullback commands are pinned on the fixed ``.spb`` texts of
+``PULLBACKS`` (n = 1, 2, 3, including Mobius lifts of ``k2`` and
+``nonsplit-2-2``): ``invert`` and ``decompose`` (human and ``--machine``) on
+each, ``compose`` on one pair per odd dimension, and ``flow`` on two nilpotent
+fields with non-monomial denominators.  Regenerate one only for an intended
+output change, with
 ``python -m supervec report --manifold NAME [--machine] > tests/golden/...``
-(likewise ``gr``, ``vec`` and ``brackets``).
+(likewise ``gr``, ``vec``, ``brackets`` and the pullback commands, given the
+file names and arguments below).
 """
 
 import io
@@ -73,3 +79,73 @@ def test_brackets_on_synthetic_matches_golden(tmp_path, name):
     _, path = write_synthetic(tmp_path, name)
     expected = (GOLDEN / ("brackets-" + name + ".machine.txt")).read_text()
     assert run_cli(["brackets", "--manifold", str(path), "--machine"]) == expected
+
+
+# chart-0 automorphisms with non-monomial denominators; the two Mobius lifts
+# are mobius_lift(k2, "diagonal", M) and mobius_lift(nonsplit-2-2, "nonsplit",
+# M) for M = ((2, 1), (1, 1))
+PULLBACKS = {
+    "n1": "[pullback]\nz = (2*z - 1)/(z + 3)\nt1 = (z^2 + 1)/(z + 3)*t1\n",
+    "mobius-k2": "[pullback]\nz = (z + 1)/(z + 2)\nt1 = 1/(z^2 + 4*z + 4)*t1\n",
+    "n2": (
+        "[pullback]\n"
+        "z = (z + 1)/(2*z - 1) + (z^2 + 1)/(z - 3)*t1*t2\n"
+        "t1 = (z + 1)*t1 + 1/(z^2 + 1)*t2\n"
+        "t2 = 2*t1 - z*t2\n"
+    ),
+    "mobius-nonsplit-2-2": (
+        "[pullback]\n"
+        "z = (z + 1)/(z + 2) - 1/(z^3 + 6*z^2 + 12*z + 8)*t1*t2\n"
+        "t1 = 1/(z^2 + 4*z + 4)*t1\n"
+        "t2 = 1/(z^2 + 4*z + 4)*t2\n"
+    ),
+    "n3": (
+        "[pullback]\n"
+        "z = (3*z + 1)/(z + 2) + z*t1*t2 + 1/(z + 1)*t2*t3\n"
+        "t1 = t1 + z*t2 + 1/(z - 1)*t1*t2*t3\n"
+        "t2 = (z + 1)*t2 - t3\n"
+        "t3 = 2*t1 + 1/z*t3 + z^2*t1*t2*t3\n"
+    ),
+}
+
+COMPOSE_PAIRS = [("mobius-k2", "n1"), ("mobius-nonsplit-2-2", "n2"), ("n3", "n3")]
+
+FLOWS = {
+    "n2": ["--field", "1/(z + 1)*t1*t2", "--time", "3/2"],
+    "n3": ["--field", "(1 - 2*z)*t1*t2 + z^2/(z^2 + 1)*t2*t3 + 3*t1*t3", "--time", "-2"],
+}
+
+
+def write_pullback(tmp_path, name):
+    path = tmp_path / (name + ".spb")
+    path.write_text(PULLBACKS[name])
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACKS))
+def test_invert_matches_golden(tmp_path, name):
+    expected = (GOLDEN / ("invert-" + name + ".txt")).read_text()
+    assert run_cli(["invert", "--pullback", write_pullback(tmp_path, name)]) == expected
+
+
+@pytest.mark.parametrize("machine", [False, True], ids=["human", "machine"])
+@pytest.mark.parametrize("name", sorted(PULLBACKS))
+def test_decompose_matches_golden(tmp_path, name, machine):
+    argv = ["decompose", "--pullback", write_pullback(tmp_path, name)]
+    argv += ["--machine"] if machine else []
+    suffix = ".machine.txt" if machine else ".txt"
+    expected = (GOLDEN / ("decompose-" + name + suffix)).read_text()
+    assert run_cli(argv) == expected
+
+
+@pytest.mark.parametrize("outer, inner", COMPOSE_PAIRS)
+def test_compose_matches_golden(tmp_path, outer, inner):
+    argv = ["compose", write_pullback(tmp_path, outer), write_pullback(tmp_path, inner)]
+    expected = (GOLDEN / ("compose-%s-%s.txt" % (outer, inner))).read_text()
+    assert run_cli(argv) == expected
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_flow_matches_golden(name):
+    expected = (GOLDEN / ("flow-" + name + ".txt")).read_text()
+    assert run_cli(["flow"] + FLOWS[name]) == expected
