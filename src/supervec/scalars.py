@@ -9,6 +9,8 @@ equality:
 * ``Polynomial`` is a sparse exponent -> coefficient map with no stored
   zeros; the zero polynomial has degree ``-inf``.
 * ``RationalFunction`` keeps ``gcd(num, den) = 1`` with a monic denominator.
+  Each result is reduced once (``compose`` included), and
+  ``Polynomial.gcd`` stops at a unit.
 
 Laurent behaviour (powers of ``1/z``) is obtained by living inside
 ``RationalFunction`` with a monomial denominator.
@@ -299,10 +301,10 @@ class Polynomial:
 
     def gcd(self, other):
         a, b = self, other
-        while not b.is_zero():
-            r = a % b
-            a, b = b, r.monic()
-        return a.monic()
+        while b.degree() > 0:
+            a, b = b, (a % b).monic()
+        # a nonzero constant remainder is a unit: the gcd is 1
+        return _POLY_ONE if b else a.monic()
 
     def derivative(self):
         return _raw_poly({e - 1: c * e for e, c in self.coeffs.items() if e > 0})
@@ -491,12 +493,21 @@ class RationalFunction:
         )
 
     def compose(self, inner):
-        """Substitute ``inner`` (a rational function) for the variable."""
-        num = _eval_poly_at_rf(self.num, inner)
-        den = _eval_poly_at_rf(self.den, inner)
+        """Substitute ``inner = a/b`` for the variable, reducing once: ``num`` and
+        ``den`` become ``sum c_e a^e b^(top-e)``, ``top`` the larger degree."""
+        a, b = inner.num, inner.den
+        top = int(max(self.num.degree(), self.den.degree()))
+        a_pows, b_pows = [_POLY_ONE], [_POLY_ONE]
+        for _ in range(top):
+            a_pows.append(a_pows[-1] * a)
+            b_pows.append(b_pows[-1] * b)
+        num, den = (
+            sum(((a_pows[e] * b_pows[top - e]).scale(c) for e, c in p.coeffs.items()), _POLY_ZERO)
+            for p in (self.num, self.den)
+        )
         if den.is_zero():
             raise UndefinedComposition("substitution lands in a pole")
-        return num / den
+        return RationalFunction(num, den)
 
     def eval(self, point):
         d = self.den.eval(point)
@@ -530,20 +541,6 @@ def _as_rf(value):
     if isinstance(value, Polynomial):
         return RationalFunction(value)
     return None
-
-
-def _eval_poly_at_rf(poly, inner):
-    acc = _RF_ZERO
-    if poly.is_zero():
-        return acc
-    top = int(poly.degree())
-    # Horner evaluation keeps intermediate degrees small
-    for e in range(top, -1, -1):
-        acc = acc * inner
-        c = poly.coeffs.get(e)
-        if c is not None:
-            acc = acc + RationalFunction.constant(c)
-    return acc
 
 
 _RF_ZERO = RationalFunction(_POLY_ZERO)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from supervec.errors import DivisionByZero, UndefinedComposition
 from supervec.scalars import (
@@ -187,3 +187,94 @@ def test_mobius_helpers():
     assert mobius_coefficients(one / z) is not None
     assert mobius_coefficients(RationalFunction.constant(5)) is None
     assert mobius_coefficients(z * z) is None
+
+
+# The parent's Polynomial.gcd and RationalFunction.compose, kept as oracles:
+# Euclid runs down to a zero remainder, and compose reduces at every Horner
+# step and once more for num / den.
+def reference_gcd(a, b):
+    while not b.is_zero():
+        r = a % b
+        a, b = b, r.monic()
+    return a.monic()
+
+
+def reference_eval_poly_at_rf(poly, inner):
+    acc = RationalFunction.zero()
+    if poly.is_zero():
+        return acc
+    top = int(poly.degree())
+    for e in range(top, -1, -1):
+        acc = acc * inner
+        c = poly.coeffs.get(e)
+        if c is not None:
+            acc = acc + RationalFunction.constant(c)
+    return acc
+
+
+def reference_compose(outer, inner):
+    num = reference_eval_poly_at_rf(outer.num, inner)
+    den = reference_eval_poly_at_rf(outer.den, inner)
+    if den.is_zero():
+        raise UndefinedComposition("substitution lands in a pole")
+    return num / den
+
+
+small_coeffs = st.builds(
+    lambda re, im, d: GaussianRational(Fraction(re, d), Fraction(im, d)),
+    st.integers(-4, 4), st.sampled_from([0, 0, 0, 1, -2]), st.integers(1, 3),
+)
+nonzero_coeffs = st.builds(
+    lambda re, d: GaussianRational(Fraction(re, d)),
+    st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), st.integers(1, 3),
+)
+polys = st.dictionaries(st.integers(0, 4), small_coeffs, max_size=4).map(Polynomial)
+
+
+def _linear_product(roots, c):
+    out = Polynomial.constant(c)
+    for r in roots:
+        out = out * Polynomial({1: 1, 0: -r})
+    return out
+
+
+# small integer roots make a constant inner land in a pole often
+DENOMINATORS = {
+    "zero": st.just(Polynomial.zero()),
+    "constant": nonzero_coeffs.map(Polynomial.constant),
+    "monomial": st.builds(Polynomial.monomial, st.integers(1, 4), nonzero_coeffs),
+    "general": st.one_of(
+        st.builds(_linear_product, st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+                  nonzero_coeffs),
+        st.builds(
+            lambda c0, middle, e, c: Polynomial({0: c0, **middle, e: c}),
+            nonzero_coeffs, st.dictionaries(st.integers(1, 3), small_coeffs, max_size=2),
+            st.integers(1, 4), nonzero_coeffs,
+        ),
+    ),
+}
+any_denominator = st.sampled_from(sorted(DENOMINATORS)).flatmap(DENOMINATORS.get)
+nonzero_denominator = st.sampled_from(["constant", "monomial", "general"]).flatmap(
+    DENOMINATORS.get
+)
+rational_functions = st.builds(RationalFunction, polys, nonzero_denominator)
+inners = st.one_of(rational_functions, st.integers(-2, 2).map(RationalFunction.constant))
+
+
+@given(st.one_of(polys, any_denominator), any_denominator)
+def test_gcd_matches_reference(a, b):
+    assert a.gcd(b) == reference_gcd(a, b)
+    assert b.gcd(a) == reference_gcd(b, a)
+
+
+@given(rational_functions, inners)
+def test_compose_matches_reference(outer, inner):
+    try:
+        expected = reference_compose(outer, inner)
+    except UndefinedComposition:
+        event("lands in a pole")
+        with pytest.raises(UndefinedComposition):
+            outer.compose(inner)
+        return
+    got = outer.compose(inner)
+    assert (got.num, got.den) == (expected.num, expected.den)
