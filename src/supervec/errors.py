@@ -154,3 +154,7 @@ class OddDenominator(InputError):
 
 class FileFormatError(InputError):
     code = "BadFile"
+
+
+class NegativeCap(InputError):
+    code = "NegativeCap"

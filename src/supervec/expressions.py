@@ -335,15 +335,14 @@ def _rf_piece(rf):
         if sign < 0:
             num = -num
         return sign, "(" + _join(_poly_pieces(num)) + ")"
+    # canonical form has a monic denominator, so a one-term den is z^s
     if len(num.coeffs) == 1 and len(den.coeffs) == 1:
-        c = num.leading_coeff() / den.leading_coeff()
-        e = int(num.degree()) - int(den.degree())
-        return _monomial_pieces(c, e)
+        return _monomial_pieces(num.leading_coeff(), int(num.degree()) - int(den.degree()))
     sign = _num_sign(num)
     if sign < 0:
         num = -num
     num_text = _poly_factor_text(num)
-    if len(den.coeffs) == 1 and den.leading_coeff() == 1:
+    if len(den.coeffs) == 1:
         den_text = _z_text(int(den.degree()))
     else:
         den_text = "(" + _join(_poly_pieces(den)) + ")"

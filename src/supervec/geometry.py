@@ -284,8 +284,9 @@ def _monomial_exponent(rf):
     num, den = rf.num, rf.den
     if len(num.coeffs) != 1 or len(den.coeffs) != 1:
         return None
-    (ne, nc), (de, dc) = next(iter(num.coeffs.items())), next(iter(den.coeffs.items()))
-    return nc / dc, ne - de
+    ((ne, nc),) = num.coeffs.items()
+    (de,) = den.coeffs  # the denominator is monic, so it is z^de
+    return nc, ne - de
 
 
 def _diagonal_degrees(manifold):

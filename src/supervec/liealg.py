@@ -24,6 +24,7 @@ from .errors import (
     CapNotSaturated,
     GrInequalityViolated,
     InexactRootDivision,
+    NegativeCap,
     NotClosed,
     NotDiagonalizable,
     NotGlobal,
@@ -128,6 +129,9 @@ def _point_basis(manifold):
 
 def solve_global_fields(manifold, cap=None):
     """Exact basis of the global fields, with a saturation check at cap + 2."""
+    if cap is not None and cap < 0:
+        # below -2 both kernels are empty, so the saturation check would pass
+        raise NegativeCap("degree cap must be non-negative, got %d" % cap)
     if manifold.kind == KIND_C01:
         return _point_basis(manifold)
     if cap is None:

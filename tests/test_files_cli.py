@@ -136,6 +136,15 @@ def test_cli_math_error_exit_3():
     assert "CapNotSaturated" in err
 
 
+def test_cli_negative_cap_exit_2():
+    # below -2 both kernels are empty and the saturation check cannot see it
+    for name in ("k2", "c01"):
+        for cap in ("-1", "-3"):
+            code, out, err = run(["vec", "--manifold", name, "--cap", cap])
+            assert code == 2
+            assert not out and "NegativeCap" in err
+
+
 def test_cli_gr_inequality_violation_exit_3(monkeypatch):
     # pretend the split model is k5, whose 10 fields are fewer than the 12 of
     # nonsplit-2-2, so the inequality check in gr_comparison must fire

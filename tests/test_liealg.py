@@ -8,8 +8,11 @@ from conftest import commutator2, matmul2, rand_sl2
 from test_solver_oracle import SYNTHETIC
 
 from supervec.derivations import SuperDerivation, bracket
+from supervec import liealg
 from supervec.errors import (
     CapNotSaturated,
+    InputError,
+    NegativeCap,
     NotClosed,
     NotDiagonalizable,
     NotGlobal,
@@ -123,6 +126,19 @@ def test_saturation_error_when_cap_too_small(manifolds):
     assert info.value.cap == 3
     assert info.value.dims == (4, 2)
     assert info.value.dims_next == (4, 6)
+
+
+def test_negative_cap_rejected_before_any_rows(manifolds, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("rows built for a negative cap")
+
+    monkeypatch.setattr(liealg, "_compatibility_rows", no_rows)
+    for name in ("k2", "c01"):
+        for cap in (-1, -3):
+            with pytest.raises(NegativeCap) as info:
+                solve_global_fields(manifolds[name], cap=cap)
+            assert isinstance(info.value, InputError)
+    assert solve_global_fields(manifolds["c01"], cap=0).dims == (1, 1)
 
 
 def test_explicit_cap_matches_default(manifolds, basis_cache):
