@@ -4,8 +4,9 @@ These are the coefficients of everything else in the toolkit.  All values are
 immutable and normalized on construction, so structural equality is semantic
 equality:
 
-* ``GaussianRational`` stores real and imaginary parts as ``Fraction``
-  (always in lowest terms with positive denominator).
+* ``GaussianRational`` stores three integers, ``(a + b*i)/d`` with
+  ``d > 0`` and ``gcd(a, b, d) = 1``: each result divides out one
+  ``math.gcd``.  ``re`` and ``im`` read the parts as ``Fraction``.
 * ``Polynomial`` is a sparse exponent -> coefficient map with no stored
   zeros; the zero polynomial has degree ``-inf``.
 * ``RationalFunction`` keeps ``gcd(num, den) = 1`` with a monic denominator.
@@ -19,37 +20,65 @@ Laurent behaviour (powers of ``1/z``) is obtained by living inside
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
 
 from .errors import DivisionByZero, UndefinedComposition
 
 NEG_INF = -inf
 
-_ZERO_FRAC = Fraction(0)
-_ONE_FRAC = Fraction(1)
+# the shared sort key of every zero: kernel vectors are sorted by keys that
+# are all alive at once, and most of their entries are zero
+_ZERO_KEY = (Fraction(0), Fraction(0))
 
 
 class GaussianRational:
-    """Element of Q(i) with exact component arithmetic."""
+    """Element of Q(i) stored as three integers: ``(a + b*i)/d``.
 
-    __slots__ = ("re", "im")
+    ``d > 0`` and ``gcd(a, b, d) = 1``; every result divides out one
+    ``math.gcd``.  The real and imaginary parts read as the ``Fraction``
+    properties ``re`` and ``im``.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(
+                    "Gaussian rational parts are int or Fraction, not %s" % type(part).__name__
+                )
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # both parts are in lowest terms, so a, b and d share no factor
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return not self.b and self.a == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
+        if not self.b:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -57,7 +86,8 @@ class GaussianRational:
         other = _as_gaussian(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        return _reduced(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -65,28 +95,26 @@ class GaussianRational:
         other = _as_gaussian(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        return _reduced(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other):
         other = _as_gaussian(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        out = _new(GaussianRational)
+        out.a, out.b, out.d = -self.a, -self.b, self.d
+        return out
 
     def __mul__(self, other):
         other = _as_gaussian(other)
         if other is None:
             return NotImplemented
-        # fast path: purely real factors dominate in practice
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re, _ZERO_FRAC)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -94,14 +122,13 @@ class GaussianRational:
         other = _as_gaussian(other)
         if other is None:
             return NotImplemented
-        if not other:
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if not (a2 or b2):
             raise DivisionByZero("division by zero Gaussian rational")
-        if not self.im and not other.im:
-            return GaussianRational(self.re / other.re, _ZERO_FRAC)
-        norm = other.re * other.re + other.im * other.im
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
+        # multiply by the conjugate: the denominator becomes the norm
+        d2 = other.d
+        return _reduced(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, (a2 * a2 + b2 * b2) * self.d
         )
 
     def __rtruediv__(self, other):
@@ -125,19 +152,36 @@ class GaussianRational:
 
     def sort_key(self):
         """Total order key (lexicographic on components), for determinism only."""
+        if not (self.a or self.b):
+            return _ZERO_KEY
         return (self.re, self.im)
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return "%s*i" % self.im
-        return "%s%s%s*i" % (self.re, "+" if self.im > 0 else "-", abs(self.im))
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return "%s*i" % im
+        return "%s%s%s*i" % (re, "+" if im > 0 else "-", abs(im))
 
     def __repr__(self):
-        if not self.im:
+        if not self.b:
             return "GaussianRational(%s)" % self.re
         return "GaussianRational(%s, %s)" % (self.re, self.im)
+
+
+_new = object.__new__
+
+
+def _reduced(a, b, d):
+    """``(a + b*i)/d`` for ``d > 0``, with one gcd divided out."""
+    g = gcd(a, b, d)
+    out = _new(GaussianRational)
+    if g == 1:
+        out.a, out.b, out.d = a, b, d
+    else:
+        out.a, out.b, out.d = a // g, b // g, d // g
+    return out
 
 
 def _as_gaussian(value):

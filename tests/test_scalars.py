@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -278,3 +279,154 @@ def test_compose_matches_reference(outer, inner):
         return
     got = outer.compose(inner)
     assert (got.num, got.den) == (expected.num, expected.den)
+
+
+# The parent's GaussianRational, two Fraction parts, kept as the oracle of the
+# integer form (a + b*i)/d.
+class ReferenceGaussian:
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, ReferenceGaussian):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __add__(self, other):
+        other = _as_reference(other)
+        return ReferenceGaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _as_reference(other)
+        return ReferenceGaussian(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _as_reference(other) - self
+
+    def __neg__(self):
+        return ReferenceGaussian(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = _as_reference(other)
+        return ReferenceGaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _as_reference(other)
+        if not other:
+            raise DivisionByZero("division by zero Gaussian rational")
+        norm = other.re * other.re + other.im * other.im
+        return ReferenceGaussian(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
+
+    def __rtruediv__(self, other):
+        return _as_reference(other) / self
+
+    def __pow__(self, exponent):
+        if exponent < 0:
+            return (ReferenceGaussian(1) / self) ** (-exponent)
+        out = ReferenceGaussian(1)
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def sort_key(self):
+        return (self.re, self.im)
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return "%s*i" % self.im
+        return "%s%s%s*i" % (self.re, "+" if self.im > 0 else "-", abs(self.im))
+
+    def __repr__(self):
+        if not self.im:
+            return "GaussianRational(%s)" % self.re
+        return "GaussianRational(%s, %s)" % (self.re, self.im)
+
+
+def _as_reference(value):
+    return value if isinstance(value, ReferenceGaussian) else ReferenceGaussian(value)
+
+
+wide_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+wide_parts = st.one_of(
+    st.tuples(wide_rationals, wide_rationals),
+    st.tuples(wide_rationals, st.just(0)),  # real
+    st.tuples(st.just(0), wide_rationals),  # pure imaginary
+    st.just((0, 0)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+)
+plain_scalars = st.one_of(st.integers(-10**6, 10**6), wide_rationals)
+
+
+def assert_matches_reference(got, ref):
+    assert type(got.a) is int and type(got.b) is int and type(got.d) is int
+    assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == (ref.re, ref.im)
+    assert bool(got) == bool(ref)
+    assert hash(got) == hash(ref)
+    key = got.sort_key()
+    assert key == ref.sort_key() and all(type(part) is Fraction for part in key)
+    assert str(got) == str(ref)
+    assert repr(got) == repr(ref)
+
+
+@given(wide_parts, wide_parts, plain_scalars, st.integers(-3, 3))
+def test_gaussian_matches_reference(x, y, k, exponent):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    rx, ry = ReferenceGaussian(*x), ReferenceGaussian(*y)
+    assert_matches_reference(gx, rx)
+    for got, ref in (
+        (gx + gy, rx + ry), (gx - gy, rx - ry), (gx * gy, rx * ry), (-gx, -rx),
+        (gx + k, rx + k), (k + gx, k + rx), (gx - k, rx - k), (k - gx, k - rx),
+        (gx * k, rx * k), (k * gx, k * rx),
+    ):
+        assert_matches_reference(got, ref)
+    for num, den, rnum, rden in ((gx, gy, rx, ry), (gx, k, rx, k), (k, gx, k, rx)):
+        if den:
+            assert_matches_reference(num / den, rnum / rden)
+        else:
+            with pytest.raises(DivisionByZero):
+                rnum / rden
+            with pytest.raises(DivisionByZero):
+                num / den
+    if gx or exponent >= 0:
+        assert_matches_reference(gx**exponent, rx**exponent)
+    else:
+        with pytest.raises(DivisionByZero):
+            rx**exponent
+        with pytest.raises(DivisionByZero):
+            gx**exponent
+    assert (gx == gy) == (rx == ry)
+    assert (gx == k) == (rx == k)
+    assert (gx == x[0]) == (rx == x[0])
+
+
+@pytest.mark.parametrize("parts", [(0.1,), (1, 0.5), ("1/3",), (0, "1/3")])
+def test_gaussian_rejects_floats_and_strings(parts):
+    with pytest.raises(TypeError):
+        GaussianRational(*parts)
