@@ -440,12 +440,19 @@ def _rational_roots(poly):
     """All roots with multiplicity for a rational-coefficient polynomial.
 
     Returns None when some root is irrational (or the coefficients are not
-    all real rational).
+    all real rational).  With the coefficients cleared to integers ``c_e``,
+    every rational root is ``y / c_deg`` for an integer root ``y`` of the
+    monic ``Q(y) = c_deg^(deg-1) * P(y / c_deg)`` (coefficients divided by
+    their gcd first).  The smallest ``|y|`` is at most the geometric mean of
+    the roots, ``|y|^deg <= |Q(0)|``, so the divisors of ``Q(0)`` are tried by
+    increasing ``|y|`` up to that bound; the root found is divided out and the
+    search goes on from its magnitude.
     """
-    if any(c.im for c in poly.coeffs.values()):
+    if any(c.b for c in poly.coeffs.values()):
         return None
     roots = []
     p = poly
+    low = Fraction(0)  # every root below this magnitude is already found
     while int(p.degree()) > 0:
         const_exp = min(p.coeffs)
         if const_exp > 0:
@@ -453,44 +460,37 @@ def _rational_roots(poly):
                 roots.append(GR_ZERO)
             p = Polynomial({e - const_exp: c for e, c in p.coeffs.items()})
             continue
-        # clear denominators so the integer rational-root bound applies
-        denom_lcm = math.lcm(*(c.re.denominator for c in p.coeffs.values()))
-        const = abs(int(p.coeffs[0].re * denom_lcm))
-        lead = abs(int(p.coeffs[max(p.coeffs)].re * denom_lcm))
+        deg = int(p.degree())
+        denom_lcm = math.lcm(*(c.d for c in p.coeffs.values()))
+        ints = [0] * (deg + 1)
+        for e, c in p.coeffs.items():
+            ints[e] = c.a * (denom_lcm // c.d)
+        content = math.gcd(*ints)
+        lead = ints[deg] // content
+        monic = [ints[e] // content * lead ** (deg - 1 - e) for e in range(deg)] + [1]
+        bound = abs(monic[0])
         found = None
-        for pn in _divisors(const):
-            for qn in _divisors(lead):
-                for sign in (1, -1):
-                    cand = GaussianRational(Fraction(sign * pn, qn))
-                    if not p.eval(cand):
-                        found = cand
+        k = max(1, -(-low.numerator * abs(lead) // low.denominator))
+        while found is None and k**deg <= bound:
+            if bound % k == 0:
+                for y in (k, -k):
+                    value = 0
+                    for c in reversed(monic):
+                        value = value * y + c
+                    if not value:
+                        found = Fraction(y, lead)
                         break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+            k += 1
         if found is None:
             return None
+        low = abs(found)
+        found = GaussianRational(found)
         roots.append(found)
         linear = Polynomial({1: GR_ONE, 0: -found})
         p, rem = divmod(p, linear)
         if not rem.is_zero():
             raise InexactRootDivision("root %s left remainder %r" % (found, rem))
     return roots
-
-
-def _divisors(value):
-    if value == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= value:
-        if value % d == 0:
-            out.append(d)
-            if d != value // d:
-                out.append(value // d)
-        d += 1
-    return sorted(out)
 
 
 def weight_decomposition(structure, h):

@@ -285,3 +285,41 @@ def test_cli_report_echoes_transition():
     code, out, err = run(["report", "--manifold", "k2"])
     assert "w = z^-1" in out
     assert "gr inequality (total 8 <= 8): holds" in out
+
+
+def _line_bundle_text(k):
+    return "[manifold]\nname = k%d\nodd_dim = 1\n\n[transition]\nw = z^-1\neta1 = z^-%d*t1\n" % (k, k)
+
+
+def _machine_weights(out):
+    return {
+        int(key[len("weight."):]): int(value)
+        for key, value in (line.split("=") for line in out.splitlines())
+        if key.startswith("weight.")
+    }
+
+
+@pytest.mark.parametrize("k", [6, 10, 14])
+def test_cli_weights_on_line_bundles_unchanged(tmp_path, k):
+    # the weights of b1 are k, k-1, ..., 0, each once, as the divisor search printed
+    path = tmp_path / ("k%d.smf" % k)
+    path.write_text(_line_bundle_text(k))
+    code, out, err = run(["weights", "--manifold", str(path), "--cartan", "1", "--machine"])
+    assert code == 0 and not err
+    expected = "name=k%d\nodd_dim=1\nkind=p1\ncartan=1\n" % k
+    expected += "".join("weight.%d=1\n" % w for w in range(k, -1, -1))
+    assert out == expected
+
+
+@pytest.mark.parametrize("k", [18, 30])
+def test_cli_weights_on_large_line_bundles(tmp_path, k):
+    # the constant term is k!, whose divisors the search no longer enumerates
+    path = tmp_path / ("k%d.smf" % k)
+    path.write_text(_line_bundle_text(k))
+    code, out, err = run(["weights", "--manifold", str(path), "--cartan", "1", "--machine"])
+    assert code == 0 and not err
+    code, vec_out, err = run(["vec", "--manifold", str(path), "--machine"])
+    assert code == 0
+    dim_odd = int(next(l for l in vec_out.splitlines() if l.startswith("dim_odd="))[8:])
+    assert sum(_machine_weights(out).values()) == dim_odd
+    assert _machine_weights(out) == dict.fromkeys(range(k + 1), 1)

@@ -1,8 +1,11 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import commutator2, matmul2, rand_sl2
 from test_solver_oracle import SYNTHETIC
@@ -446,6 +449,90 @@ def test_adjoint_matrix_requires_even_index(structure_cache):
     structure = structure_cache("k1")
     with pytest.raises(OddCartan):
         adjoint_matrix(structure, len(structure.basis.even_basis))
+
+
+# The parent's _rational_roots, kept as the oracle: it tries every divisor of
+# the cleared constant term over every divisor of the leading coefficient.
+def reference_rational_roots(poly):
+    if any(c.im for c in poly.coeffs.values()):
+        return None
+    roots = []
+    p = poly
+    while int(p.degree()) > 0:
+        const_exp = min(p.coeffs)
+        if const_exp > 0:
+            for _ in range(const_exp):
+                roots.append(GR_ZERO)
+            p = Polynomial({e - const_exp: c for e, c in p.coeffs.items()})
+            continue
+        denom_lcm = math.lcm(*(c.re.denominator for c in p.coeffs.values()))
+        const = abs(int(p.coeffs[0].re * denom_lcm))
+        lead = abs(int(p.coeffs[max(p.coeffs)].re * denom_lcm))
+        found = None
+        for pn in reference_divisors(const):
+            for qn in reference_divisors(lead):
+                for sign in (1, -1):
+                    cand = GaussianRational(Fraction(sign * pn, qn))
+                    if not p.eval(cand):
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            return None
+        roots.append(found)
+        p, rem = divmod(p, Polynomial({1: GR_ONE, 0: -found}))
+        assert rem.is_zero()
+    return roots
+
+
+def reference_divisors(value):
+    if value == 0:
+        return [1]
+    out = []
+    d = 1
+    while d * d <= value:
+        if value % d == 0:
+            out.append(d)
+            if d != value // d:
+                out.append(value // d)
+        d += 1
+    return sorted(out)
+
+
+# factors without a rational root: the whole polynomial then has none either
+IRRATIONAL_FACTORS = {
+    "none": {0: 1},
+    "z^2-2": {2: 1, 0: -2},
+    "z^2+1": {2: 1, 0: 1},
+    "z^2+z+1": {2: 1, 1: 1, 0: 1},
+    "3z^2-2": {2: 3, 0: -2},
+}
+
+
+# the reference tries every pair of divisors, which is slow on some draws
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=5),
+    st.lists(st.integers(1, 3), max_size=5),
+    st.one_of(st.just("none"), st.sampled_from(sorted(IRRATIONAL_FACTORS))),
+    st.builds(Fraction, st.sampled_from([-5, -3, -2, -1, 1, 2, 3, 5]), st.integers(1, 5)),
+)
+def test_rational_roots_match_reference(factors, repeats, extra, scale):
+    poly = Polynomial({e: GaussianRational(c) for e, c in IRRATIONAL_FACTORS[extra].items()})
+    poly = poly.scale(scale)
+    for (p, q), times in zip(factors, repeats + [1] * len(factors)):
+        for _ in range(times):
+            poly = poly * Polynomial({1: q, 0: -p})
+    expected = reference_rational_roots(poly)
+    got = liealg._rational_roots(poly)
+    event("irrational" if expected is None else "rational")
+    if expected is None:
+        assert got is None
+    else:
+        assert Counter(got) == Counter(expected)
 
 
 def test_ad_is_a_representation_on_even_pairs(structure_cache):
