@@ -12,8 +12,9 @@ import argparse
 import sys
 
 from .derivations import SuperDerivation, pullback_invert, rothstein_decompose
-from .errors import InputError, MathDomainError, OddCartan
+from .errors import BadOddDim, InputError, MathDomainError, OddCartan
 from .expressions import (
+    MAX_ODD_DIM,
     derivation_text,
     max_odd_index,
     parse_rational,
@@ -167,11 +168,11 @@ def cmd_gr(args, out):
 def cmd_weights(args, out):
     manifold = resolve_manifold(args.manifold)
     basis = solve_global_fields(manifold, args.cap)
-    structure = structure_constants(basis)
     n_even = len(basis.even_basis)
-    h = [0] * n_even
     if not 0 <= args.cartan < n_even:
         raise OddCartan("--cartan must index an even basis element (0..%d)" % (n_even - 1))
+    structure = structure_constants(basis)
+    h = [0] * n_even
     h[args.cartan] = 1
     weights = weight_decomposition(structure, h)
     lines = _manifold_header(manifold, args.machine)
@@ -233,7 +234,13 @@ def cmd_compose(args, out):
 
 
 def cmd_flow(args, out):
-    odd_dim = args.odd_dim if args.odd_dim else max_odd_index(args.field)
+    odd_dim = args.odd_dim or 0
+    if not 0 <= odd_dim <= MAX_ODD_DIM:
+        raise BadOddDim(
+            "--odd-dim must be 1..%d (t1..t%d), or 0 to infer it, not %d"
+            % (MAX_ODD_DIM, MAX_ODD_DIM, odd_dim)
+        )
+    odd_dim = odd_dim or max_odd_index(args.field)
     coeff = parse_superfunction(args.field, odd_dim, CHART0)
     field = SuperDerivation(
         CHART0, odd_dim, coeff, [SuperFunction.zero(CHART0, odd_dim)] * odd_dim
@@ -341,7 +348,10 @@ def build_parser():
     p = sub.add_parser("flow", help="time-t flow pullback of a nilpotent even field")
     p.add_argument("--field", required=True, help="coefficient of d/dz (expression)")
     p.add_argument("--time", required=True, help="rational flow time")
-    p.add_argument("--odd-dim", type=int, default=None, dest="odd_dim")
+    p.add_argument(
+        "--odd-dim", type=int, default=None, dest="odd_dim",
+        help="odd dimension 1..9; 0 or omitted infers it from --field",
+    )
     p.set_defaults(func=cmd_flow)
 
     return parser

@@ -152,6 +152,10 @@ class OddDenominator(InputError):
     code = "OddDenominator"
 
 
+class BadOddDim(InputError):
+    code = "BadOddDim"
+
+
 class FileFormatError(InputError):
     code = "BadFile"
 

@@ -36,6 +36,7 @@ from .scalars import GaussianRational, RationalFunction
 # tokenizer
 
 _SYMBOLS = "+-*/^()"
+MAX_ODD_DIM = 9  # one digit names an odd variable: t1 .. t9
 
 
 class _Token:

@@ -21,7 +21,7 @@ import os
 from importlib import resources
 
 from .errors import FileFormatError, MixedParity
-from .expressions import parse_superfunction, superfunction_text
+from .expressions import MAX_ODD_DIM, parse_superfunction, superfunction_text
 from .geometry import CHART0, CHART1, KIND_C01, SuperManifoldData
 from .grassmann import PullbackData
 
@@ -49,6 +49,11 @@ def parse_manifold_text(text, path="<text>"):
         raise FileFormatError("odd_dim must be an integer")
     if odd_dim < 1:
         raise FileFormatError("odd_dim must be positive")
+    if odd_dim > MAX_ODD_DIM:
+        raise FileFormatError(
+            "odd_dim must be at most %d: the odd variables are t1..t%d"
+            % (MAX_ODD_DIM, MAX_ODD_DIM)
+        )
     kind = section.get("kind", "p1")
     if kind == KIND_C01:
         if odd_dim != 1:
@@ -111,6 +116,10 @@ def parse_pullback_text(text, path="<text>"):
         raise FileFormatError("missing pullback entry 'z'")
     odd_keys = sorted(k for k in section if k != "z")
     odd_dim = len(odd_keys)
+    if odd_dim > MAX_ODD_DIM:
+        raise FileFormatError(
+            "a pullback has at most %d odd entries, t1..t%d" % (MAX_ODD_DIM, MAX_ODD_DIM)
+        )
     expected = ["t%d" % (j + 1) for j in range(odd_dim)]
     if odd_keys != sorted(expected):
         raise FileFormatError("pullback odd entries must be t1..t%d" % odd_dim)

@@ -3,11 +3,11 @@
 The solver parametrizes unknown polynomial-coefficient derivations on both
 charts up to a degree cap and imposes the transition-compatibility equations
 one Laurent coefficient at a time.  The rows are built once per parity, sparse,
-at cap + 2, with the columns of z-power <= cap first, and eliminated once, one
-connected block at a time (``sparse_kernel_basis``).  The basis is read off
-the kernel vectors that vanish on the later columns, which are exactly the
-kernel at cap; the kernel dimension at cap + 2 is the saturation check that
-turns the cap heuristic into a checked result.
+at cap + 2, with the columns of z-power <= cap first, and eliminated once, as
+sparse rows, to the reduced row echelon form (``sparse_kernel_basis``).  The
+basis is read off the kernel vectors that vanish on the later columns, which
+are exactly the kernel at cap; the kernel dimension at cap + 2 is the
+saturation check that turns the cap heuristic into a checked result.
 
 On top of the basis: exact structure constants, the graded-Jacobi check,
 adjoint matrices and weight decompositions, the span of odd-odd brackets,
@@ -147,12 +147,13 @@ def solve_global_fields(manifold, cap=None):
 def _solve_parity(manifold, cap, parity):
     """Global fields of one parity at ``cap``, from one elimination at ``cap + 2``.
 
-    The columns of z-power e <= cap come first and the elimination runs left
-    to right, so the left block of the reduced system is the reduced cap
-    system.  The cap kernel is therefore exactly the cap + 2 kernel vectors
-    that vanish on every column with e > cap.  Returns (fields at cap, kernel
-    dimension at cap + 2, clearing exponent at cap): the power of z that
-    clears every denominator of the rows touching a column with e <= cap.
+    The columns of z-power e <= cap come first, and the reduced row echelon
+    form pivots on each row's leading column, so its left block is the
+    reduced form of the cap system.  The cap kernel is therefore exactly the
+    cap + 2 kernel vectors that vanish on every column with e > cap.  Returns
+    (fields at cap, kernel dimension at cap + 2, clearing exponent at cap):
+    the power of z that clears every denominator of the rows touching a
+    column with e <= cap.
     """
     columns, rows = _compatibility_rows(manifold, cap, parity)
     low = sum(1 for key in columns if key[3] <= cap)

@@ -1,12 +1,15 @@
 """Exact linear algebra over a field.
 
-All routines are generic over field elements supporting ``+ - * /``,
-truthiness (nonzero test) and equality; they are used with both
-``GaussianRational`` and ``RationalFunction`` entries.
+All routines are generic over field elements supporting ``+ - * /`` (with
+``1 / x`` for the inverse), truthiness (nonzero test) and equality; they are
+used with both ``GaussianRational`` and ``RationalFunction`` entries.
 
-Determinism contract: row reduction pivots on the leftmost column with a
-nonzero entry in the topmost remaining row; kernel basis vectors are ordered
-by free-column index.
+One elimination, ``_reduce``, serves ``rref``, ``rank``, ``kernel_basis``,
+``sparse_kernel_basis`` and ``solve_columns``: it takes sparse rows and
+returns the reduced row echelon form.  Determinism contract: the reduced form
+of a row space is unique, so every result is independent of the row order
+and of the order of elimination; kernel basis vectors are ordered by
+free-column index.
 """
 
 from __future__ import annotations
@@ -15,47 +18,64 @@ from .errors import NotInvertible
 from .scalars import GR_ONE, GR_ZERO
 
 
+def _reduce(rows):
+    """Reduced row echelon form of sparse rows, as {pivot column: row}.
+
+    Each row is an iterable of (column, entry) pairs; a reduced row is a dict
+    column -> nonzero entry with a 1 in its pivot column, its leading column.
+    Forward: each new row is cleared of stored pivots, leftmost first, and
+    pivots on its leading column.  Back: from the last pivot to the first,
+    each row is cleared of the later pivots, whose rows are reduced already.
+    """
+    reduced = {}
+    for pairs in rows:
+        row = {c: x for c, x in pairs if x}
+        while row:
+            p = min(row)
+            if p not in reduced:
+                pv = row[p]
+                if pv != 1:
+                    inv = 1 / pv
+                    row = {c: x * inv for c, x in row.items()}
+                reduced[p] = row
+                break
+            _subtract(row, p, reduced[p])
+    for p in sorted(reduced, reverse=True):
+        row = reduced[p]
+        for c in [c for c in row if c != p and c in reduced]:
+            _subtract(row, c, reduced[c])
+    return reduced
+
+
+def _subtract(row, p, pivot_row):
+    """Clear column ``p`` of ``row`` with the reduced row that pivots on ``p``."""
+    f = row.pop(p)
+    for c, y in pivot_row.items():
+        if c == p:
+            continue
+        x = row[c] - f * y if c in row else -(f * y)
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
 def rref(matrix):
-    """Reduced row echelon form (in place on a copied matrix).
+    """Reduced row echelon form of a dense matrix.
 
     Returns (rows, pivot_cols).  Zero rows are kept at the bottom.
     """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        if not (pv == GR_ONE):
-            inv = _one_like(pv) / pv
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivot_cols
-
-
-def _one_like(x):
-    return x / x
+    reduced = _reduce(enumerate(row) for row in matrix)
+    ncols = len(matrix[0]) if matrix else 0
+    zero = matrix[0][0] - matrix[0][0] if ncols else None
+    pivots = sorted(reduced)
+    rows = [[reduced[p].get(c, zero) for c in range(ncols)] for p in pivots]
+    rows += [[zero] * ncols for _ in range(len(matrix) - len(rows))]
+    return rows, pivots
 
 
 def rank(matrix):
-    return len(rref(matrix)[1])
+    return len(_reduce(enumerate(row) for row in matrix))
 
 
 def kernel_basis(matrix, ncols):
@@ -64,81 +84,30 @@ def kernel_basis(matrix, ncols):
     The basis comes from the reduced row echelon form: one vector per free
     column, ordered by free-column index, with a 1 in that column.
     """
-    if not matrix:
-        basis = []
-        for j in range(ncols):
-            v = [GR_ZERO] * ncols
-            v[j] = GR_ONE
-            basis.append(v)
-        return basis
-    rows, pivot_cols = rref(matrix)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [GR_ZERO] * ncols
-        v[fc] = GR_ONE
-        for r, pc in enumerate(pivot_cols):
-            entry = rows[r][fc]
-            if entry:
-                v[pc] = -entry
-        basis.append(v)
-    return basis
+    return _kernel(_reduce(enumerate(row) for row in matrix), ncols)
 
 
 def sparse_kernel_basis(rows, ncols):
-    """``kernel_basis`` of a sparse matrix, eliminated one connected block at a time.
+    """``kernel_basis`` of a sparse matrix whose rows are dicts column -> entry."""
+    return _kernel(_reduce(row.items() for row in rows), ncols)
 
-    ``rows`` are dicts column -> ``GaussianRational``.  Columns that share a
-    nonzero entry in some row form one block (union-find); each block is
-    reduced with the dense ``rref`` and untouched columns give unit vectors.
-    This is structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990).
-    Blocks share no rows, so a column is a pivot of the whole matrix exactly
-    when it is one of its block, and the result is the free-column basis, in
-    free-column order, that ``kernel_basis`` gives on the dense form.
+
+def _kernel(reduced, ncols):
+    """Kernel basis from the reduced rows, written in one pass over them.
+
+    A reduced row has entries only in its pivot and in free columns; its
+    entry x in free column f puts -x at its pivot in the vector of f.
     """
-    parent = list(range(ncols))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    supports = [[c for c, x in row.items() if x] for row in rows]
-    for cols in supports:
-        root = find(cols[0]) if cols else None
-        for c in cols[1:]:
-            other = find(c)
-            if other != root:
-                parent[other] = root
-    blocks = {}
-    for row, cols in zip(rows, supports):
-        if cols:
-            blocks.setdefault(find(cols[0]), []).append((row, cols))
     vectors = {}
-    for block in blocks.values():
-        cols = sorted({c for _, support in block for c in support})
-        local = {c: i for i, c in enumerate(cols)}
-        dense = []
-        for row, support in block:
-            line = [GR_ZERO] * len(cols)
-            for c in support:
-                line[local[c]] = row[c]
-            dense.append(line)
-        for short in kernel_basis(dense, len(cols)):
-            v = [GR_ZERO] * ncols
-            for c, x in zip(cols, short):
-                v[c] = x
-            # the free column is the last nonzero entry: pivots lie to its left
-            vectors[max(c for c, x in zip(cols, short) if x)] = v
-    touched = {c for cols in supports for c in cols}
     for c in range(ncols):
-        if c not in touched:
-            v = [GR_ZERO] * ncols
+        if c not in reduced:
+            vectors[c] = v = [GR_ZERO] * ncols
             v[c] = GR_ONE
-            vectors[c] = v
-    return [vectors[c] for c in sorted(vectors)]
+    for p, row in reduced.items():
+        for c, x in row.items():
+            if c != p:
+                vectors[c][p] = -x
+    return list(vectors.values())
 
 
 def solve_columns(matrix, rhs_columns):
@@ -146,20 +115,22 @@ def solve_columns(matrix, rhs_columns):
 
     The coefficient matrix must have full column rank (NotInvertible
     otherwise).  Returns one solution vector per column, with None in place
-    of inconsistent columns.  One joint elimination serves every column: the
-    rows from ``ncols`` on have a zero matrix part, and a column is consistent
-    exactly when it vanishes on them.  A pivot in the right-hand columns only
-    mixes those rows, so a consistent column's solution entries are never
-    touched.
+    of inconsistent columns.  One joint elimination serves every column: a
+    reduced row that pivots past the matrix columns has a zero matrix part,
+    and a column is consistent exactly when it vanishes on all such rows.
     """
     ncols = len(matrix[0]) if matrix else 0
-    aug = [list(row) + [col[i] for col in rhs_columns] for i, row in enumerate(matrix)]
-    rows, pivot_cols = rref(aug)
-    if pivot_cols[:ncols] != list(range(ncols)):
+    reduced = _reduce(
+        list(enumerate(row)) + [(ncols + j, col[i]) for j, col in enumerate(rhs_columns)]
+        for i, row in enumerate(matrix)
+    )
+    if any(c not in reduced for c in range(ncols)):
         raise NotInvertible("coefficient matrix does not have full column rank")
-    solved, rest = rows[:ncols], rows[ncols:]
+    solved = [reduced[c] for c in range(ncols)]
+    zero = solved[0][0] - solved[0][0] if solved else None
+    inconsistent = {c for p, row in reduced.items() if p >= ncols for c in row}
     return [
-        None if any(row[j] for row in rest) else [row[j] for row in solved]
+        None if j in inconsistent else [row.get(j, zero) for row in solved]
         for j in range(ncols, ncols + len(rhs_columns))
     ]
 

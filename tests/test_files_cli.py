@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import supervec
-from supervec import derivations, liealg
+from supervec import cli, derivations, liealg
 from supervec.cli import main
 from supervec.errors import FileFormatError
 from supervec.files import (
@@ -210,6 +210,46 @@ def test_cli_weights():
     assert "multiplicity" in out
     code, out, err = run(["weights", "--manifold", "k1", "--cartan", "5"])
     assert code == 3 and "OddCartan" in err
+
+
+def test_cli_weights_checks_cartan_before_brackets(monkeypatch):
+    def no_brackets(basis):
+        raise AssertionError("structure constants built before the --cartan check")
+
+    monkeypatch.setattr(cli, "structure_constants", no_brackets)
+    code, out, err = run(["weights", "--manifold", "k1", "--cartan", "5"])
+    assert code == 3
+    assert not out and "OddCartan" in err
+
+
+@pytest.mark.parametrize("odd_dim", ["-1", "10"])
+def test_cli_flow_rejects_odd_dim_outside_t1_t9(odd_dim):
+    code, out, err = run(["flow", "--field", "0", "--time", "1", "--odd-dim", odd_dim])
+    assert code == 2
+    assert not out and "BadOddDim" in err
+
+
+def test_cli_flow_odd_dim_zero_infers():
+    code, out, err = run(["flow", "--field", "z^3*t1*t2", "--time", "2", "--odd-dim", "0"])
+    assert code == 0
+    assert out == "[pullback]\nz = z + 2*z^3*t1*t2\nt1 = t1\nt2 = t2\n"
+
+
+def test_files_reject_odd_dim_above_9(tmp_path):
+    etas = "".join("eta%d = z^-1*t%d\n" % (j, min(j, 9)) for j in range(1, 11))
+    bad = tmp_path / "big.smf"
+    bad.write_text("[manifold]\nname = big\nodd_dim = 10\n\n[transition]\nw = z^-1\n" + etas)
+    with pytest.raises(FileFormatError, match="t1..t9"):
+        load_manifold(bad)
+    code, out, err = run(["check", "--manifold", str(bad)])
+    assert code == 2
+    assert not out and "BadFile" in err and "at most 9" in err
+    odd = "".join("t%d = t%d\n" % (j, min(j, 9)) for j in range(1, 11))
+    pullback = tmp_path / "big.spb"
+    pullback.write_text("[pullback]\nz = z\n" + odd)
+    code, out, err = run(["invert", "--pullback", str(pullback)])
+    assert code == 2
+    assert not out and "BadFile" in err and "t1..t9" in err
 
 
 def test_cli_brackets_point():

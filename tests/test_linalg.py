@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from supervec.errors import NotInvertible
 from supervec.linalg import (
@@ -16,6 +16,8 @@ from supervec.linalg import (
     sparse_kernel_basis,
 )
 from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial, RationalFunction
+
+import reference_linalg as reference
 
 
 def g(x):
@@ -101,7 +103,13 @@ def sparse_systems(draw):
 def test_sparse_kernel_matches_dense_kernel(system):
     rows, ncols = system
     dense = [[row.get(c, GR_ZERO) for c in range(ncols)] for row in rows]
-    assert sparse_kernel_basis(rows, ncols) == kernel_basis(dense, ncols)
+    assert sparse_kernel_basis(rows, ncols) == reference.kernel_basis(dense, ncols)
+
+
+@given(sparse_systems())
+def test_sparse_kernel_matches_block_reference(system):
+    rows, ncols = system
+    assert sparse_kernel_basis(rows, ncols) == reference.sparse_kernel_basis(rows, ncols)
 
 
 @given(sparse_systems(), st.data())
@@ -197,6 +205,87 @@ def test_solve_columns_matches_two_path_reference(system):
             solve_columns(matrix, rhs)
         return
     assert solve_columns(matrix, rhs) == expected
+
+
+@given(tall_systems())
+def test_solve_columns_matches_reference(system):
+    matrix, rhs = system
+    try:
+        expected = reference.solve_columns(matrix, rhs)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            solve_columns(matrix, rhs)
+        return
+    assert solve_columns(matrix, rhs) == expected
+
+
+@st.composite
+def dense_systems(draw):
+    """A dense matrix whose later rows are often combinations of earlier ones,
+    so that its rank varies; ``kernel_basis`` takes its column count."""
+    ncols = draw(st.integers(0, 6))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f = draw(entries)
+            rows.append([x + f * y for x, y in zip(a, b)])
+        else:
+            rows.append([draw(entries) for _ in range(ncols)])
+    return draw(st.permutations(rows)), ncols
+
+
+@given(dense_systems())
+def test_dense_routines_match_reference(system):
+    matrix, ncols = system
+    assert rref(matrix) == reference.rref(matrix)
+    assert rank(matrix) == reference.rank(matrix)
+    assert kernel_basis(matrix, ncols) == reference.kernel_basis(matrix, ncols)
+
+
+def rf_entries():
+    """Small rational functions: (a + b*z) / (1 + c*z), often constant or zero."""
+    coeff = st.integers(-2, 2).map(GaussianRational)
+    return st.builds(
+        lambda a, b, c: RationalFunction(
+            Polynomial({0: a, 1: b}), Polynomial({0: GR_ONE, 1: c})
+        ),
+        coeff,
+        coeff,
+        coeff,
+    )
+
+
+@st.composite
+def rf_systems(draw):
+    """A square matrix and right-hand columns, plus a copy of the first row
+    whose right-hand entries repeat the first (consistent) or are arbitrary."""
+    n = draw(st.integers(1, 3))
+    matrix = [[draw(rf_entries()) for _ in range(n)] for _ in range(n)]
+    rhs = [[draw(rf_entries()) for _ in range(n)] for _ in range(draw(st.integers(1, 2)))]
+    tall_rhs = [col + [col[0] if draw(st.booleans()) else draw(rf_entries())] for col in rhs]
+    return matrix, rhs, matrix + [matrix[0]], tall_rhs
+
+
+@settings(deadline=None, max_examples=40)
+@given(rf_systems())
+def test_rational_function_solves_match_reference(system):
+    matrix, rhs, tall, tall_rhs = system
+    zero, one = RationalFunction.zero(), RationalFunction.one()
+    n = len(matrix)
+    units = [[one if r == c else zero for r in range(n)] for c in range(n)]
+    try:
+        expected = reference.solve_columns(matrix, rhs)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            solve_columns(matrix, rhs)
+        with pytest.raises(NotInvertible):
+            invert_matrix(matrix, zero, one)
+        return
+    assert solve_columns(matrix, rhs) == expected
+    assert solve_columns(tall, tall_rhs) == reference.solve_columns(tall, tall_rhs)
+    inverse = [list(row) for row in zip(*reference.solve_columns(matrix, units))]
+    assert invert_matrix(matrix, zero, one) == inverse
 
 
 def test_invert_matrix_over_rational_functions():

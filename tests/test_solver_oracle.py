@@ -2,7 +2,9 @@
 
 ``dense_solve`` is the original solver kept verbatim as an oracle: dense
 rows built per cap from ``RationalFunction`` sums, one dense ``kernel_basis``
-over the whole system, and a second full solve at cap + 2.  The sparse solver
+over the whole system, and a second full solve at cap + 2.  Its
+``kernel_basis`` is the dense row reduction of ``reference_linalg``, so the
+oracle shares no elimination code with the solver.  The sparse solver
 must give the same basis field by field, the same cap and the same clearing
 exponent.
 """
@@ -21,8 +23,9 @@ from supervec.liealg import (
     default_cap,
     solve_global_fields,
 )
-from supervec.linalg import kernel_basis
 from supervec.scalars import GR_ZERO, Polynomial, RationalFunction
+
+from reference_linalg import kernel_basis
 
 SYNTHETIC = {
     "ns33": "odd_dim = 2\n\n[transition]\nw = z^-1 + z^-4*t1*t2\neta1 = z^-3*t1\neta2 = z^-3*t2\n",
