@@ -5,7 +5,7 @@ The files under ``tests/golden`` pin ``report`` (human and ``--machine``) and
 synthetic manifolds of ``test_solver_oracle`` at their default cap and at
 cap + 2, and ``brackets --machine`` on the same synthetic manifolds at their
 default cap.  The pullback commands are pinned on the fixed ``.spb`` texts of
-``PULLBACKS`` (n = 1, 2, 3, including Mobius lifts of ``k2`` and
+``PULLBACKS`` (n = 1 to 4, including Mobius lifts of ``k2`` and
 ``nonsplit-2-2``): ``invert`` and ``decompose`` (human and ``--machine``) on
 each, ``compose`` on one pair per odd dimension, and ``flow`` on two nilpotent
 fields with non-monomial denominators.  Regenerate one only for an intended
@@ -105,6 +105,15 @@ PULLBACKS = {
         "t1 = t1 + z*t2 + 1/(z - 1)*t1*t2*t3\n"
         "t2 = (z + 1)*t2 - t3\n"
         "t3 = 2*t1 + 1/z*t3 + z^2*t1*t2*t3\n"
+    ),
+    # the one input whose generator has a Rothstein stage at degree 4
+    "n4": (
+        "[pullback]\n"
+        "z = (z + 1)/(z + 2) + z*t1*t2 + 1/(z + 1)*t3*t4 + z^2*t1*t2*t3*t4\n"
+        "t1 = t1 + t2 + z*t1*t2*t3\n"
+        "t2 = (z + 1)*t2 + t2*t3*t4\n"
+        "t3 = t3 - t4\n"
+        "t4 = z*t4 + t1*t2*t4\n"
     ),
 }
 
