@@ -6,8 +6,9 @@ differentiation uses the left-derivative sign convention (the sign is the
 parity of the index prefix), matching :meth:`SuperFunction.d_odd`.
 
 This module also factors automorphism pullbacks into a degree-preserving
-part composed with the exponential of a nilpotent even derivation, and
-inverts pullbacks whose reduced map is fractional linear.
+part composed with the exponential of a nilpotent even derivation (Rothstein
+stages d = 2, 4, ...: one recombination and one elimination per slice weight
+each), and inverts pullbacks whose reduced map is fractional linear.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import (
     ResidualNotCleared,
     UnsupportedReducedMap,
 )
-from .grassmann import PullbackData, SuperFunction, compose, idx_sort_key, idx_weight
-from .linalg import determinant, invert_matrix, solve_square
+from .grassmann import PullbackData, SuperFunction, compose, idx_weight
+from .linalg import determinant, invert_matrix, solve_columns
 from .scalars import (
     Fraction,
     GaussianRational,
@@ -286,22 +287,29 @@ def odd_linear_matrix(p):
 
 
 def _reduced_inverse(p):
-    rho = p.even_image.reduced_part()
-    inv = mobius_inverse(rho)
+    inv = mobius_inverse(p.even_image.reduced_part())
     if inv is None:
         raise UnsupportedReducedMap(
             "reduced map must be an invertible fractional-linear function"
         )
-    return rho, inv
+    return inv
+
+
+def _residuals(p, cur):
+    """p - cur on the even image and on each odd image."""
+    return [a - b for a, b in zip((p.even_image, *p.odd_images), (cur.even_image, *cur.odd_images))]
 
 
 def rothstein_decompose(p):
     """Split a pullback into degree-preserving part and nilpotent generator.
 
-    The generator lives on the target chart and is solved degree by degree;
-    after each stage the residual in that degree is checked to vanish.  The
-    odd linear part must be invertible over the rational-function field and
-    the reduced even map must be non-constant.
+    The generator lives on the target chart and is solved degree by degree.
+    The factors are recombined once before the stages and once after each
+    stage with a nonzero slice; that residual p - cur is checked to vanish up
+    to the stage's degree and gives the next stage its slices.  The odd linear
+    part must be invertible over the rational-function field and the reduced
+    even map must be non-constant; the reduced map needs a fractional-linear
+    inverse only when some slice is nonzero.
     """
     n = p.odd_dim
     phi0 = degree_zero_part(p)
@@ -314,63 +322,51 @@ def rothstein_decompose(p):
         raise NotInvertible("odd linear part is singular over the rational functions")
     target = p.target_chart
     gen = SuperDerivation.zero(target, n)
-    if p == recombine(RothsteinParts(phi0, gen)):
-        return RothsteinParts(phi0, gen)
-    _, rho_inv = _reduced_inverse(p)
+    cur = recombine(RothsteinParts(phi0, gen))
+    residuals = _residuals(p, cur)
+    rho_inv = None
     for d in range(2, n + 1, 2):
-        cur = recombine(RothsteinParts(phi0, gen))
-        delta_even = (p.even_image - cur.even_image).degree_component(d)
-        delta_odds = [
-            (p.odd_images[j] - cur.odd_images[j]).degree_component(d + 1)
-            for j in range(n)
-        ]
-        if not delta_even and not any(delta_odds):
+        even_slice = residuals[0].degree_component(d)
+        odd_slices = [r.degree_component(d + 1) for r in residuals[1:]]
+        if not even_slice and not any(odd_slices):
             continue
-        even_add = _solve_degree_slice(phi0, delta_even, d, rho_inv)
-        odd_adds = [
-            _solve_degree_slice(phi0, delta_odds[j], d + 1, rho_inv) for j in range(n)
-        ]
+        if rho_inv is None:
+            rho_inv = _reduced_inverse(p)
+        [even_add] = _solve_degree_slices(phi0, [even_slice], d, rho_inv)
+        odd_adds = _solve_degree_slices(phi0, odd_slices, d + 1, rho_inv)
         gen = gen + SuperDerivation(target, n, even_add, odd_adds)
         cur = recombine(RothsteinParts(phi0, gen))
-        residuals = [(p.even_image - cur.even_image, d)]
-        residuals += [(p.odd_images[j] - cur.odd_images[j], d + 1) for j in range(n)]
-        for residual, weight in residuals:
+        residuals = _residuals(p, cur)
+        for residual, weight in zip(residuals, [d] + [d + 1] * n):
             if any(idx_weight(i) <= weight for i in residual.terms):
                 raise ResidualNotCleared("degree-%d residual survives stage %d" % (weight, d))
-    parts = RothsteinParts(phi0, gen)
-    if recombine(parts) != p:
+    if cur != p:
         raise RecombinationMismatch("recombined parts differ from the pullback")
-    return parts
+    return RothsteinParts(phi0, gen)
 
 
-def _solve_degree_slice(phi0, delta, weight, rho_inv):
-    """Find x of pure Grassmann degree ``weight`` on the target chart with
-    phi0.apply(x) = delta."""
+def _solve_degree_slices(phi0, slices, weight, rho_inv):
+    """For each slice delta, the x of pure Grassmann degree ``weight`` on the
+    target chart with phi0.apply(x) = delta; one elimination serves them all."""
     n = phi0.odd_dim
     target = phi0.target_chart
-    if not delta:
-        return SuperFunction.zero(target, n)
+    if not any(slices):
+        return [SuperFunction.zero(target, n)] * len(slices)
     indices = [i for i in range(1 << n) if idx_weight(i) == weight]
-    indices.sort(key=idx_sort_key)
-    # column nu: coefficients of phi0*(eta^nu) on the source chart
-    columns = []
-    for nu in indices:
-        image = phi0.odd_product(nu)
-        columns.append([image.coefficient(mu) for mu in indices])
-    matrix = [[columns[c][r] for c in range(len(indices))] for r in range(len(indices))]
-    rhs = [delta.coefficient(mu) for mu in indices]
-    composed = solve_square(matrix, rhs)
-    terms = {}
-    for nu, u in zip(indices, composed):
-        if u:
-            terms[nu] = u.compose(rho_inv)
-    return SuperFunction(target, n, terms)
+    images = [phi0.odd_product(nu) for nu in indices]
+    # row mu, column nu: coefficient of theta^mu in phi0*(eta^nu)
+    matrix = [[image.coefficient(mu) for image in images] for mu in indices]
+    rhs = [[delta.coefficient(mu) for mu in indices] for delta in slices]
+    return [
+        SuperFunction(target, n, {nu: u.compose(rho_inv) for nu, u in zip(indices, x) if u})
+        for x in solve_columns(matrix, rhs)
+    ]
 
 
 def invert_degree_zero(phi0):
     """Inverse pullback of a degree-preserving automorphism pullback."""
     n = phi0.odd_dim
-    rho, rho_inv = _reduced_inverse(phi0)
+    rho_inv = _reduced_inverse(phi0)
     mat = odd_linear_matrix(phi0)
     composed = [[entry.compose(rho_inv) for entry in row] for row in mat]
     rf_zero, rf_one = RationalFunction.zero(), RationalFunction.one()

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .derivations import (
     SuperDerivation,
+    degree_zero_part,
     odd_linear_matrix,
     pullback_invert,
 )
@@ -103,12 +104,7 @@ class SuperManifoldData:
         """Associated split model: keep only the degree-preserving transition part."""
         if self.kind == KIND_C01:
             return self
-        truncated = PullbackData(
-            CHART0,
-            CHART1,
-            self.transition.even_image.degree_component(0),
-            [img.degree_component(1) for img in self.transition.odd_images],
-        )
+        truncated = degree_zero_part(self.transition)
         if truncated == self.transition:
             return self
         return SuperManifoldData(self.name + "-gr", self.odd_dim, KIND_P1, truncated)

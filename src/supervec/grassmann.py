@@ -412,7 +412,11 @@ def compose(outer, inner):
     composed pullback sends target-chart functions through ``outer``'s
     images and then substitutes via ``inner``.
     """
-    if outer.source_chart != inner.target_chart or outer.odd_dim != inner.odd_dim:
+    if outer.odd_dim != inner.odd_dim:
+        raise ChartMismatch(
+            "cannot compose: outer odd dimension %d != inner %d" % (outer.odd_dim, inner.odd_dim)
+        )
+    if outer.source_chart != inner.target_chart:
         raise ChartMismatch(
             "cannot compose: outer source %r != inner target %r"
             % (outer.source_chart, inner.target_chart)

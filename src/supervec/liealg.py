@@ -576,15 +576,13 @@ def conjugation_action(basis, pullback):
     inverse = pullback_invert(pullback)
     n = manifold.odd_dim
     chart = manifold.chart0
-    coords = [SuperFunction.coordinate(chart, n)]
-    coords += [SuperFunction.odd_var(chart, n, j) for j in range(n)]
+    # p* sends the coordinates z, t_j to the pullback's images
+    coord_images = (pullback.even_image,) + pullback.odd_images
     conjugated = []
     for field in basis.fields:
         der = field.chart0_der
-        images = [inverse.apply(der.apply(pullback.apply(u))) for u in coords]
-        conjugated.append(
-            SuperDerivation(chart, n, images[0], images[1:])
-        )
+        images = [inverse.apply(der.apply(u)) for u in coord_images]
+        conjugated.append(SuperDerivation(chart, n, images[0], images[1:]))
     columns = expand_in_basis(basis, conjugated)
     m = len(basis.fields)
     return [[columns[c][r] for c in range(m)] for r in range(m)]

@@ -176,18 +176,19 @@ def determinant(matrix, zero, one):
 
 
 def mat_mul(a, b, zero):
-    """Matrix product with explicit zero element."""
+    """Matrix product with explicit zero element; each row of ``a`` is read
+    once, as its nonzero (column, entry) pairs."""
     if not a or not b:
         return []
-    n, k, m = len(a), len(b), len(b[0])
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
+    for row in a:
+        pairs = [(t, x) for t, x in enumerate(row) if x]
+        out_row = []
+        for j in range(len(b[0])):
             acc = zero
-            for t in range(k):
-                if a[i][t] and b[t][j]:
-                    acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
+            for t, x in pairs:
+                if b[t][j]:
+                    acc = acc + x * b[t][j]
+            out_row.append(acc)
+        out.append(out_row)
     return out

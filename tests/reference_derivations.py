@@ -1,0 +1,112 @@
+"""Reference Rothstein factorisation kept as a test oracle.
+
+This is the ``rothstein_decompose`` that ``supervec.derivations`` used before
+it carried one recombination from stage to stage, kept verbatim with the two
+helpers that changed with it: it recombines the factors at the start of each
+stage, again after the stage and once more for the final check, returns
+early when the degree-preserving part alone recombines to the pullback, and
+eliminates the weight-(d+1) matrix once per odd slice.  The generator is
+unique and every slice system has a unique solution, so the library must
+return the same parts, or raise the same coded error, on every input.
+"""
+
+from __future__ import annotations
+
+from supervec.derivations import (
+    RothsteinParts,
+    SuperDerivation,
+    degree_zero_part,
+    odd_linear_matrix,
+    recombine,
+)
+from supervec.errors import (
+    NotInvertible,
+    RecombinationMismatch,
+    ResidualNotCleared,
+    UnsupportedReducedMap,
+)
+from supervec.grassmann import SuperFunction, idx_sort_key, idx_weight
+from supervec.linalg import determinant, solve_square
+from supervec.scalars import RationalFunction, mobius_inverse
+
+
+def _reduced_inverse(p):
+    rho = p.even_image.reduced_part()
+    inv = mobius_inverse(rho)
+    if inv is None:
+        raise UnsupportedReducedMap(
+            "reduced map must be an invertible fractional-linear function"
+        )
+    return rho, inv
+
+
+def rothstein_decompose(p):
+    """Split a pullback into degree-preserving part and nilpotent generator.
+
+    The generator lives on the target chart and is solved degree by degree;
+    after each stage the residual in that degree is checked to vanish.  The
+    odd linear part must be invertible over the rational-function field and
+    the reduced even map must be non-constant.
+    """
+    n = p.odd_dim
+    phi0 = degree_zero_part(p)
+    rho = phi0.even_image.reduced_part()
+    if not rho.derivative():
+        raise NotInvertible("reduced even map has vanishing differential")
+    mat = odd_linear_matrix(phi0)
+    rf_zero, rf_one = RationalFunction.zero(), RationalFunction.one()
+    if not determinant(mat, rf_zero, rf_one):
+        raise NotInvertible("odd linear part is singular over the rational functions")
+    target = p.target_chart
+    gen = SuperDerivation.zero(target, n)
+    if p == recombine(RothsteinParts(phi0, gen)):
+        return RothsteinParts(phi0, gen)
+    _, rho_inv = _reduced_inverse(p)
+    for d in range(2, n + 1, 2):
+        cur = recombine(RothsteinParts(phi0, gen))
+        delta_even = (p.even_image - cur.even_image).degree_component(d)
+        delta_odds = [
+            (p.odd_images[j] - cur.odd_images[j]).degree_component(d + 1)
+            for j in range(n)
+        ]
+        if not delta_even and not any(delta_odds):
+            continue
+        even_add = _solve_degree_slice(phi0, delta_even, d, rho_inv)
+        odd_adds = [
+            _solve_degree_slice(phi0, delta_odds[j], d + 1, rho_inv) for j in range(n)
+        ]
+        gen = gen + SuperDerivation(target, n, even_add, odd_adds)
+        cur = recombine(RothsteinParts(phi0, gen))
+        residuals = [(p.even_image - cur.even_image, d)]
+        residuals += [(p.odd_images[j] - cur.odd_images[j], d + 1) for j in range(n)]
+        for residual, weight in residuals:
+            if any(idx_weight(i) <= weight for i in residual.terms):
+                raise ResidualNotCleared("degree-%d residual survives stage %d" % (weight, d))
+    parts = RothsteinParts(phi0, gen)
+    if recombine(parts) != p:
+        raise RecombinationMismatch("recombined parts differ from the pullback")
+    return parts
+
+
+def _solve_degree_slice(phi0, delta, weight, rho_inv):
+    """Find x of pure Grassmann degree ``weight`` on the target chart with
+    phi0.apply(x) = delta."""
+    n = phi0.odd_dim
+    target = phi0.target_chart
+    if not delta:
+        return SuperFunction.zero(target, n)
+    indices = [i for i in range(1 << n) if idx_weight(i) == weight]
+    indices.sort(key=idx_sort_key)
+    # column nu: coefficients of phi0*(eta^nu) on the source chart
+    columns = []
+    for nu in indices:
+        image = phi0.odd_product(nu)
+        columns.append([image.coefficient(mu) for mu in indices])
+    matrix = [[columns[c][r] for c in range(len(indices))] for r in range(len(indices))]
+    rhs = [delta.coefficient(mu) for mu in indices]
+    composed = solve_square(matrix, rhs)
+    terms = {}
+    for nu, u in zip(indices, composed):
+        if u:
+            terms[nu] = u.compose(rho_inv)
+    return SuperFunction(target, n, terms)

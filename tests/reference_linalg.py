@@ -6,7 +6,8 @@ verbatim: a dense ``rref`` over lists, ``kernel_basis`` and ``solve_columns``
 on top of it, and ``sparse_kernel_basis`` splitting the columns into
 connected blocks with a union-find and reducing each block densely.  The
 reduced row echelon form is unique, so the library must reproduce every
-result here exactly.
+result here exactly.  ``mat_mul`` is the product that tested every entry of
+``a`` once per output entry; the library's must give the same products.
 """
 
 from __future__ import annotations
@@ -162,3 +163,21 @@ def solve_columns(matrix, rhs_columns):
         None if any(row[j] for row in rest) else [row[j] for row in solved]
         for j in range(ncols, ncols + len(rhs_columns))
     ]
+
+
+def mat_mul(a, b, zero):
+    """Matrix product with explicit zero element."""
+    if not a or not b:
+        return []
+    n, k, m = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = zero
+            for t in range(k):
+                if a[i][t] and b[t][j]:
+                    acc = acc + a[i][t] * b[t][j]
+            row.append(acc)
+        out.append(row)
+    return out

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from supervec import derivations
 from supervec.derivations import (
     RothsteinParts,
     SuperDerivation,
@@ -12,9 +14,19 @@ from supervec.derivations import (
     recombine,
     rothstein_decompose,
 )
-from supervec.errors import MixedParity, NotInvertible, NotNilpotent
+from supervec.errors import (
+    MathDomainError,
+    MixedParity,
+    NotInvertible,
+    NotNilpotent,
+    UnsupportedReducedMap,
+)
+from supervec.files import parse_pullback_text
 from supervec.grassmann import PullbackData, SuperFunction, compose, idx_parity, idx_weight
 from supervec.scalars import GaussianRational, Polynomial, RationalFunction
+
+import reference_derivations as reference
+from test_golden import PULLBACKS
 
 C = "chart0"
 C1 = "chart1"
@@ -327,3 +339,103 @@ def test_unsupported_reduced_map():
                         [SuperFunction.odd_var(C, 2, 0), SuperFunction.odd_var(C, 2, 1)])
     with pytest.raises(UnsupportedReducedMap):
         rothstein_decompose(bent)
+
+
+# z^2 + z: non-constant, but not fractional linear
+QUADRATIC = RationalFunction(Polynomial({1: GaussianRational(1), 2: GaussianRational(1)}))
+SMALL = st.integers(-2, 2).map(GaussianRational)
+DENOMINATORS = [Polynomial({0: 1}), Polynomial({0: 1, 1: 1}), Polynomial({2: 1})]
+# z, 1/z, (z + 1)/(z + 2), (2*z - 1)/(z + 3) and the quadratic
+REDUCED_MAPS = [
+    RationalFunction(Polynomial(num), Polynomial(den))
+    for num, den in [({1: 1}, {0: 1}), ({0: 1}, {1: 1}), ({0: 1, 1: 1}, {0: 2, 1: 1}),
+                     ({0: -1, 1: 2}, {0: 3, 1: 1})]
+] + [QUADRATIC]
+
+
+def small_polys():
+    """a + b*z with small integer a, b."""
+    return st.builds(lambda a, b: RationalFunction(Polynomial({0: a, 1: b})), SMALL, SMALL)
+
+
+def small_rfs():
+    """(a + b*z) / q with q one of 1, z + 1, z^2."""
+    return st.builds(lambda f, q: f / RationalFunction(q), small_polys(), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def automorphisms(draw):
+    """Chart-0 pullbacks with n = 1..4: a Mobius or the quadratic reduced map,
+    a random odd linear part and, when drawn, nilpotent terms: at least one
+    even one, and odd ones of weight 3 where n allows."""
+    n = draw(st.integers(1, 4))
+    reduced = draw(st.sampled_from(REDUCED_MAPS))
+    nilpotent = draw(st.booleans())
+
+    def higher(parity):
+        indices = [i for i in range(1 << n) if idx_weight(i) >= 2 and idx_parity(i) == parity]
+        if not (nilpotent and indices):
+            return {}
+        chosen = draw(st.sets(st.sampled_from(indices), min_size=1 - parity))
+        return {i: draw(small_rfs()) for i in chosen}
+
+    even = SuperFunction(C, n, {0: reduced, **higher(0)})
+    # odd linear part: a + b*z on the diagonal and on a drawn set of other entries
+    linear = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    linear |= {(j, j) for j in range(n)}
+    odds = [
+        SuperFunction(C, n, {**{1 << k: draw(small_polys()) for k in range(n) if (j, k) in linear},
+                             **higher(1)})
+        for j in range(n)
+    ]
+    return PullbackData(C, C, even, odds)
+
+
+def decompose_outcome(decompose, p):
+    try:
+        return decompose(p)
+    except MathDomainError as exc:
+        return exc.code
+
+
+@settings(deadline=None, max_examples=60)
+@given(automorphisms())
+def test_decompose_matches_reference(p):
+    expected = decompose_outcome(reference.rothstein_decompose, p)
+    assert decompose_outcome(rothstein_decompose, p) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quadratic_reduced_map_needs_an_inverse_only_with_a_nilpotent_part(n):
+    odds = [SuperFunction.odd_var(C, n, j) for j in range(n)]
+    flat = PullbackData(C, C, SuperFunction.from_rf(C, n, QUADRATIC), odds)
+    parts = RothsteinParts(flat, SuperDerivation.zero(C, n))
+    assert rothstein_decompose(flat) == reference.rothstein_decompose(flat) == parts
+    # a nilpotent term in t1*t2, or in t1*t2*t3*t4 alone (only stage 4 solves)
+    for idx in [i for i in (3, 15) if i < 1 << n]:
+        bent = PullbackData(C, C, SuperFunction(C, n, {0: QUADRATIC, idx: RationalFunction.one()}), odds)
+        for decompose in (rothstein_decompose, reference.rothstein_decompose):
+            with pytest.raises(UnsupportedReducedMap):
+                decompose(bent)
+
+
+def count_recombinations(monkeypatch, module, p):
+    calls = []
+    original = module.recombine
+
+    def counting(parts):
+        calls.append(parts)
+        return original(parts)
+
+    monkeypatch.setattr(module, "recombine", counting)
+    module.rothstein_decompose(p)
+    return len(calls)
+
+
+@pytest.mark.parametrize("name, once, before", [("n4", 3, 6), ("n2", 2, 4)])
+def test_one_recombination_per_stage(monkeypatch, name, once, before):
+    # once before the stages and once after each stage with a nonzero slice;
+    # the reference also recombines at the start of each stage and at the end
+    p = parse_pullback_text(PULLBACKS[name])
+    assert count_recombinations(monkeypatch, derivations, p) == once
+    assert count_recombinations(monkeypatch, reference, p) == before

@@ -275,6 +275,16 @@ def test_cli_flow_and_files(tmp_path):
     assert composed == "[pullback]\nz = z\nt1 = t1\nt2 = t2\n"
 
 
+def test_cli_compose_names_an_odd_dimension_mismatch(tmp_path):
+    p, q = tmp_path / "p.spb", tmp_path / "q.spb"
+    p.write_text("[pullback]\nz = z\nt1 = t1\n")
+    q.write_text("[pullback]\nz = z\nt1 = t1\nt2 = t2\n")
+    code, out, err = run(["compose", str(p), str(q)])
+    assert code == 3
+    assert not out
+    assert err == "error: ChartMismatch: cannot compose: outer odd dimension 1 != inner 2\n"
+
+
 def test_cli_decompose(tmp_path):
     p = tmp_path / "p.spb"
     p.write_text("[pullback]\nz = z + z^2*t1*t2\nt1 = 2*t1\nt2 = 1/2*t2\n")

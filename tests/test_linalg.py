@@ -288,6 +288,35 @@ def test_rational_function_solves_match_reference(system):
     assert invert_matrix(matrix, zero, one) == inverse
 
 
+@st.composite
+def products(draw):
+    """Factors a (r x k) and b (k x c): sparse, diagonal or dense over Q(i),
+    or dense over the small rational functions."""
+    kind = draw(st.sampled_from(["sparse", "diagonal", "dense", "rf"]))
+    if kind == "rf":
+        zero, entry = RationalFunction.zero(), rf_entries()
+    else:
+        zero, entry = GR_ZERO, entries
+    top = 3 if kind == "rf" else 5
+    r, k, c = (draw(st.integers(1, top)) for _ in range(3))
+    if kind == "diagonal":
+        r = k
+        a = [[draw(entry) if i == t else zero for t in range(k)] for i in range(r)]
+    elif kind == "sparse":
+        a = [[draw(entry) if draw(st.integers(0, 3)) == 0 else zero for _ in range(k)] for _ in range(r)]
+    else:
+        a = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    return a, b, zero
+
+
+@settings(deadline=None)
+@given(products())
+def test_mat_mul_matches_reference(factors):
+    a, b, zero = factors
+    assert mat_mul(a, b, zero) == reference.mat_mul(a, b, zero)
+
+
 def test_invert_matrix_over_rational_functions():
     z = RationalFunction.z()
     one = RationalFunction.one()
