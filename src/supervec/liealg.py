@@ -9,10 +9,11 @@ basis is read off the kernel vectors that vanish on the later columns, which
 are exactly the kernel at cap; the kernel dimension at cap + 2 is the
 saturation check that turns the cap heuristic into a checked result.
 
-On top of the basis: exact structure constants, the graded-Jacobi check,
-adjoint matrices and weight decompositions, the span of odd-odd brackets,
-the split-model comparison, and the conjugation action of global
-automorphism pullbacks.
+On top of the basis, reduced once when it is built (``span_factor``) and read
+by every expansion of a bracket or conjugated field (``coordinates``): exact
+structure constants, the graded-Jacobi check, adjoint matrices and weight
+decompositions, the span of odd-odd brackets, the split-model comparison,
+and the conjugation action of global automorphism pullbacks.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .geometry import (
     morphism_check_global,
 )
 from .grassmann import PullbackData, SuperFunction, idx_sort_key, idx_weight
-from .linalg import kernel_basis, mat_mul, rank, rref, solve_columns, sparse_kernel_basis
+from .linalg import coordinates, kernel_basis, mat_mul, rank, rref, span_factor
+from .linalg import sparse_kernel_basis
 from .scalars import (
     GR_ONE,
     GR_ZERO,
@@ -54,7 +56,7 @@ from .scalars import (
 class SuperalgebraBasis:
     """Ordered basis of the global fields, split by parity."""
 
-    __slots__ = ("manifold", "even_basis", "odd_basis", "cap_used", "clearing_exponent")
+    __slots__ = ("manifold", "even_basis", "odd_basis", "cap_used", "clearing_exponent", "span")
 
     def __init__(self, manifold, even_basis, odd_basis, cap_used, clearing_exponent):
         self.manifold = manifold
@@ -62,12 +64,12 @@ class SuperalgebraBasis:
         self.odd_basis = list(odd_basis)
         self.cap_used = cap_used
         self.clearing_exponent = clearing_exponent
-        fields = self.fields
-        if fields:
-            ders = [f.chart0_der for f in fields]
-            matrix = _coefficient_matrix(ders, _derivation_slots(ders))
-            if rank(matrix) != len(fields):
-                raise NotClosed("solver produced linearly dependent basis fields")
+        slots = {}  # the one reduction of the basis, read by every expansion
+        vectors = [_slot_vector(f.chart0_der, slots, grow=True) for f in self.fields]
+        factor = span_factor(vectors, len(slots), GR_ONE)
+        if any(p >= len(slots) for p in factor):
+            raise NotClosed("solver produced linearly dependent basis fields")
+        self.span = (slots, factor)
 
     @property
     def fields(self):
@@ -290,52 +292,33 @@ def _kernel_fields(manifold, parity, columns, kernel):
 # expansion of chart-0 derivations in a basis
 
 
-def _derivation_slots(ders):
-    """Row index of every (component, multi-index, z-power) the derivations use.
+def _slot_vector(der, slots, grow=False):
+    """Sparse vector slot -> coefficient of a chart-0 derivation.
 
-    None when some coefficient is not a polynomial.
+    ``slots`` numbers the (component, multi-index, z-power) slots; with
+    ``grow`` a new slot gets the next number, otherwise a vector using one is
+    None.  NotInSpan if a coefficient is not a polynomial.
     """
-    slots = set()
-    for der in ders:
-        for comp, coeff in [(-1, der.even_coeff)] + list(enumerate(der.odd_coeffs)):
-            for nu, rf in coeff.terms.items():
-                if not rf.is_polynomial():
-                    return None
-                for e in rf.num.coeffs:
-                    slots.add((comp, nu, e))
-    return {s: i for i, s in enumerate(sorted(slots))}
-
-
-def _derivation_vector(der, slot_index):
-    vec = [GR_ZERO] * len(slot_index)
+    vec = {}
     for comp, coeff in [(-1, der.even_coeff)] + list(enumerate(der.odd_coeffs)):
         for nu, rf in coeff.terms.items():
+            if not rf.is_polynomial():
+                raise NotInSpan("derivation has non-polynomial coefficients")
             for e, c in rf.num.coeffs.items():
-                vec[slot_index[(comp, nu, e)]] = c
-    return vec
-
-
-def _coefficient_matrix(ders, slot_index):
-    """One column per derivation, one row per slot."""
-    vectors = [_derivation_vector(d, slot_index) for d in ders]
-    return [[vec[r] for vec in vectors] for r in range(len(slot_index))]
+                key = (comp, nu, e)
+                vec[slots.setdefault(key, len(slots)) if grow else slots.get(key)] = c
+    return None if None in vec else vec
 
 
 def expand_in_basis(basis, ders):
     """Coefficients of chart-0 derivations in the basis; NotInSpan on failure."""
-    base_ders = [f.chart0_der for f in basis.fields]
-    slot_index = _derivation_slots(base_ders + list(ders))
-    if slot_index is None:
-        raise NotInSpan("derivation has non-polynomial coefficients")
-    matrix = _coefficient_matrix(base_ders, slot_index)
-    targets = [_derivation_vector(d, slot_index) for d in ders]
-    solutions = solve_columns(matrix, targets)
-    out = []
-    for sol in solutions:
-        if sol is None:
-            raise NotInSpan("derivation does not lie in the span of the basis")
-        out.append(tuple(sol))
-    return out
+    slots, factor = basis.span
+    vectors = [_slot_vector(d, slots) for d in ders]
+    width, m = len(slots), len(basis)
+    out = [None if v is None else coordinates(factor, width, m, v, GR_ZERO) for v in vectors]
+    if None in out:
+        raise NotInSpan("derivation does not lie in the span of the basis")
+    return [tuple(sol) for sol in out]
 
 
 def structure_constants(basis):

@@ -4,12 +4,12 @@ All routines are generic over field elements supporting ``+ - * /`` (with
 ``1 / x`` for the inverse), truthiness (nonzero test) and equality; they are
 used with both ``GaussianRational`` and ``RationalFunction`` entries.
 
-One elimination, ``_reduce``, serves ``rref``, ``rank``, ``kernel_basis``,
-``sparse_kernel_basis`` and ``solve_columns``: it takes sparse rows and
-returns the reduced row echelon form.  Determinism contract: the reduced form
+One elimination, ``_reduce``, of sparse rows to the reduced row echelon form
+serves ``rref``, ``rank``, ``kernel_basis``, ``sparse_kernel_basis`` and
+``span_factor``; ``coordinates`` reads a vector off a stored ``span_factor``,
+and ``solve_columns`` is that pair.  Determinism contract: the reduced form
 of a row space is unique, so every result is independent of the row order
-and of the order of elimination; kernel basis vectors are ordered by
-free-column index.
+and of the order of elimination; kernel vectors are ordered by free column.
 """
 
 from __future__ import annotations
@@ -110,29 +110,44 @@ def _kernel(reduced, ncols):
     return list(vectors.values())
 
 
+def span_factor(vectors, width, one):
+    """``_reduce`` of sparse vectors, dicts column -> entry below ``width``.
+
+    Vector i also carries ``one`` in column ``width + i``, so each reduced row
+    records which combination of the vectors it is; a pivot at or past
+    ``width`` marks a dependent vector.
+    """
+    return _reduce(list(v.items()) + [(width + i, one)] for i, v in enumerate(vectors))
+
+
+def coordinates(factor, width, count, vector, zero):
+    """Coefficients of ``vector`` in the ``count`` vectors of a ``span_factor``.
+
+    Reduced rows vanish on each other's pivots, so one pass clears every
+    pivot entry; None if a residual is left, else minus the combination part.
+    """
+    row = {c: x for c, x in vector.items() if x}
+    for p in [c for c in row if c in factor]:
+        _subtract(row, p, factor[p])
+    if any(c < width for c in row):
+        return None
+    return [-row[c] if c in row else zero for c in range(width, width + count)]
+
+
 def solve_columns(matrix, rhs_columns):
     """Solve ``matrix @ x = b`` for every column b of ``rhs_columns``.
 
-    The coefficient matrix must have full column rank (NotInvertible
-    otherwise).  Returns one solution vector per column, with None in place
-    of inconsistent columns.  One joint elimination serves every column: a
-    reduced row that pivots past the matrix columns has a zero matrix part,
-    and a column is consistent exactly when it vanishes on all such rows.
+    The matrix columns are factored once and must be independent (else
+    NotInvertible).  One solution vector per column, None if inconsistent.
     """
-    ncols = len(matrix[0]) if matrix else 0
-    reduced = _reduce(
-        list(enumerate(row)) + [(ncols + j, col[i]) for j, col in enumerate(rhs_columns)]
-        for i, row in enumerate(matrix)
-    )
-    if any(c not in reduced for c in range(ncols)):
+    width = len(matrix)
+    columns = [dict(enumerate(col)) for col in zip(*matrix)]
+    zero = matrix[0][0] - matrix[0][0] if columns else None
+    factor = span_factor(columns, width, zero + 1 if columns else None)
+    if any(p >= width for p in factor):
         raise NotInvertible("coefficient matrix does not have full column rank")
-    solved = [reduced[c] for c in range(ncols)]
-    zero = solved[0][0] - solved[0][0] if solved else None
-    inconsistent = {c for p, row in reduced.items() if p >= ncols for c in row}
-    return [
-        None if j in inconsistent else [row.get(j, zero) for row in solved]
-        for j in range(ncols, ncols + len(rhs_columns))
-    ]
+    count = len(columns)
+    return [coordinates(factor, width, count, dict(enumerate(b)), zero) for b in rhs_columns]
 
 
 def solve_square(matrix, rhs):

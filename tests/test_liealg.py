@@ -8,10 +8,11 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from conftest import commutator2, matmul2, rand_sl2
+import reference_liealg
 from test_solver_oracle import SYNTHETIC
 
 from supervec.derivations import SuperDerivation, bracket
-from supervec import liealg
+from supervec import liealg, linalg
 from supervec.errors import (
     CapNotSaturated,
     InputError,
@@ -796,3 +797,110 @@ def test_split_unequal_degrees_kernel_is_upper_triangular(basis_cache):
         assert b11.is_zero() or b11.is_constant()
         assert b22.is_zero() or b22.is_constant()
         assert b12.is_zero() or int(b12.num.degree()) <= 2
+
+
+# ---------------------------------------------------------------------------
+# expansion against the factor stored in the basis
+
+
+ORACLE_BASES = ("k2", "nonsplit-2-2", "split-3-1", "c01", "s222")
+
+
+@pytest.fixture(scope="session")
+def oracle_basis(basis_cache):
+    """Basis, its used slots, and the used slots whose monomial is off the span."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            if name in SYNTHETIC:
+                text = "[manifold]\nname = %s\n" % name + SYNTHETIC[name]
+                basis = solve_global_fields(parse_manifold_text(text))
+            else:
+                basis = basis_cache(name)
+            ders = [f.chart0_der for f in basis.fields]
+            used = sorted(reference_liealg._derivation_slots(ders))
+            off = []
+            for slot in used:
+                try:
+                    reference_liealg.expand_in_basis(basis, [slot_monomial(basis, slot, GR_ONE)])
+                except NotInSpan:
+                    off.append(slot)
+            cache[name] = (basis, used, off)
+        return cache[name]
+
+    return get
+
+
+def slot_monomial(basis, slot, c):
+    """The chart-0 derivation with the single coefficient c in ``slot``."""
+    comp, nu, e = slot
+    chart, n = basis.manifold.chart0, basis.manifold.odd_dim
+    term = {nu: RationalFunction(Polynomial({e: c}))}
+    even = SuperFunction(chart, n, term if comp == -1 else {})
+    odds = [SuperFunction(chart, n, term if j == comp else {}) for j in range(n)]
+    return SuperDerivation(chart, n, even, odds)
+
+
+def expansion_outcome(expand, basis, ders):
+    try:
+        return expand(basis, ders)
+    except NotInSpan as exc:
+        return ("NotInSpan", exc.message)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(ORACLE_BASES), st.data())
+def test_expand_in_basis_matches_reference(oracle_basis, name, data):
+    basis, used, off = oracle_basis(name)
+    chart, n = basis.manifold.chart0, basis.manifold.odd_dim
+    m = len(basis)
+    small = st.integers(-3, 3).map(GaussianRational)
+    coeffs = data.draw(st.lists(small, min_size=m, max_size=m))
+    combo = SuperDerivation.zero(chart, n)
+    for c, field in zip(coeffs, basis.fields):
+        combo = combo + field.chart0_der.scale(c)
+    c = GaussianRational(data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    top = max(e for _, _, e in used)
+    comp = data.draw(st.integers(-1, n - 1))
+    nu = data.draw(st.integers(0, (1 << n) - 1))
+    unused = (comp, nu, top + data.draw(st.integers(1, 3)))
+    targets = [[combo], [combo + slot_monomial(basis, unused, c)]]
+    if off:
+        targets.append([combo + slot_monomial(basis, data.draw(st.sampled_from(off)), c)])
+    else:
+        event("no used slot off the span")
+    stray = targets[-1][0]
+    pole_coeff = SuperFunction(chart, n, {0: RationalFunction.monomial(-1)})
+    pole = SuperDerivation(chart, n, pole_coeff, [SuperFunction.zero(chart, n)] * n)
+    targets.append([combo, stray, pole])
+    outcomes = [expansion_outcome(expand_in_basis, basis, ders) for ders in targets]
+    expected = [expansion_outcome(reference_liealg.expand_in_basis, basis, ders) for ders in targets]
+    assert outcomes == expected
+    assert outcomes[0] == [tuple(coeffs)]
+    assert outcomes[1] == ("NotInSpan", "derivation does not lie in the span of the basis")
+    assert outcomes[-2][0] == "NotInSpan"
+    assert outcomes[-1] == ("NotInSpan", "derivation has non-polynomial coefficients")
+
+
+def test_basis_is_reduced_once(basis_cache, monkeypatch):
+    """Expansions read the factor built with the basis and reduce nothing again."""
+    basis = basis_cache("nonsplit-2-2")
+    ders = [f.chart0_der for f in basis.fields]
+    brackets = [a.bracket(b) for a in ders for b in ders]
+    expected = reference_liealg.expand_in_basis(basis, brackets)
+    units = reference_liealg.expand_in_basis(basis, ders)
+    m = len(ders)
+
+    def no_reduction(*args):
+        raise AssertionError("the basis was reduced again")
+
+    monkeypatch.setattr(liealg, "span_factor", no_reduction)
+    identity = PullbackData.identity(basis.manifold.chart0, basis.manifold.odd_dim)
+    conjugation = conjugation_action(basis, identity)
+    assert conjugation == [[units[c][r] for c in range(m)] for r in range(m)]
+    # the identity's inverse is solved through linalg, so only now forbid every reduction
+    monkeypatch.setattr(linalg, "_reduce", no_reduction)
+    table = structure_constants(basis).table
+    assert [table[(i, j)] for i in range(m) for j in range(m)] == expected
+    assert expand_in_basis(basis, brackets) == expected

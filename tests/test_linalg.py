@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from supervec.errors import NotInvertible
 from supervec.linalg import (
+    coordinates,
     determinant,
     invert_matrix,
     kernel_basis,
@@ -13,6 +14,7 @@ from supervec.linalg import (
     rank,
     rref,
     solve_columns,
+    span_factor,
     sparse_kernel_basis,
 )
 from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial, RationalFunction
@@ -154,6 +156,18 @@ def test_solve_columns_exact_and_inconsistent():
     sols = solve_columns(m, [good, bad])
     assert sols[0] == [g(1), g(2)]
     assert sols[1] is None
+
+
+def test_span_factor_marks_a_repeated_vector_dependent():
+    u, v = {0: g(1), 2: g(3)}, {1: g(2)}
+    factor = span_factor([u, v], 3, GR_ONE)
+    assert sorted(factor) == [0, 1]
+    assert coordinates(factor, 3, 2, {0: g(2), 1: g(2), 2: g(6)}, GR_ZERO) == [g(2), g(1)]
+    assert coordinates(factor, 3, 2, {2: g(1)}, GR_ZERO) is None
+    repeated = span_factor([u, v, u], 3, GR_ONE)
+    # the pivot past the width records u - u = 0 in the combination columns
+    assert [p for p in repeated if p >= 3] == [3]
+    assert repeated[3] == {3: GR_ONE, 5: -GR_ONE}
 
 
 def two_path_solve_columns(matrix, rhs_columns, zero=GR_ZERO):
