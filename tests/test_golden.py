@@ -6,9 +6,10 @@ synthetic manifolds of ``test_solver_oracle`` at their default cap and at
 cap + 2, and ``brackets --machine`` on the same synthetic manifolds at their
 default cap.  The pullback commands are pinned on the fixed ``.spb`` texts of
 ``PULLBACKS`` (n = 1 to 4, including Mobius lifts of ``k2`` and
-``nonsplit-2-2``): ``invert`` and ``decompose`` (human and ``--machine``) on
-each, ``compose`` on one pair per odd dimension, and ``flow`` on two nilpotent
-fields with non-monomial denominators.  Regenerate one only for an intended
+``nonsplit-2-2`` and a dense n = 3 case): ``invert`` and ``decompose``
+(human and ``--machine``) on each, ``compose`` on one pair per odd
+dimension, and ``flow`` on two nilpotent fields with non-monomial
+denominators.  Regenerate one only for an intended
 output change, with
 ``python -m supervec report --manifold NAME [--machine] > tests/golden/...``
 (likewise ``gr``, ``vec``, ``brackets`` and the pullback commands, given the
@@ -105,6 +106,15 @@ PULLBACKS = {
         "t1 = t1 + z*t2 + 1/(z - 1)*t1*t2*t3\n"
         "t2 = (z + 1)*t2 - t3\n"
         "t3 = 2*t1 + 1/z*t3 + z^2*t1*t2*t3\n"
+    ),
+    # every odd linear entry a degree-1 polynomial, every even-nilpotent and
+    # odd-cubic term present
+    "n3-dense": (
+        "[pullback]\n"
+        "z = (2*z + 1)/(z + 1) + 1/(z - 2)*t1*t2 + z*t1*t3 + (z + 1)/(z^2 + 1)*t2*t3\n"
+        "t1 = (z + 1)*t1 + (2*z - 1)*t2 + (z + 3)*t3 + 1/(z + 2)*t1*t2*t3\n"
+        "t2 = (1 - z)*t1 + (z + 2)*t2 + (3*z + 1)*t3 + z*t1*t2*t3\n"
+        "t3 = (2*z + 1)*t1 + (z - 2)*t2 + (z + 1)*t3 + (z^2 + 1)/(z - 1)*t1*t2*t3\n"
     ),
     # the one input whose generator has a Rothstein stage at degree 4
     "n4": (
