@@ -28,7 +28,7 @@ from .files import (
     pullback_text,
     resolve_manifold,
 )
-from .geometry import CHART0
+from .geometry import CHART0, KIND_C01
 from .grassmann import SuperFunction, compose
 from .liealg import (
     gr_comparison,
@@ -256,7 +256,7 @@ def cmd_report(args, out):
     basis = report.basis
     lines = _manifold_header(manifold, args.machine)
     if args.machine:
-        if manifold.kind != "c01":
+        if manifold.kind != KIND_C01:
             lines.append("transition.w=%s" % superfunction_text(manifold.transition.even_image))
             for j, img in enumerate(manifold.transition.odd_images):
                 lines.append("transition.eta%d=%s" % (j + 1, superfunction_text(img)))
@@ -275,7 +275,7 @@ def cmd_report(args, out):
             "conjugation_identity=%s" % ("true" if report.conjugation_identity_ok else "false")
         )
     else:
-        if manifold.kind != "c01":
+        if manifold.kind != KIND_C01:
             lines.append("transition:")
             lines.append("  w = %s" % superfunction_text(manifold.transition.even_image))
             for j, img in enumerate(manifold.transition.odd_images):

@@ -8,7 +8,8 @@ parity of the index prefix), matching :meth:`SuperFunction.d_odd`.
 This module also factors automorphism pullbacks into a degree-preserving
 part composed with the exponential of a nilpotent even derivation (Rothstein
 stages d = 2, 4, ...: one recombination and one elimination per slice weight
-each), and inverts pullbacks whose reduced map is fractional linear.
+each), and inverts pullbacks whose reduced map is fractional linear: the
+degree-preserving part by the weight-1 slice solve, exp(X) by its series.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     UnsupportedReducedMap,
 )
 from .grassmann import PullbackData, SuperFunction, compose, idx_weight
-from .linalg import determinant, invert_matrix, solve_columns
+from .linalg import determinant, solve_columns
 from .scalars import (
     Fraction,
     GaussianRational,
@@ -197,34 +198,16 @@ class SuperDerivation:
         """Pullback of exp(scale * X) for a nilpotent even field X.
 
         Requires filtration level >= 2, which makes every coordinate series
-        terminate after at most odd_dim // 2 + 1 terms.
+        terminate after at most odd_dim // 2 + 1 terms of :func:`_exp_series`.
         """
         if self.parity() != 0:
             raise NotNilpotent("exponential requires an even derivation")
         if self and self.filtration_level() < 2:
             raise NotNilpotent("exponential requires filtration level >= 2")
-        if not isinstance(scale, GaussianRational):
-            scale = GaussianRational(scale)
         n = self.odd_dim
-        images = []
         coords = [SuperFunction.coordinate(self.chart, n)]
         coords += [SuperFunction.odd_var(self.chart, n, j) for j in range(n)]
-        for u in coords:
-            acc = u
-            term = u
-            k = 0
-            while True:
-                k += 1
-                term = self.apply(term)
-                if not term:
-                    break
-                factor = RationalFunction.constant(
-                    GaussianRational(Fraction(1, factorial(k))) * scale**k
-                )
-                acc = acc + term.scale(factor)
-                if k > n + 1:
-                    raise NotNilpotent("exponential series did not terminate")
-            images.append(acc)
+        images = [_exp_series(self, u, scale) for u in coords]
         return PullbackData(self.chart, self.chart, images[0], images[1:])
 
     def __repr__(self):
@@ -237,6 +220,20 @@ class SuperDerivation:
 
 def bracket(x, y):
     return x.bracket(y)
+
+
+def _exp_series(field, f, scale=1):
+    """exp(scale * X) applied to f: the sum over k of (scale * X)^k f / k!."""
+    if not isinstance(scale, GaussianRational):
+        scale = GaussianRational(scale)
+    acc = term = f
+    for k in range(1, field.odd_dim + 3):
+        term = field.apply(term)
+        if not term:
+            return acc
+        factor = GaussianRational(Fraction(1, factorial(k))) * scale**k
+        acc = acc + term.scale(RationalFunction.constant(factor))
+    raise NotNilpotent("exponential series did not terminate")
 
 
 class RothsteinParts:
@@ -364,36 +361,26 @@ def _solve_degree_slices(phi0, slices, weight, rho_inv):
 
 
 def invert_degree_zero(phi0):
-    """Inverse pullback of a degree-preserving automorphism pullback."""
+    """Inverse of a degree-preserving automorphism pullback: the image of t_k
+    is the weight-1 slice solve for the x_k with phi0.apply(x_k) = t_k."""
     n = phi0.odd_dim
     rho_inv = _reduced_inverse(phi0)
-    mat = odd_linear_matrix(phi0)
-    composed = [[entry.compose(rho_inv) for entry in row] for row in mat]
-    rf_zero, rf_one = RationalFunction.zero(), RationalFunction.one()
-    inv = invert_matrix(composed, rf_zero, rf_one)
     source, target = phi0.source_chart, phi0.target_chart
-    even = SuperFunction.from_rf(target, n, rho_inv)
-    odds = []
-    for k in range(n):
-        terms = {}
-        for j in range(n):
-            if inv[k][j]:
-                terms[1 << j] = inv[k][j]
-        odds.append(SuperFunction(target, n, terms))
-    return PullbackData(target, source, even, odds)
+    units = [SuperFunction.odd_var(source, n, k) for k in range(n)]
+    odds = _solve_degree_slices(phi0, units, 1, rho_inv)
+    return PullbackData(target, source, SuperFunction.from_rf(target, n, rho_inv), odds)
 
 
 def pullback_invert(p):
     """Exact inverse of an automorphism pullback.
 
-    Factors p through :func:`rothstein_decompose`; the inverse is the inverse
-    of the degree-preserving part composed after exp(-generator).  Restricted
-    to reduced maps with a closed-form inverse (fractional-linear, which
-    includes 1/z).
+    Factors p through :func:`rothstein_decompose`; the inverse applies the
+    series of exp(-generator) to each image of the degree-preserving inverse.
+    Restricted to reduced maps with a closed-form inverse (fractional-linear,
+    which includes 1/z).
     """
     parts = rothstein_decompose(p)
     phi0_inv = invert_degree_zero(parts.degree_zero)
-    gen = parts.nilpotent_generator
-    if not gen:
-        return phi0_inv
-    return compose(phi0_inv, (-gen).exp_pullback(1))
+    neg = -parts.nilpotent_generator
+    images = [_exp_series(neg, f) for f in (phi0_inv.even_image, *phi0_inv.odd_images)]
+    return PullbackData(phi0_inv.source_chart, phi0_inv.target_chart, images[0], images[1:])

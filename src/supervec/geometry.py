@@ -24,7 +24,6 @@ from .errors import (
     FamilyShapeMismatch,
     NotGlobal,
     NotLaurent,
-    NotNilpotent,
     NotTraceless,
 )
 from .derivations import (
@@ -425,6 +424,4 @@ def nilpotent_flow(manifold, field, t):
         raise ChartMismatch("field does not live on a chart of the manifold")
     if field.odd_dim != manifold.odd_dim:
         raise ChartMismatch("field has the wrong odd dimension")
-    if field.parity() != 0 or (field and field.filtration_level() < 2):
-        raise NotNilpotent("flow requires an even field of filtration level >= 2")
     return field.exp_pullback(t)

@@ -8,6 +8,13 @@ early when the degree-preserving part alone recombines to the pullback, and
 eliminates the weight-(d+1) matrix once per odd slice.  The generator is
 unique and every slice system has a unique solution, so the library must
 return the same parts, or raise the same coded error, on every input.
+
+``invert_degree_zero`` and ``pullback_invert`` are the library's versions
+from before each pullback operation had one mechanism, also kept verbatim:
+the degree-preserving part is inverted through its composed odd linear
+matrix and ``invert_matrix``, and exp(-generator) is applied by composing
+with its pullback.  The inverse is unique, so the library must return the
+same pullback, or raise the same coded error, on every input.
 """
 
 from __future__ import annotations
@@ -25,19 +32,18 @@ from supervec.errors import (
     ResidualNotCleared,
     UnsupportedReducedMap,
 )
-from supervec.grassmann import SuperFunction, idx_sort_key, idx_weight
-from supervec.linalg import determinant, solve_square
+from supervec.grassmann import PullbackData, SuperFunction, compose, idx_sort_key, idx_weight
+from supervec.linalg import determinant, invert_matrix, solve_square
 from supervec.scalars import RationalFunction, mobius_inverse
 
 
 def _reduced_inverse(p):
-    rho = p.even_image.reduced_part()
-    inv = mobius_inverse(rho)
+    inv = mobius_inverse(p.even_image.reduced_part())
     if inv is None:
         raise UnsupportedReducedMap(
             "reduced map must be an invertible fractional-linear function"
         )
-    return rho, inv
+    return inv
 
 
 def rothstein_decompose(p):
@@ -61,7 +67,7 @@ def rothstein_decompose(p):
     gen = SuperDerivation.zero(target, n)
     if p == recombine(RothsteinParts(phi0, gen)):
         return RothsteinParts(phi0, gen)
-    _, rho_inv = _reduced_inverse(p)
+    rho_inv = _reduced_inverse(p)
     for d in range(2, n + 1, 2):
         cur = recombine(RothsteinParts(phi0, gen))
         delta_even = (p.even_image - cur.even_image).degree_component(d)
@@ -110,3 +116,39 @@ def _solve_degree_slice(phi0, delta, weight, rho_inv):
         if u:
             terms[nu] = u.compose(rho_inv)
     return SuperFunction(target, n, terms)
+
+
+def invert_degree_zero(phi0):
+    """Inverse pullback of a degree-preserving automorphism pullback."""
+    n = phi0.odd_dim
+    rho_inv = _reduced_inverse(phi0)
+    mat = odd_linear_matrix(phi0)
+    composed = [[entry.compose(rho_inv) for entry in row] for row in mat]
+    rf_zero, rf_one = RationalFunction.zero(), RationalFunction.one()
+    inv = invert_matrix(composed, rf_zero, rf_one)
+    source, target = phi0.source_chart, phi0.target_chart
+    even = SuperFunction.from_rf(target, n, rho_inv)
+    odds = []
+    for k in range(n):
+        terms = {}
+        for j in range(n):
+            if inv[k][j]:
+                terms[1 << j] = inv[k][j]
+        odds.append(SuperFunction(target, n, terms))
+    return PullbackData(target, source, even, odds)
+
+
+def pullback_invert(p):
+    """Exact inverse of an automorphism pullback.
+
+    Factors p through :func:`rothstein_decompose`; the inverse is the inverse
+    of the degree-preserving part composed after exp(-generator).  Restricted
+    to reduced maps with a closed-form inverse (fractional-linear, which
+    includes 1/z).
+    """
+    parts = rothstein_decompose(p)
+    phi0_inv = invert_degree_zero(parts.degree_zero)
+    gen = parts.nilpotent_generator
+    if not gen:
+        return phi0_inv
+    return compose(phi0_inv, (-gen).exp_pullback(1))

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supervec import derivations
 from supervec.derivations import (
@@ -403,6 +403,55 @@ def decompose_outcome(decompose, p):
 def test_decompose_matches_reference(p):
     expected = decompose_outcome(reference.rothstein_decompose, p)
     assert decompose_outcome(rothstein_decompose, p) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(automorphisms())
+def test_invert_matches_reference(p):
+    expected = decompose_outcome(reference.pullback_invert, p)
+    assert decompose_outcome(pullback_invert, p) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(automorphisms())
+def test_invert_degree_zero_matches_reference(p):
+    phi0 = degree_zero_part(p)
+    expected = decompose_outcome(reference.invert_degree_zero, phi0)
+    assert decompose_outcome(derivations.invert_degree_zero, phi0) == expected
+
+
+@st.composite
+def exp_cases(draw):
+    """An even field of filtration level >= 2 with n = 2..4 (the even
+    coefficient in weights >= 2, the odd ones in weights >= 3) and a function
+    of up to four terms on its chart."""
+    n = draw(st.integers(2, 4))
+
+    def function(indices, max_size=None):
+        chosen = draw(st.sets(st.sampled_from(indices), max_size=max_size)) if indices else set()
+        return SuperFunction(C, n, {i: draw(small_rfs()) for i in chosen})
+
+    def weights(parity, low):
+        return [i for i in range(1 << n) if idx_weight(i) >= low and idx_parity(i) == parity]
+
+    x = SuperDerivation(C, n, function(weights(0, 2)), [function(weights(1, 3)) for _ in range(n)])
+    return x, function(list(range(1 << n)), 4)
+
+
+# X = (t1*t2 + t3*t4) d/dz: the k = 2 term of the series is the only one that
+# carries (t1*t2 + t3*t4)^2 on a coefficient with nonzero second derivative
+PINNED_EXP_CASE = (
+    SuperDerivation(C, 4, sf(4, {3: zm(0), 12: zm(0)}), [sf(4, {})] * 4),
+    sf(4, {0: zm(0) / (zm(1) + zm(0))}),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(exp_cases(), st.sampled_from([-2, -1, Fraction(1, 2), 1, 3]))
+@example(PINNED_EXP_CASE, 1)
+def test_exp_series_is_the_exponential_pullback(case, s):
+    x, f = case
+    assert derivations._exp_series(x, f, s) == x.exp_pullback(s).apply(f)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
