@@ -10,8 +10,10 @@ equality:
 * ``Polynomial`` is a sparse exponent -> coefficient map with no stored
   zeros; the zero polynomial has degree ``-inf``.
 * ``RationalFunction`` keeps ``gcd(num, den) = 1`` with a monic denominator.
-  Each result is reduced once (``compose`` included), and
-  ``Polynomial.gcd`` stops at a unit.
+  Arithmetic builds each result canonical from its reduced operands by
+  Henrici's method (Knuth, TAOCP vol. 2, 4.5.1), from gcds of the factors
+  only; ``__init__`` normalises what is built from raw polynomials
+  (parsing, ``compose``), and ``Polynomial.gcd`` stops at a unit.
 
 Laurent behaviour (powers of ``1/z``) is obtained by living inside
 ``RationalFunction`` with a monomial denominator.
@@ -395,7 +397,11 @@ _POLY_X = _raw_poly({1: GR_ONE})
 
 
 class RationalFunction:
-    """Quotient of polynomials in canonical form (reduced, monic denominator)."""
+    """Quotient of polynomials in canonical form (reduced, monic denominator).
+
+    ``__init__`` normalises raw polynomials; arithmetic on canonical operands
+    builds canonical results from gcds of their factors and skips it.
+    """
 
     __slots__ = ("num", "den")
 
@@ -475,9 +481,7 @@ class RationalFunction:
         other = _as_rf(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return _rf_sum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -485,9 +489,7 @@ class RationalFunction:
         other = _as_rf(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return _rf_sum(self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other):
         other = _as_rf(other)
@@ -496,16 +498,18 @@ class RationalFunction:
         return other - self
 
     def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _rf_raw(-self.num, self.den)
 
     def __mul__(self, other):
         other = _as_rf(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not (a and c):
+            return _RF_ZERO
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return _rf_raw(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -515,7 +519,7 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * _rf_reciprocal(other)
 
     def __rtruediv__(self, other):
         other = _as_rf(other)
@@ -527,14 +531,16 @@ class RationalFunction:
         if exponent < 0:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")
-            return RationalFunction(self.den**-exponent, self.num**-exponent)
-        return RationalFunction(self.num**exponent, self.den**exponent)
+            return _rf_reciprocal(self) ** -exponent
+        return _rf_raw(self.num**exponent, self.den**exponent)
 
     def derivative(self):
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        """``(a'(b/g) - a(b'/g)) / (b(b/g))``, ``g = gcd(b, b')``: reduced, each pole order +1."""
+        a, b = self.num, self.den
+        if b.degree() <= 0:
+            return _rf_raw(a.derivative(), b)
+        b_g, db_g = _cancel(b, b.derivative())
+        return _rf_raw(a.derivative() * b_g - a * db_g, b * b_g)
 
     def compose(self, inner):
         """Substitute ``inner = a/b`` for the variable, reducing once: ``num`` and
@@ -585,6 +591,48 @@ def _as_rf(value):
     if isinstance(value, Polynomial):
         return RationalFunction(value)
     return None
+
+
+def _rf_raw(num, den):
+    """A ``RationalFunction`` from a pair already in canonical form."""
+    out = _new(RationalFunction)
+    out.num, out.den = num, den
+    return out
+
+
+def _gcd(p, q):
+    """``gcd(p, q)`` of nonzero polynomials; no Euclid when either is constant."""
+    return p.gcd(q) if p.degree() > 0 and q.degree() > 0 else _POLY_ONE
+
+
+def _cancel(p, q):
+    """``(p/g, q/g)`` for ``g = gcd(p, q)``."""
+    g = _gcd(p, q)
+    return (p // g, q // g) if g.degree() > 0 else (p, q)
+
+
+def _rf_sum(a, b, c, d):
+    """``a/b + c/d`` for canonical operands, reduced by gcds of factors only:
+    by ``gcd(a + c, b)`` when ``b == d``, else by ``gcd(num, g)``, where
+    ``g = gcd(b, d)`` and ``num = a(d/g) + c(b/g)`` over ``(b/g) d``."""
+    if b == d:
+        num = a + c
+        return _rf_raw(*_cancel(num, b)) if num else _RF_ZERO
+    g = _gcd(b, d)
+    if g.degree() <= 0:
+        # distinct canonical denominators: the sum is nonzero and reduced
+        return _rf_raw(a * d + c * b, b * d)
+    b_g, d_g = b // g, d // g
+    num, g = _cancel(a * d_g + c * b_g, g)
+    return _rf_raw(num, b_g * d_g * g)
+
+
+def _rf_reciprocal(f):
+    """``den/num`` of a nonzero ``f``, the new denominator made monic."""
+    lead = f.num.leading_coeff()
+    if lead == 1:
+        return _rf_raw(f.den, f.num)
+    return _rf_raw(f.den.scale(GR_ONE / lead), f.num.scale(GR_ONE / lead))
 
 
 _RF_ZERO = RationalFunction(_POLY_ZERO)

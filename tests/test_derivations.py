@@ -454,6 +454,32 @@ def test_exp_series_is_the_exponential_pullback(case, s):
     assert derivations._exp_series(x, f, s) == x.exp_pullback(s).apply(f)
 
 
+@st.composite
+def group_law_fields(draw):
+    """n = 4 even fields with z-coefficient f(z)*(t1*t2 + t3*t4), f not
+    constant, plus drawn higher-weight terms: t1*t2*t3*t4 in the
+    z-coefficient and weight-3 terms in the odd coefficients."""
+    f = draw(small_rfs().filter(lambda g: not g.is_constant()))
+    top = {15: draw(small_rfs())} if draw(st.booleans()) else {}
+    weight3 = st.sets(st.sampled_from([i for i in range(16) if idx_weight(i) == 3]), max_size=2)
+    odds = [sf(4, {i: draw(small_rfs()) for i in draw(weight3)}) for _ in range(4)]
+    return SuperDerivation(C, 4, sf(4, {3: f, 12: f, **top}), odds)
+
+
+# X = z*(t1*t2 + t3*t4) d/dz: X^2 z = 2*z*(t1*t2*t3*t4) does not vanish, so the
+# group law sees the k = 2 term of the series (it does not for a constant f)
+GROUP_LAW_FIELD = SuperDerivation(C, 4, sf(4, {3: zm(1), 12: zm(1)}), [sf(4, {})] * 4)
+
+
+@settings(deadline=None, max_examples=20)
+@given(group_law_fields(), st.sampled_from([(1, 2), (Fraction(1, 2), -1), (-2, 3)]))
+@example(GROUP_LAW_FIELD, (1, 2))
+@example(GROUP_LAW_FIELD, (Fraction(1, 2), -1))
+def test_exp_pullback_group_law(x, scales):
+    s, t = scales
+    assert compose(x.exp_pullback(s), x.exp_pullback(t)) == x.exp_pullback(s + t)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadratic_reduced_map_needs_an_inverse_only_with_a_nilpotent_part(n):
     odds = [SuperFunction.odd_var(C, n, j) for j in range(n)]

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from supervec.errors import DivisionByZero, UndefinedComposition
 from supervec.scalars import (
@@ -279,6 +279,120 @@ def test_compose_matches_reference(outer, inner):
         return
     got = outer.compose(inner)
     assert (got.num, got.den) == (expected.num, expected.den)
+
+
+# The parent's RationalFunction arithmetic, kept as the oracle of Henrici's
+# method: every result is rebuilt through RationalFunction(num, den), which
+# reduces by the gcd of the full products.
+def reference_add(x, y):
+    return RationalFunction(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def reference_sub(x, y):
+    return RationalFunction(x.num * y.den - y.num * x.den, x.den * y.den)
+
+
+def reference_mul(x, y):
+    return RationalFunction(x.num * y.num, x.den * y.den)
+
+
+def reference_truediv(x, y):
+    if y.is_zero():
+        raise DivisionByZero("division by zero rational function")
+    return RationalFunction(x.num * y.den, x.den * y.num)
+
+
+def reference_pow(x, exponent):
+    if exponent < 0:
+        if x.is_zero():
+            raise DivisionByZero("negative power of zero")
+        return RationalFunction(x.den**-exponent, x.num**-exponent)
+    return RationalFunction(x.num**exponent, x.den**exponent)
+
+
+def reference_derivative(x):
+    return RationalFunction(
+        x.num.derivative() * x.den - x.num * x.den.derivative(), x.den * x.den
+    )
+
+
+small_roots = st.lists(st.integers(-2, 2), max_size=3)
+
+
+@st.composite
+def related_pairs(draw):
+    """a/b and a second rational function over d, where b and d share the
+    linear factors of ``shared`` and no other.  Unless ``plain``, the second
+    is w/d - a/b for a w made of d's own factors, with d = b when ``same``,
+    so that the sum cancels against d or is zero."""
+    shared = draw(small_roots)
+    r, t = draw(st.lists(st.integers(3, 4), max_size=2)), draw(st.lists(st.integers(-4, -3), max_size=2))
+    mode = draw(st.sampled_from(["plain", "same", "other"]))
+    b = _linear_product(shared + r, draw(nonzero_coeffs))
+    d = b if mode == "same" else _linear_product(shared + t, draw(nonzero_coeffs))
+    x = RationalFunction(draw(polys) or Polynomial.one(), b)
+    if mode == "plain":
+        return x, RationalFunction(draw(polys), d)
+    roots = shared + (r if mode == "same" else t)
+    w = _linear_product(draw(st.lists(st.sampled_from(roots), min_size=1, max_size=2))
+                        if roots else [], draw(small_coeffs))
+    return x, reference_sub(RationalFunction(w, d), x)
+
+
+def sum_events(x, y):
+    """Name the branch of Henrici's sum that ``x + y`` takes."""
+    (a, b), (c, d) = (x.num, x.den), (y.num, y.den)
+    if b == d:
+        event("sum: equal denominators, gcd(a + c, b) nontrivial"
+              if (a + c) and reference_gcd(a + c, b).degree() > 0
+              else "sum: equal denominators")
+    elif b.degree() == 0 or d.degree() == 0:
+        event("sum: one constant denominator")
+    else:
+        g = reference_gcd(b, d)
+        if g.degree() == 0:
+            event("sum: coprime denominators")
+        else:
+            num = a * (d // g) + c * (b // g)
+            event("sum: shared factor, gcd(num, g) nontrivial"
+                  if reference_gcd(num, g).degree() > 0 else "sum: shared factor")
+    if (x + y).is_zero():
+        event("sum: zero result")
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.tuples(rational_functions, rational_functions), related_pairs()),
+       st.integers(-3, 3), st.integers(-2, 2))
+def test_arithmetic_matches_reference(pair, exponent, k):
+    x, y = pair
+    sum_events(x, y)
+    if x.den.degree() > 0 and reference_gcd(x.den, x.den.derivative()).degree() > 0:
+        event("derivative: repeated factor")
+    cases = [
+        (x + y, reference_add(x, y)), (x - y, reference_sub(x, y)),
+        (y - x, reference_sub(y, x)), (x * y, reference_mul(x, y)),
+        (k + x, reference_add(RationalFunction.constant(k), x)),
+        (k - x, reference_sub(RationalFunction.constant(k), x)),
+        (x * k, reference_mul(x, RationalFunction.constant(k))),
+        (x.derivative(), reference_derivative(x)), (y.derivative(), reference_derivative(y)),
+    ]
+    for num, den in ((x, y), (y, x), (RationalFunction.constant(k), x)):
+        try:
+            expected = reference_truediv(num, den)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                num / den
+        else:
+            cases.append((num / den, expected))
+    try:
+        expected = reference_pow(x, exponent)
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            x**exponent
+    else:
+        cases.append((x**exponent, expected))
+    for got, expected in cases:
+        assert (got.num, got.den) == (expected.num, expected.den)
 
 
 # The parent's GaussianRational, two Fraction parts, kept as the oracle of the
