@@ -340,7 +340,8 @@ def related_pairs(draw):
 
 
 def sum_events(x, y):
-    """Name the branch of Henrici's sum that ``x + y`` takes."""
+    """Record as a hypothesis event the branch of Henrici's sum that
+    ``x + y`` takes, and whether the sum is zero."""
     (a, b), (c, d) = (x.num, x.den), (y.num, y.den)
     if b == d:
         event("sum: equal denominators, gcd(a + c, b) nontrivial"
@@ -365,20 +366,20 @@ def sum_events(x, y):
        st.integers(-3, 3), st.integers(-2, 2))
 def test_arithmetic_matches_reference(pair, exponent, k):
     x, y = pair
+    constant = RationalFunction.constant(k)
     sum_events(x, y)
     if x.den.degree() > 0 and reference_gcd(x.den, x.den.derivative()).degree() > 0:
         event("derivative: repeated factor")
     cases = [
         (x + y, reference_add(x, y)), (x - y, reference_sub(x, y)),
         (y - x, reference_sub(y, x)), (x * y, reference_mul(x, y)),
-        (k + x, reference_add(RationalFunction.constant(k), x)),
-        (k - x, reference_sub(RationalFunction.constant(k), x)),
-        (x * k, reference_mul(x, RationalFunction.constant(k))),
+        (k + x, reference_add(constant, x)), (k - x, reference_sub(constant, x)),
+        (x * k, reference_mul(x, constant)),
         (x.derivative(), reference_derivative(x)), (y.derivative(), reference_derivative(y)),
     ]
-    for num, den in ((x, y), (y, x), (RationalFunction.constant(k), x)):
+    for num, den, reference_num in ((x, y, x), (y, x, y), (k, x, constant)):
         try:
-            expected = reference_truediv(num, den)
+            expected = reference_truediv(reference_num, den)
         except DivisionByZero:
             with pytest.raises(DivisionByZero):
                 num / den
