@@ -6,11 +6,13 @@ import pytest
 from conftest import commutator2, matmul2, neg2, rand_sl2
 
 from supervec.derivations import SuperDerivation, bracket
+from supervec.derivations import pullback_invert
 from supervec.errors import (
     BadDeterminant,
     BadReducedMap,
     DegenerateOddPart,
     FamilyShapeMismatch,
+    NotGlobal,
     NotLaurent,
     NotNilpotent,
     NotTraceless,
@@ -18,6 +20,7 @@ from supervec.errors import (
 from supervec.geometry import (
     CHART0,
     CHART1,
+    GlobalVectorField,
     SuperManifoldData,
     manifold_from_transition,
     mobius_lift,
@@ -432,3 +435,68 @@ def test_morphism_check_rejects_wrong_lift_power(manifolds):
         [sf(1, {1: RationalFunction.one() / base**2})],
     )
     assert morphism_check_global(m, right) == "global"
+
+
+def _chart1_restriction(manifold, chart0_der):
+    """The chart-1 field whose value on each chart-1 coordinate is carried
+    across the transition from the chart-0 field's value on its image."""
+    chi = manifold.transition
+    chi_inv = pullback_invert(chi)
+    coeffs = [chi_inv.apply(chart0_der.apply(img)) for img in (chi.even_image, *chi.odd_images)]
+    return SuperDerivation(CHART1, manifold.odd_dim, coeffs[0], coeffs[1:])
+
+
+def _is_polynomial(der):
+    return all(
+        rf.is_polynomial() for c in (der.even_coeff, *der.odd_coeffs) for rf in c.terms.values()
+    )
+
+
+@pytest.mark.parametrize("name", ["k2", "nonsplit-2-2"])
+def test_global_field_restrictions_agree(manifolds, basis_cache, name):
+    # the transported chart-1 restriction of every solved field is the solver's
+    m = manifolds[name]
+    for field in basis_cache(name).fields:
+        chart1 = _chart1_restriction(m, field.chart0_der)
+        assert chart1 == field.chart1_der
+        assert GlobalVectorField(m, field.chart0_der, chart1) == field
+
+
+def test_global_field_rejects_mixed_parity(manifolds):
+    # d/dz + d/dt1 agrees across the transition with polynomial restrictions
+    m = manifolds["k2"]
+    mixed = SuperDerivation.d_even(CHART0, 1) + SuperDerivation.d_odd(CHART0, 1, 0)
+    chart1 = _chart1_restriction(m, mixed)
+    assert _is_polynomial(chart1)
+    with pytest.raises(NotGlobal, match="parity"):
+        GlobalVectorField(m, mixed, chart1)
+
+
+def test_global_field_rejects_non_polynomial_coefficient(manifolds):
+    # z^-5 d/dz is a field on the overlap: -w^7 d/dw - 2 w^6 eta1 d/deta1 on
+    # chart 1, so only its chart-0 pole rules it out
+    m = manifolds["k2"]
+    zero = SuperFunction.zero(CHART0, 1)
+    der = SuperDerivation(CHART0, 1, sf(1, {0: zm(-5)}), [zero])
+    chart1 = _chart1_restriction(m, der)
+    assert _is_polynomial(chart1)
+    with pytest.raises(NotGlobal, match="polynomial"):
+        GlobalVectorField(m, der, chart1)
+
+
+def test_global_field_rejects_disagreeing_restrictions(manifolds, basis_cache):
+    k2 = manifolds["k2"]
+    with pytest.raises(NotGlobal, match="disagree"):
+        GlobalVectorField(k2, SuperDerivation.d_even(CHART0, 1), SuperDerivation.d_even(CHART1, 1))
+    # a solved nonsplit-2-2 field with eta2 added to its first chart-1 odd coefficient
+    m = manifolds["nonsplit-2-2"]
+    for field in basis_cache("nonsplit-2-2").fields:
+        c1 = field.chart1_der
+        odds = list(c1.odd_coeffs)
+        if field.parity == 0:
+            odds[0] = odds[0] + SuperFunction.odd_var(CHART1, 2, 1)
+        else:
+            odds[0] = odds[0] + SuperFunction.one(CHART1, 2)
+        changed = SuperDerivation(CHART1, 2, c1.even_coeff, odds)
+        with pytest.raises(NotGlobal, match="disagree"):
+            GlobalVectorField(m, field.chart0_der, changed, field.parity)
