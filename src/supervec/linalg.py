@@ -15,7 +15,7 @@ and of the order of elimination; kernel vectors are ordered by free column.
 from __future__ import annotations
 
 from .errors import NotInvertible
-from .scalars import GR_ONE, GR_ZERO
+from .scalars import GR_ZERO
 
 
 def _reduce(rows):
@@ -84,25 +84,31 @@ def kernel_basis(matrix, ncols):
     The basis comes from the reduced row echelon form: one vector per free
     column, ordered by free-column index, with a 1 in that column.
     """
-    return _kernel(_reduce(enumerate(row) for row in matrix), ncols)
+    entry = next((x for row in matrix for x in row), None)
+    return _kernel(_reduce(enumerate(row) for row in matrix), ncols, entry)
 
 
 def sparse_kernel_basis(rows, ncols):
     """``kernel_basis`` of a sparse matrix whose rows are dicts column -> entry."""
-    return _kernel(_reduce(row.items() for row in rows), ncols)
+    entry = next((x for row in rows for x in row.values()), None)
+    return _kernel(_reduce(row.items() for row in rows), ncols, entry)
 
 
-def _kernel(reduced, ncols):
+def _kernel(reduced, ncols, entry):
     """Kernel basis from the reduced rows, written in one pass over them.
 
     A reduced row has entries only in its pivot and in free columns; its
-    entry x in free column f puts -x at its pivot in the vector of f.
+    entry x in free column f puts -x at its pivot in the vector of f.  Zero
+    and one have the type of ``entry``, any matrix entry, or are
+    ``GaussianRational`` when the matrix has none.
     """
+    zero = GR_ZERO if entry is None else entry - entry
+    one = zero + 1
     vectors = {}
     for c in range(ncols):
         if c not in reduced:
-            vectors[c] = v = [GR_ZERO] * ncols
-            v[c] = GR_ONE
+            vectors[c] = v = [zero] * ncols
+            v[c] = one
     for p, row in reduced.items():
         for c, x in row.items():
             if c != p:

@@ -40,6 +40,20 @@ def test_kernel_zero_matrix_is_standard_basis():
         assert sum(1 for c in vec if c) == 1
 
 
+def test_kernel_over_rational_functions_keeps_their_zero_and_one():
+    z, one, zero = RationalFunction.z(), RationalFunction.one(), RationalFunction.zero()
+    # the kernel of [z, 1] is spanned by (-1/z, 1)
+    assert kernel_basis([[z, one]], 2) == [[-one / z, one]]
+    assert sparse_kernel_basis([{0: z, 1: one}], 2) == [[-one / z, one]]
+    # a matrix of zero entries has no pivot: the zero and one are still its own
+    for basis in (kernel_basis([[zero, zero]], 2), sparse_kernel_basis([{1: zero}], 2)):
+        assert basis == [[one, zero], [zero, one]]
+        assert all(isinstance(x, RationalFunction) for vec in basis for x in vec)
+    # with no entries at all the field is Q(i)
+    assert kernel_basis([], 2) == [[GR_ONE, GR_ZERO], [GR_ZERO, GR_ONE]]
+    assert sparse_kernel_basis([], 1) == [[GR_ONE]]
+
+
 def test_kernel_small_example():
     m = [[g(1), g(1), g(0)], [g(0), g(0), g(1)]]
     basis = kernel_basis(m, 3)
