@@ -15,6 +15,7 @@ degree-preserving part by the weight-1 slice solve, exp(X) by its series.
 from __future__ import annotations
 
 from math import factorial
+from operator import add, sub
 
 from .errors import (
     ChartMismatch,
@@ -164,7 +165,8 @@ class SuperDerivation:
 
         A field is its values on the coordinates z, t_j, and those values are
         its coefficients, so the coefficients of [X, Y] are X(Y_u) - s Y(X_u)
-        for u the even coefficient and each odd one, with s = (-1)^{|X||Y|}.
+        for u the even coefficient and each odd one, with s = (-1)^{|X||Y|}:
+        a sum when both fields are odd, else a difference.
         """
         if other.chart != self.chart or other.odd_dim != self.odd_dim:
             raise ChartMismatch("bracket of derivations on different charts")
@@ -172,10 +174,10 @@ class SuperDerivation:
         py = other.parity()
         if px is None or py is None:
             raise MixedParity("bracket requires parity-homogeneous derivations")
-        sign = -1 if (px and py) else 1
+        combine = add if (px and py) else sub
         xs = (self.even_coeff,) + self.odd_coeffs
         ys = (other.even_coeff,) + other.odd_coeffs
-        coeffs = [self.apply(y) - other.apply(x).scale(sign) for x, y in zip(xs, ys)]
+        coeffs = [combine(self.apply(y), other.apply(x)) for x, y in zip(xs, ys)]
         return SuperDerivation(self.chart, self.odd_dim, coeffs[0], coeffs[1:])
 
     def filtration_level(self):

@@ -154,13 +154,11 @@ class GlobalVectorField:
                     if not rf.is_polynomial():
                         raise NotGlobal("chart restrictions must have polynomial coefficients")
         if manifold.kind == KIND_P1:
+            # a field's value on a coordinate is its coefficient there
             chi = manifold.transition
-            n = manifold.odd_dim
-            coords = [SuperFunction.coordinate(CHART1, n)]
-            coords += [SuperFunction.odd_var(CHART1, n, j) for j in range(n)]
-            images = [chi.even_image, *chi.odd_images]
-            for coord, image in zip(coords, images):
-                if chi.apply(chart1_der.apply(coord)) != chart0_der.apply(image):
+            coeffs = (chart1_der.even_coeff, *chart1_der.odd_coeffs)
+            for c, image in zip(coeffs, (chi.even_image, *chi.odd_images)):
+                if chi.apply(c) != chart0_der.apply(image):
                     raise NotGlobal("chart restrictions disagree across the transition")
         self.manifold = manifold
         self.chart0_der = chart0_der

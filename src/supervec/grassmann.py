@@ -9,7 +9,9 @@ indexed by odd multi-indices nu in {0,1}^n, with rational-function
 coefficients.  Multi-indices are stored as int bitmasks (bit j set means the
 ordered factor theta_{j+1} is present); ``theta^nu`` always means the product
 in increasing index order, and all signs are transposition counts relative to
-that order.
+that order.  A function's terms carry no order: equality and hashing read
+them as a map, and printing (``expressions.superfunction_text``) sorts them
+by ``idx_sort_key``.
 
 ``PullbackData`` holds the coordinate images of a morphism between charts and
 applies it to functions by finite Taylor expansion in the nilpotent part of
@@ -65,6 +67,7 @@ def idx_mul(a, b):
 
 
 def idx_sort_key(idx):
+    """Print order of multi-indices: by weight, then by bitmask."""
     return (idx.bit_count(), idx)
 
 
@@ -79,10 +82,9 @@ class SuperFunction:
     def __init__(self, chart, odd_dim, terms=None):
         clean = {}
         if terms:
-            for idx in sorted(terms, key=idx_sort_key):
+            for idx, c in terms.items():
                 if idx < 0 or idx >= (1 << odd_dim):
                     raise ValueError("multi-index out of range for odd dimension %d" % odd_dim)
-                c = terms[idx]
                 if not isinstance(c, RationalFunction):
                     c = RationalFunction.constant(c)
                 if c:
@@ -147,10 +149,6 @@ class SuperFunction:
         """Terms of exact Grassmann degree k."""
         return self._select(lambda idx: idx.bit_count() == k)
 
-    def ideal_part(self, k):
-        """Terms of Grassmann degree at least k."""
-        return self._select(lambda idx: idx.bit_count() >= k)
-
     def _select(self, keep):
         return _raw_sf(self.chart, self.odd_dim, {i: c for i, c in self.terms.items() if keep(i)})
 
@@ -206,7 +204,7 @@ class SuperFunction:
                 out[idx] = s
             else:
                 out.pop(idx, None)
-        return _raw_sf(self.chart, self.odd_dim, _sorted_terms(out))
+        return _raw_sf(self.chart, self.odd_dim, out)
 
     __radd__ = __add__
 
@@ -238,7 +236,7 @@ class SuperFunction:
                     out[idx] = s
                 else:
                     out.pop(idx, None)
-        return _raw_sf(self.chart, self.odd_dim, _sorted_terms(out))
+        return _raw_sf(self.chart, self.odd_dim, out)
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -264,11 +262,8 @@ class SuperFunction:
 
     def d_even(self):
         """Derivative along the even coordinate, term by term."""
-        return _raw_sf(
-            self.chart,
-            self.odd_dim,
-            _sorted_terms({i: d for i, c in self.terms.items() if (d := c.derivative())}),
-        )
+        terms = {i: d for i, c in self.terms.items() if (d := c.derivative())}
+        return _raw_sf(self.chart, self.odd_dim, terms)
 
     def d_odd(self, j):
         """Left derivative along the j-th odd coordinate (0-based)."""
@@ -279,17 +274,13 @@ class SuperFunction:
                 continue
             before = (idx & (bit - 1)).bit_count()
             out[idx ^ bit] = -c if before & 1 else c
-        return _raw_sf(self.chart, self.odd_dim, _sorted_terms(out))
+        return _raw_sf(self.chart, self.odd_dim, out)
 
     def __repr__(self):
         if not self.terms:
             return "SuperFunction(%r, 0)" % (self.chart,)
         bits = ", ".join("%d: %r" % (i, c) for i, c in self.terms.items())
         return "SuperFunction(%r, {%s})" % (self.chart, bits)
-
-
-def _sorted_terms(terms):
-    return {i: terms[i] for i in sorted(terms, key=idx_sort_key)}
 
 
 def _raw_sf(chart, odd_dim, terms):

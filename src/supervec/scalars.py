@@ -12,8 +12,9 @@ equality:
 * ``RationalFunction`` keeps ``gcd(num, den) = 1`` with a monic denominator.
   Arithmetic builds each result canonical from its reduced operands by
   Henrici's method (Knuth, TAOCP vol. 2, 4.5.1), from gcds of the factors
-  only; ``__init__`` normalises what is built from raw polynomials
-  (parsing, ``compose``), and ``Polynomial.gcd`` stops at a unit.
+  only, and ``constant`` builds ``c/1`` canonical as it stands;
+  ``__init__`` normalises what is built from raw polynomials (parsing,
+  ``compose``), and ``Polynomial.gcd`` stops at a unit.
 
 Laurent behaviour (powers of ``1/z``) is obtained by living inside
 ``RationalFunction`` with a monomial denominator.
@@ -415,19 +416,9 @@ class RationalFunction:
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
-            self.num = _POLY_ZERO
-            self.den = _POLY_ONE
-            return
-        g = num.gcd(den)
-        if g.degree() > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading_coeff()
-        if not (lead == 1):
-            num = num.scale(GR_ONE / lead)
-            den = den.scale(GR_ONE / lead)
-        self.num = num
-        self.den = den
+            self.num, self.den = _POLY_ZERO, _POLY_ONE
+        else:
+            self.num, self.den = _monic_den(*_cancel(num, den))
 
     @classmethod
     def zero(cls):
@@ -443,7 +434,9 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, c):
-        return cls(Polynomial.constant(c))
+        """``c`` over 1, or the shared zero: canonical as built."""
+        num = Polynomial.constant(c)
+        return _rf_raw(num, _POLY_ONE) if num else _RF_ZERO
 
     @classmethod
     def monomial(cls, exp, coeff=1):
@@ -627,12 +620,18 @@ def _rf_sum(a, b, c, d):
     return _rf_raw(num, b_g * d_g * g)
 
 
+def _monic_den(num, den):
+    """``(num, den)`` divided by the leading coefficient of ``den``."""
+    lead = den.leading_coeff()
+    if lead == 1:
+        return num, den
+    inv = GR_ONE / lead
+    return num.scale(inv), den.scale(inv)
+
+
 def _rf_reciprocal(f):
     """``den/num`` of a nonzero ``f``, the new denominator made monic."""
-    lead = f.num.leading_coeff()
-    if lead == 1:
-        return _rf_raw(f.den, f.num)
-    return _rf_raw(f.den.scale(GR_ONE / lead), f.num.scale(GR_ONE / lead))
+    return _rf_raw(*_monic_den(f.den, f.num))
 
 
 _RF_ZERO = RationalFunction(_POLY_ZERO)

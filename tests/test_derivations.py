@@ -149,7 +149,7 @@ def coordinate_bracket(x, y):
     return SuperDerivation(x.chart, n, even, odds)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bracket_matches_coordinate_reference(n):
     rng = random.Random(20 + n)
     for px in (0, 1):

@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from supervec.errors import ChartMismatch, MixedParity
+from supervec.expressions import superfunction_text
 from supervec.grassmann import (
     PullbackData,
     SuperFunction,
     compose,
     idx_mul,
     idx_parity,
+    idx_sort_key,
     idx_weight,
 )
 from supervec.scalars import GaussianRational, Polynomial, RationalFunction
@@ -91,7 +94,6 @@ def test_degree_components():
         for k in range(4):
             total = total + g.degree_component(k)
         assert total == g
-        assert g.ideal_part(1) == g.nilpotent_part()
 
 
 def nonsplit_chi():
@@ -192,3 +194,35 @@ def test_flow_pullbacks_add_times():
         )
     s, t = GaussianRational(Fraction(2, 3)), GaussianRational(Fraction(-5, 7))
     assert compose(flow(s), flow(t)) == flow(s + t)
+
+
+coefficients = st.builds(
+    RationalFunction.monomial,
+    st.integers(-2, 2),
+    st.sampled_from([1, -1, 2, Fraction(-1, 3), GaussianRational(0, 1), GaussianRational(1, -2)]),
+)
+
+
+@st.composite
+def shuffled_terms(draw):
+    """Terms of one function, in the print order and in a drawn order."""
+    n = draw(st.integers(1, 4))
+    terms = draw(st.dictionaries(st.integers(0, (1 << n) - 1), coefficients, min_size=1))
+    ordered = sorted(terms.items(), key=lambda item: idx_sort_key(item[0]))
+    return n, ordered, draw(st.permutations(ordered))
+
+
+@given(shuffled_terms())
+@example((2, [(0, RationalFunction.one()), (3, zm(1))], [(3, zm(1)), (0, RationalFunction.one())]))
+def test_term_order_is_not_part_of_the_value(case):
+    # terms carry no order: a function built in any order equals, hashes and
+    # prints as the one built in print order
+    n, ordered, shuffled = case
+    expected = SuperFunction(C, n, dict(ordered))
+    summed = SuperFunction.zero(C, n)
+    for idx, rf in shuffled:
+        summed = summed + SuperFunction.monomial(C, n, idx, rf)
+    for f in (SuperFunction(C, n, dict(shuffled)), summed):
+        assert f == expected
+        assert hash(f) == hash(expected)
+        assert superfunction_text(f) == superfunction_text(expected)

@@ -262,6 +262,22 @@ rational_functions = st.builds(RationalFunction, polys, nonzero_denominator)
 inners = st.one_of(rational_functions, st.integers(-2, 2).map(RationalFunction.constant))
 
 
+@pytest.mark.parametrize(
+    "c",
+    [
+        0, 1, -7, Fraction(3, 4), Fraction(-5, 2), GaussianRational(0),
+        GaussianRational(0, 1), GaussianRational(Fraction(-1, 2), 3),
+        GaussianRational(2, Fraction(-2, 3)),
+    ],
+)
+def test_constant_is_built_canonical(c):
+    value = RationalFunction.constant(c)
+    assert value == RationalFunction(Polynomial.constant(c))
+    assert (value.num, value.den) == (Polynomial.constant(c), Polynomial.one())
+    if not c:
+        assert value is RationalFunction.zero()
+
+
 @given(st.one_of(polys, any_denominator), any_denominator)
 def test_gcd_matches_reference(a, b):
     assert a.gcd(b) == reference_gcd(a, b)
