@@ -5,8 +5,7 @@ import pytest
 
 from conftest import commutator2, matmul2, neg2, rand_sl2
 
-from supervec.derivations import SuperDerivation, bracket
-from supervec.derivations import pullback_invert
+from supervec.derivations import SuperDerivation, bracket, pullback_invert
 from supervec.errors import (
     BadDeterminant,
     BadReducedMap,
