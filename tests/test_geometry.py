@@ -233,6 +233,26 @@ def test_diagonal_sl2_embedding_in_solved_basis(diagonal_manifolds, name):
         assert total == field
 
 
+@pytest.mark.parametrize(
+    "odd_images",
+    [
+        ["eta1 = 2*z^-1*t1"],
+        ["eta1 = z^-1*t1 + z^-2*t1"],
+        ["eta1 = z^-1*t1 + z^-1*t2", "eta2 = z^-1*t2"],
+    ],
+)
+def test_diagonal_family_rejects_non_diagonal_shapes(odd_images):
+    text = "[manifold]\nname = bad\nodd_dim = %d\n\n[transition]\nw = z^-1\n%s\n" % (
+        len(odd_images),
+        "\n".join(odd_images),
+    )
+    m = parse_manifold_text(text)
+    with pytest.raises(FamilyShapeMismatch):
+        mobius_lift(m, "diagonal", ((1, 0), (0, 1)))
+    with pytest.raises(FamilyShapeMismatch):
+        sl2_embedding(m, "diagonal", ((1, 0), (0, -1)))
+
+
 def test_diagonal_scaling_parameter_on_two_odd(manifolds):
     m = manifolds["split-2-2"]
     p = mobius_lift(m, "diagonal", ((1, 0), (0, 1)), s=3)
