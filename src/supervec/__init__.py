@@ -28,7 +28,6 @@ from .geometry import (
     CHART1,
     GlobalVectorField,
     SuperManifoldData,
-    manifold_from_transition,
     mobius_lift,
     morphism_check_global,
     nilpotent_flow,

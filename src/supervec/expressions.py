@@ -327,23 +327,19 @@ def _poly_factor_text(poly):
 
 def _rf_piece(rf):
     """(sign, body) for a rational function used as the head of a term."""
+    coeffs = rf.laurent()
+    if coeffs is not None and len(coeffs) == 1:
+        ((k, c),) = coeffs.items()
+        return _monomial_pieces(c, k)
     num, den = rf.num, rf.den
-    if den.degree() == 0:
-        # canonical form has a monic denominator, so den == 1 here
-        if len(num.coeffs) == 1:
-            return _monomial_pieces(num.leading_coeff(), int(num.degree()))
-        sign = _num_sign(num)
-        if sign < 0:
-            num = -num
-        return sign, "(" + _join(_poly_pieces(num)) + ")"
-    # canonical form has a monic denominator, so a one-term den is z^s
-    if len(num.coeffs) == 1 and len(den.coeffs) == 1:
-        return _monomial_pieces(num.leading_coeff(), int(num.degree()) - int(den.degree()))
     sign = _num_sign(num)
     if sign < 0:
         num = -num
+    if den.degree() == 0:
+        # canonical form has a monic denominator, so den == 1 here
+        return sign, "(" + _join(_poly_pieces(num)) + ")"
     num_text = _poly_factor_text(num)
-    if len(den.coeffs) == 1:
+    if coeffs is not None:
         den_text = _z_text(int(den.degree()))
     else:
         den_text = "(" + _join(_poly_pieces(den)) + ")"
@@ -362,12 +358,8 @@ def superfunction_text(sf):
                 pieces.append(_rf_piece(rf))
             continue
         odd_text = "*".join("t%d" % (j + 1) for j in idx_positions(idx))
-        if rf.is_constant() and abs(rf.constant_value().re) == 1 and not rf.constant_value().im:
-            sign = 1 if rf.constant_value().re > 0 else -1
-            pieces.append((sign, odd_text))
-        else:
-            sign, body = _rf_piece(rf)
-            pieces.append((sign, body + "*" + odd_text))
+        sign, body = _rf_piece(rf)
+        pieces.append((sign, odd_text if body == "1" else body + "*" + odd_text))
     return _join(pieces)
 
 

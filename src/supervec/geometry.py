@@ -50,14 +50,6 @@ KIND_P1 = "p1"
 KIND_C01 = "c01"
 
 
-def _is_laurent(rf):
-    """Poles only at z = 0: canonical denominator is a power of z."""
-    den = rf.den
-    if den.degree() <= 0:
-        return True
-    return list(den.coeffs.keys()) == [int(den.degree())]
-
-
 class SuperManifoldData:
     """Validated two-chart transition data (or the single-chart point)."""
 
@@ -79,7 +71,7 @@ class SuperManifoldData:
             raise BadReducedMap("reduced even transition must be exactly 1/z")
         for img in (transition.even_image, *transition.odd_images):
             for rf in img.terms.values():
-                if not _is_laurent(rf):
+                if rf.laurent() is None:
                     raise NotLaurent("transition coefficients may only have poles at z = 0")
         mat = odd_linear_matrix(transition)
         if not determinant(mat, RationalFunction.zero(), RationalFunction.one()):
@@ -178,21 +170,8 @@ class GlobalVectorField:
         return "GlobalVectorField(%r, parity=%d)" % (self.manifold.name, self.parity)
 
 
-def manifold_from_transition(name, odd_dim, transition):
-    return SuperManifoldData.from_transition(name, odd_dim, transition)
-
-
 # ---------------------------------------------------------------------------
 # globality check
-
-
-def _den_root(rf):
-    """The unique root of a degree-<=1 denominator, or None."""
-    den = rf.den
-    if den.degree() <= 0:
-        return None
-    # canonical monic: z + c  ->  root -c
-    return -den.coeffs.get(0, GR_ZERO)
 
 
 def _coeffs_of(pullback):
@@ -223,11 +202,13 @@ def morphism_check_global(manifold, p):
     if p.source_chart != CHART0 or p.target_chart != CHART0:
         raise ChartMismatch("pullback must be a chart-0 self-map")
     mu = p.even_image.reduced_part()
-    if mobius_coefficients(mu) is None:
+    coeffs = mobius_coefficients(mu)
+    if coeffs is None:
         return "chart0_only"
+    _, _, gamma, delta = coeffs
     chi = manifold.transition
     chi_inv = pullback_invert(chi)
-    pole = _den_root(mu)
+    pole = -delta / gamma if gamma else None
     # chart-0 coefficients may only blow up where the reduced map leaves chart 0
     for rf in _coeffs_of(p):
         den = rf.den
@@ -244,7 +225,7 @@ def morphism_check_global(manifold, p):
             return "chart0_only"
     # behaviour at infinity: either the reduced map fixes it (conjugate view)
     # or sends it to a finite point (mixed view from chart 1)
-    if mu.num.degree() > mu.den.degree():
+    if pole is None:
         conj = compose(compose(chi, p), chi_inv)
         if not _holomorphic_at(conj, GR_ZERO):
             return "chart0_only"
@@ -272,16 +253,6 @@ def _as_matrix2(matrix):
     )
 
 
-def _monomial_exponent(rf):
-    """(coeff, exponent) when rf is c * z^m for integer m, else None."""
-    num, den = rf.num, rf.den
-    if len(num.coeffs) != 1 or len(den.coeffs) != 1:
-        return None
-    ((ne, nc),) = num.coeffs.items()
-    (de,) = den.coeffs  # the denominator is monic, so it is z^de
-    return nc, ne - de
-
-
 def _diagonal_degrees(manifold):
     """Bundle parameters k_j of a split manifold with transition eta_j = z^-k_j theta_j."""
     if manifold.kind != KIND_P1:
@@ -292,10 +263,10 @@ def _diagonal_degrees(manifold):
     for j, img in enumerate(manifold.transition.odd_images):
         if list(img.terms.keys()) != [1 << j]:
             raise FamilyShapeMismatch("odd transition must be diagonal")
-        mono = _monomial_exponent(img.coefficient(1 << j))
-        if mono is None or mono[0] != 1:
+        coeffs = img.coefficient(1 << j).laurent()
+        if not coeffs or coeffs != {min(coeffs): 1}:
             raise FamilyShapeMismatch("odd transition must be exactly z^-k_j * theta_j")
-        ks.append(-mono[1])
+        ks.append(-min(coeffs))
     return ks
 
 

@@ -96,22 +96,17 @@ class StructureConstants:
 def default_cap(manifold):
     """Heuristic degree cap: 2 plus the pole budget of the odd transition images.
 
-    Each odd image contributes the largest pole order of its coefficients,
-    counting poles both at z = 0 and at infinity (so positive-degree images
-    of negative bundle degrees are budgeted too).
+    Each odd image contributes the largest pole order of its Laurent
+    coefficients, ``max(0, -min k, max k)`` over their exponents k, counting
+    poles both at z = 0 and at infinity (so positive-degree images of
+    negative bundle degrees are budgeted too).
     """
     if manifold.kind == KIND_C01:
         return 0
     budget = 0
     for img in manifold.transition.odd_images:
-        worst = 0
-        for rf in img.terms.values():
-            worst = max(
-                worst,
-                rf.pole_order_at(GR_ZERO),
-                rf.pole_order_at_infinity(),
-            )
-        budget += worst
+        exps = [k for _, k, _ in _laurent_terms(img)]
+        budget += max(0, -min(exps, default=0), max(exps, default=0))
     return 2 + budget
 
 
@@ -169,11 +164,10 @@ def _laurent_terms(f):
     """(mu, z-power, coefficient) for every Laurent coefficient of ``f``."""
     out = []
     for mu, rf in f.terms.items():
-        den = rf.den.coeffs
-        if len(den) != 1:
+        coeffs = rf.laurent()
+        if coeffs is None:
             raise NotLaurentSystem("compatibility coefficient %r is not Laurent" % (rf,))
-        (shift,) = den  # the denominator is monic, so it is z^shift
-        out.extend((mu, exp - shift, c) for exp, c in rf.num.coeffs.items())
+        out.extend((mu, k, c) for k, c in coeffs.items())
     return out
 
 
@@ -181,9 +175,10 @@ def _compatibility_rows(manifold, cap, parity):
     """Columns and sparse rows of the compatibility equations for one parity.
 
     A column is an unknown (chart, component, multi-index, z-power e <= cap + 2);
-    component -1 is the even-direction coefficient, j >= 0 the odd
-    directions.  The columns with e <= cap come first.  A row is one Laurent
-    coefficient (eq, mu, z-power) of equation eq, stored as a dict
+    components are numbered like the coordinates: component 0 is the
+    even-direction coefficient, j the direction of theta_j.  The columns with
+    e <= cap come first.  A row is one Laurent coefficient (eq, mu, z-power)
+    of equation eq, the equation of coordinate eq, stored as a dict
     column -> nonzero coefficient.
     """
     top = cap + 2
@@ -191,7 +186,7 @@ def _compatibility_rows(manifold, cap, parity):
     chi = manifold.transition
     same = _indices_of_parity(n, parity)
     flip = _indices_of_parity(n, (parity + 1) % 2)
-    comps = [(-1, same)] + [(j, flip) for j in range(n)]
+    comps = [(0, same)] + [(j, flip) for j in range(1, n + 1)]
     columns = sorted(
         (
             (chart, comp, nu, e)
@@ -214,7 +209,7 @@ def _compatibility_rows(manifold, cap, parity):
     # transition image, with z^e applied as a shift of the Laurent powers
     coords = [chi.even_image] + list(chi.odd_images)
     for comp, nus in comps:
-        targets = [img.d_even() if comp == -1 else img.d_odd(comp) for img in coords]
+        targets = [img.d_odd(comp - 1) if comp else img.d_even() for img in coords]
         for nu in nus:
             mono = SuperFunction.monomial(CHART0, n, nu, RationalFunction.one())
             for eq, target in enumerate(targets):
@@ -234,10 +229,9 @@ def _compatibility_rows(manifold, cap, parity):
         for e in range(top + 1):
             images[(nu, e)] = _laurent_terms(w_powers[e] * odd_product)
     for comp, nus in comps:
-        eq = 0 if comp == -1 else comp + 1
         for nu in nus:
             for e in range(top + 1):
-                put(eq, images[(nu, e)], col_index[(1, comp, nu, e)])
+                put(comp, images[(nu, e)], col_index[(1, comp, nu, e)])
 
     sparse = {}
     for key, row in rows.items():
@@ -254,27 +248,16 @@ def _kernel_fields(manifold, parity, columns, kernel):
     for vec in kernel:
         ders = []
         for chart_id, chart_no in ((CHART0, 0), (CHART1, 1)):
-            even_terms = {}
-            odd_terms = [dict() for _ in range(n)]
+            polys = [{} for _ in range(n + 1)]  # component -> nu -> {e: c}
             for (chart, comp, nu, e), c in zip(columns, vec):
-                if chart != chart_no or not c:
-                    continue
-                bucket = even_terms if comp == -1 else odd_terms[comp]
-                poly = bucket.setdefault(nu, {})
-                poly[e] = c
-            even = SuperFunction(
-                chart_id,
-                n,
-                {nu: RationalFunction(Polynomial(p)) for nu, p in even_terms.items()},
-            )
-            odds = [
+                if chart == chart_no and c:
+                    polys[comp].setdefault(nu, {})[e] = c
+            even, *odds = (
                 SuperFunction(
-                    chart_id,
-                    n,
-                    {nu: RationalFunction(Polynomial(p)) for nu, p in terms.items()},
+                    chart_id, n, {nu: RationalFunction(Polynomial(p)) for nu, p in by_nu.items()}
                 )
-                for terms in odd_terms
-            ]
+                for by_nu in polys
+            )
             ders.append(SuperDerivation(chart_id, n, even, odds))
         fields.append((vec, GlobalVectorField(manifold, ders[0], ders[1], parity)))
 
@@ -300,7 +283,7 @@ def _slot_vector(der, slots, grow=False):
     None.  NotInSpan if a coefficient is not a polynomial.
     """
     vec = {}
-    for comp, coeff in [(-1, der.even_coeff)] + list(enumerate(der.odd_coeffs)):
+    for comp, coeff in enumerate((der.even_coeff, *der.odd_coeffs)):
         for nu, rf in coeff.terms.items():
             if not rf.is_polynomial():
                 raise NotInSpan("derivation has non-polynomial coefficients")

@@ -17,7 +17,9 @@ equality:
   ``compose``), and ``Polynomial.gcd`` stops at a unit.
 
 Laurent behaviour (powers of ``1/z``) is obtained by living inside
-``RationalFunction`` with a monomial denominator.
+``RationalFunction`` with a monomial denominator; ``laurent`` is the one
+reader of that form, and ``mobius_coefficients`` the one reader of a
+fractional-linear map.
 """
 
 from __future__ import annotations
@@ -558,17 +560,21 @@ class RationalFunction:
             raise DivisionByZero("evaluation at a pole")
         return self.num.eval(point) / d
 
+    def laurent(self):
+        """``{k: c}`` with ``self = sum c*z^k`` when the denominator is a power
+        of z, else None: the monic one-term denominator is ``z^shift``."""
+        den = self.den.coeffs
+        if len(den) != 1:
+            return None
+        (shift,) = den
+        return {e - shift: c for e, c in self.num.coeffs.items()}
+
     def pole_order_at(self, point):
         den_mult = self.den.root_multiplicity(point)
         if self.num.is_zero():
             return 0
         num_mult = self.num.root_multiplicity(point)
         return max(0, den_mult - num_mult)
-
-    def pole_order_at_infinity(self):
-        if self.num.is_zero():
-            return 0
-        return max(0, int(self.num.degree()) - int(self.den.degree()))
 
     def __repr__(self):
         if self.den == _POLY_ONE:

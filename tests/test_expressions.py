@@ -112,6 +112,29 @@ def test_print_parse_roundtrip_is_identity_on_values():
         assert superfunction_text(back) == text
 
 
+I = GaussianRational(0, 1)
+
+
+@pytest.mark.parametrize(
+    "coeff, alone, after_z",
+    [
+        (RationalFunction.constant(1), "t1*t2", "z + t1*t2"),
+        (RationalFunction.constant(-1), "-1*t1*t2", "z - t1*t2"),
+        (RationalFunction.constant(I), "1*i*t1*t2", "z + 1*i*t1*t2"),
+        (RationalFunction.constant(-I), "-1*i*t1*t2", "z - 1*i*t1*t2"),
+        (RationalFunction.constant(GaussianRational(1, 1)), "(1 + 1*i)*t1*t2", "z + (1 + 1*i)*t1*t2"),
+        (RationalFunction.constant(2), "2*t1*t2", "z + 2*t1*t2"),
+        (zm(-1), "z^-1*t1*t2", "z + z^-1*t1*t2"),
+        (-zm(2), "-1*z^2*t1*t2", "z - z^2*t1*t2"),
+    ],
+)
+def test_odd_term_text_roundtrip(coeff, alone, after_z):
+    for terms, text in (({3: coeff}, alone), ({0: zm(1), 3: coeff}, after_z)):
+        sf = SuperFunction("chart0", 2, terms)
+        assert superfunction_text(sf) == text
+        assert parse_superfunction(text, 2) == sf
+
+
 def test_parse_print_is_canonicalization():
     cases = [
         ("1/z + z^-3*t1*t2", "z^-1 + z^-3*t1*t2"),

@@ -21,7 +21,6 @@ from supervec.geometry import (
     CHART1,
     GlobalVectorField,
     SuperManifoldData,
-    manifold_from_transition,
     mobius_lift,
     morphism_check_global,
     nilpotent_flow,
@@ -46,13 +45,13 @@ def sf(n, terms, chart=CHART0):
 def test_manifold_validation(manifolds):
     assert manifolds["k2"].odd_dim == 1
     with pytest.raises(BadReducedMap):
-        manifold_from_transition(
+        SuperManifoldData.from_transition(
             "bad", 1,
             PullbackData(CHART0, CHART1, SuperFunction.coordinate(CHART0, 1),
                          [SuperFunction.odd_var(CHART0, 1, 0)]),
         )
     with pytest.raises(NotLaurent):
-        manifold_from_transition(
+        SuperManifoldData.from_transition(
             "bad", 1,
             PullbackData(
                 CHART0, CHART1, sf(1, {0: zm(-1)}),
@@ -60,7 +59,7 @@ def test_manifold_validation(manifolds):
             ),
         )
     with pytest.raises(DegenerateOddPart):
-        manifold_from_transition(
+        SuperManifoldData.from_transition(
             "bad", 2,
             PullbackData(
                 CHART0, CHART1, sf(2, {0: zm(-1)}),
@@ -353,7 +352,7 @@ def test_nilpotent_flow_group_law(manifolds):
 
 
 def test_nilpotent_flow_single_term():
-    m = manifold_from_transition(
+    m = SuperManifoldData.from_transition(
         "tmp", 2,
         PullbackData(CHART0, CHART1, sf(2, {0: zm(-1)}), [sf(2, {1: zm(-2)}), sf(2, {2: zm(-2)})]),
     )

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +27,7 @@ from supervec.errors import (
 from supervec.geometry import (
     CHART0,
     CHART1,
-    manifold_from_transition,
+    SuperManifoldData,
     mobius_lift,
     sl2_embedding,
 )
@@ -62,7 +63,7 @@ def sf(n, terms, chart=CHART0):
 def split_manifold(k1, k2):
     even = sf(2, {0: zm(-1)})
     odds = [sf(2, {1: zm(-k1)}), sf(2, {2: zm(-k2)})]
-    return manifold_from_transition(
+    return SuperManifoldData.from_transition(
         "split-%d-%d" % (k1, k2), 2, PullbackData(CHART0, CHART1, even, odds)
     )
 
@@ -904,3 +905,12 @@ def test_basis_is_reduced_once(basis_cache, monkeypatch):
     table = structure_constants(basis).table
     assert [table[(i, j)] for i in range(m) for j in range(m)] == expected
     assert expand_in_basis(basis, brackets) == expected
+
+
+def test_readme_library_example_runs():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert "# dims (6, 6)" in block
+    assert namespace["basis"].dims == (6, 6)

@@ -173,8 +173,8 @@ def test_rf_pole_orders():
     assert f.pole_order_at(zero) == 0
     assert f.pole_order_at(GaussianRational(1)) == 0
     assert (one / z**3).pole_order_at(zero) == 3
-    assert (one / z**3).pole_order_at_infinity() == 0
-    assert (z**3).pole_order_at_infinity() == 3
+    assert (one / z**3).laurent() == {-3: 1}
+    assert (z**3).laurent() == {3: 1}
 
 
 def test_mobius_helpers():
@@ -295,6 +295,18 @@ def test_compose_matches_reference(outer, inner):
         return
     got = outer.compose(inner)
     assert (got.num, got.den) == (expected.num, expected.den)
+
+
+laurent_terms = st.dictionaries(st.integers(-6, 6), small_coeffs, max_size=6)
+
+
+@given(laurent_terms, small_coeffs.filter(bool))
+def test_laurent_reads_sums_of_powers_of_z(terms, root):
+    z = RationalFunction.z()
+    f = sum((RationalFunction.constant(c) * z**k for k, c in terms.items()), RationalFunction.zero())
+    assert f.laurent() == {k: c for k, c in terms.items() if c}
+    # a pole away from 0 leaves a denominator that is no power of z
+    assert (f + RationalFunction.one() / (z - RationalFunction.constant(root))).laurent() is None
 
 
 # The parent's RationalFunction arithmetic, kept as the oracle of Henrici's

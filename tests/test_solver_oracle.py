@@ -10,12 +10,20 @@ exponent.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from supervec.derivations import SuperDerivation
 from supervec.errors import CapNotSaturated, NotLaurentSystem
 from supervec.files import parse_manifold_text
-from supervec.geometry import CHART0, CHART1, KIND_C01, GlobalVectorField
-from supervec.grassmann import SuperFunction, idx_sort_key, idx_weight
+from supervec.geometry import (
+    CHART0,
+    CHART1,
+    KIND_C01,
+    KIND_P1,
+    GlobalVectorField,
+    SuperManifoldData,
+)
+from supervec.grassmann import PullbackData, SuperFunction, idx_sort_key, idx_weight
 from supervec.liealg import (
     SuperalgebraBasis,
     _indices_of_parity,
@@ -193,3 +201,48 @@ def test_non_laurent_coefficient_is_a_coded_error():
     rf = RationalFunction(Polynomial.one(), Polynomial({0: 1, 1: 1}))
     with pytest.raises(NotLaurentSystem):
         _laurent_terms(SuperFunction.from_rf(CHART0, 1, rf))
+    # built without from_transition's checks, so the default cap meets it first
+    even = SuperFunction.from_rf(CHART0, 1, RationalFunction.monomial(-1))
+    odds = [SuperFunction(CHART0, 1, {1: rf})]
+    manifold = SuperManifoldData("x", 1, KIND_P1, PullbackData(CHART0, CHART1, even, odds))
+    with pytest.raises(NotLaurentSystem):
+        solve_global_fields(manifold)
+
+
+def reference_default_cap(manifold):
+    """The cap before ``laurent()``: pole orders at 0 by repeated division, at
+    infinity from the degrees."""
+    budget = 0
+    for img in manifold.transition.odd_images:
+        worst = 0
+        for rf in img.terms.values():
+            at_infinity = max(0, int(rf.num.degree()) - int(rf.den.degree()))
+            worst = max(worst, rf.pole_order_at(GR_ZERO), at_infinity)
+        budget += worst
+    return 2 + budget
+
+
+laurent_sums = st.dictionaries(
+    st.integers(-4, 4), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+).map(lambda terms: sum((RationalFunction.monomial(k, c) for k, c in terms.items()),
+                        RationalFunction.zero()))
+
+
+@st.composite
+def laurent_manifolds(draw):
+    n = draw(st.integers(1, 3))
+    odds = []
+    for j in range(n):
+        # a triangular degree-1 part, so the odd part is never singular
+        terms = {1 << i: draw(laurent_sums) for i in range(j) if draw(st.booleans())}
+        terms[1 << j] = draw(laurent_sums)
+        if n == 3 and draw(st.booleans()):
+            terms[7] = draw(laurent_sums)
+        odds.append(SuperFunction(CHART0, n, terms))
+    even = SuperFunction(CHART0, n, {0: RationalFunction.monomial(-1)})
+    return SuperManifoldData.from_transition("t", n, PullbackData(CHART0, CHART1, even, odds))
+
+
+@given(laurent_manifolds())
+def test_default_cap_matches_pole_orders(manifold):
+    assert default_cap(manifold) == reference_default_cap(manifold)
