@@ -135,9 +135,8 @@ class GlobalVectorField:
 
     __slots__ = ("manifold", "chart0_der", "chart1_der", "parity")
 
-    def __init__(self, manifold, chart0_der, chart1_der, parity=None):
-        if parity is None:
-            parity = chart0_der.parity()
+    def __init__(self, manifold, chart0_der, chart1_der):
+        parity = chart0_der.parity()
         if parity is None:
             raise NotGlobal("global fields must be parity-homogeneous")
         for der in (chart0_der, chart1_der):

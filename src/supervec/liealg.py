@@ -2,12 +2,13 @@
 
 The solver parametrizes unknown polynomial-coefficient derivations on both
 charts up to a degree cap and imposes the transition-compatibility equations
-one Laurent coefficient at a time.  The rows are built once per parity, sparse,
-at cap + 2, with the columns of z-power <= cap first, and eliminated once, as
-sparse rows, to the reduced row echelon form (``sparse_kernel_basis``).  The
-basis is read off the kernel vectors that vanish on the later columns, which
-are exactly the kernel at cap; the kernel dimension at cap + 2 is the
-saturation check that turns the cap heuristic into a checked result.
+one Laurent coefficient at a time.  The rows of both parities are built once,
+sparse, at cap + 2, with the columns of z-power <= cap first, and eliminated
+once to the reduced row echelon form; its kernel vectors stay sparse and each
+has one parity (``sparse_kernel_basis``).  The basis is read off the kernel
+vectors that vanish on the later columns, which are exactly the kernel at
+cap; the kernel dimensions at cap + 2 are the saturation check that turns
+the cap heuristic into a checked result.
 
 On top of the basis, reduced once when it is built (``span_factor``) and read
 by every expansion of a bracket or conjugated field (``coordinates``): exact
@@ -110,22 +111,24 @@ def default_cap(manifold):
     return 2 + budget
 
 
-def _indices_of_parity(n, parity):
-    return [i for i in sorted(range(1 << n), key=idx_sort_key) if idx_weight(i) % 2 == parity]
-
-
 def _point_basis(manifold):
     chart = manifold.chart0
     zero = SuperFunction.zero(chart, 1)
     xi_dxi = SuperDerivation(chart, 1, zero, [SuperFunction.odd_var(chart, 1, 0)])
     dxi = SuperDerivation(chart, 1, zero, [SuperFunction.one(chart, 1)])
-    even = GlobalVectorField(manifold, xi_dxi, xi_dxi, 0)
-    odd = GlobalVectorField(manifold, dxi, dxi, 1)
+    even = GlobalVectorField(manifold, xi_dxi, xi_dxi)
+    odd = GlobalVectorField(manifold, dxi, dxi)
     return SuperalgebraBasis(manifold, [even], [odd], 0, 0)
 
 
 def solve_global_fields(manifold, cap=None):
-    """Exact basis of the global fields, with a saturation check at cap + 2."""
+    """Exact basis of the global fields at ``cap``, from one elimination at ``cap + 2``.
+
+    The reduced form pivots on each row's leading column, so its block of
+    columns with e <= cap is the reduced cap system.  The clearing exponent
+    is the power of z that clears every denominator of the rows touching a
+    column with e <= cap.
+    """
     if cap is not None and cap < 0:
         # below -2 both kernels are empty, so the saturation check would pass
         raise NegativeCap("degree cap must be non-negative, got %d" % cap)
@@ -133,31 +136,19 @@ def solve_global_fields(manifold, cap=None):
         return _point_basis(manifold)
     if cap is None:
         cap = default_cap(manifold)
-    evens, n_even_next, clear_even = _solve_parity(manifold, cap, 0)
-    odds, n_odd_next, clear_odd = _solve_parity(manifold, cap, 1)
-    dims = (len(evens), len(odds))
-    if dims != (n_even_next, n_odd_next):
-        raise CapNotSaturated(cap, dims, (n_even_next, n_odd_next))
-    return SuperalgebraBasis(manifold, evens, odds, cap, max(clear_even, clear_odd))
-
-
-def _solve_parity(manifold, cap, parity):
-    """Global fields of one parity at ``cap``, from one elimination at ``cap + 2``.
-
-    The columns of z-power e <= cap come first, and the reduced row echelon
-    form pivots on each row's leading column, so its left block is the
-    reduced form of the cap system.  The cap kernel is therefore exactly the
-    cap + 2 kernel vectors that vanish on every column with e > cap.  Returns
-    (fields at cap, kernel dimension at cap + 2, clearing exponent at cap):
-    the power of z that clears every denominator of the rows touching a
-    column with e <= cap.
-    """
-    columns, rows = _compatibility_rows(manifold, cap, parity)
+    columns, rows = _compatibility_rows(manifold, cap)
     low = sum(1 for key in columns if key[3] <= cap)
     clearing = max([0] + [-p for (_, _, p), row in rows.items() if min(row) < low])
     kernel = sparse_kernel_basis(list(rows.values()), len(columns))
-    pairs = _kernel_fields(manifold, parity, columns, kernel)
-    return [field for vec, field in pairs if not any(vec[low:])], len(kernel), clearing
+    by_parity, dims_next = ([], []), [0, 0]
+    for vec, field in _kernel_fields(manifold, columns, kernel):
+        dims_next[field.parity] += 1
+        if max(vec) < low:
+            by_parity[field.parity].append(field)
+    dims, dims_next = tuple(map(len, by_parity)), tuple(dims_next)
+    if dims != dims_next:
+        raise CapNotSaturated(cap, dims, dims_next)
+    return SuperalgebraBasis(manifold, *by_parity, cap, clearing)
 
 
 def _laurent_terms(f):
@@ -171,27 +162,26 @@ def _laurent_terms(f):
     return out
 
 
-def _compatibility_rows(manifold, cap, parity):
-    """Columns and sparse rows of the compatibility equations for one parity.
+def _compatibility_rows(manifold, cap):
+    """Columns and sparse rows of the compatibility equations.
 
     A column is an unknown (chart, component, multi-index, z-power e <= cap + 2);
     components are numbered like the coordinates: component 0 is the
     even-direction coefficient, j the direction of theta_j.  The columns with
     e <= cap come first.  A row is one Laurent coefficient (eq, mu, z-power)
     of equation eq, the equation of coordinate eq, stored as a dict
-    column -> nonzero coefficient.
+    column -> nonzero coefficient.  No row or column mixes the two parities,
+    so the system is two blocks that the sparse elimination keeps apart.
     """
     top = cap + 2
     n = manifold.odd_dim
     chi = manifold.transition
-    same = _indices_of_parity(n, parity)
-    flip = _indices_of_parity(n, (parity + 1) % 2)
-    comps = [(0, same)] + [(j, flip) for j in range(1, n + 1)]
+    nus = sorted(range(1 << n), key=idx_sort_key)
     columns = sorted(
         (
             (chart, comp, nu, e)
             for chart in (0, 1)
-            for comp, nus in comps
+            for comp in range(n + 1)
             for nu in nus
             for e in range(top + 1)
         ),
@@ -208,7 +198,7 @@ def _compatibility_rows(manifold, cap, parity):
     # chart 0: the unknown z^e theta^nu times the derivative of each
     # transition image, with z^e applied as a shift of the Laurent powers
     coords = [chi.even_image] + list(chi.odd_images)
-    for comp, nus in comps:
+    for comp in range(n + 1):
         targets = [img.d_odd(comp - 1) if comp else img.d_even() for img in coords]
         for nu in nus:
             mono = SuperFunction.monomial(CHART0, n, nu, RationalFunction.one())
@@ -223,15 +213,12 @@ def _compatibility_rows(manifold, cap, parity):
     w_powers = [SuperFunction.one(CHART0, n)]
     for _ in range(top):
         w_powers.append(w_powers[-1] * chi.even_image)
-    images = {}
-    for nu in same + flip:
+    for nu in nus:
         odd_product = chi.odd_product(nu)
         for e in range(top + 1):
-            images[(nu, e)] = _laurent_terms(w_powers[e] * odd_product)
-    for comp, nus in comps:
-        for nu in nus:
-            for e in range(top + 1):
-                put(comp, images[(nu, e)], col_index[(1, comp, nu, e)])
+            terms = _laurent_terms(w_powers[e] * odd_product)
+            for comp in range(n + 1):
+                put(comp, terms, col_index[(1, comp, nu, e)])
 
     sparse = {}
     for key, row in rows.items():
@@ -241,34 +228,50 @@ def _compatibility_rows(manifold, cap, parity):
     return columns, sparse
 
 
-def _kernel_fields(manifold, parity, columns, kernel):
-    """(kernel vector, global field) pairs, in a canonical order."""
+def _kernel_fields(manifold, columns, kernel):
+    """(kernel vector, global field) pairs, by top weight, then ``_vector_key``."""
     n = manifold.odd_dim
     fields = []
     for vec in kernel:
+        polys = [[{} for _ in range(n + 1)] for _ in (0, 1)]  # chart -> component -> nu -> {e: c}
+        for c, x in vec.items():
+            chart, comp, nu, e = columns[c]
+            polys[chart][comp].setdefault(nu, {})[e] = x
         ders = []
-        for chart_id, chart_no in ((CHART0, 0), (CHART1, 1)):
-            polys = [{} for _ in range(n + 1)]  # component -> nu -> {e: c}
-            for (chart, comp, nu, e), c in zip(columns, vec):
-                if chart == chart_no and c:
-                    polys[comp].setdefault(nu, {})[e] = c
+        for chart_id, by_comp in zip((CHART0, CHART1), polys):
             even, *odds = (
                 SuperFunction(
                     chart_id, n, {nu: RationalFunction(Polynomial(p)) for nu, p in by_nu.items()}
                 )
-                for by_nu in polys
+                for by_nu in by_comp
             )
             ders.append(SuperDerivation(chart_id, n, even, odds))
-        fields.append((vec, GlobalVectorField(manifold, ders[0], ders[1], parity)))
+        fields.append((vec, GlobalVectorField(manifold, *ders)))
 
     def sort_key(item):
         vec, field = item
         even_coeff = field.chart0_der.even_coeff
         top_weight = max((idx_weight(i) for i in even_coeff.terms), default=0)
-        return (top_weight, tuple(c.sort_key() for c in vec))
+        return (top_weight, _vector_key(vec))
 
     fields.sort(key=sort_key)
     return fields
+
+
+def _vector_key(vec):
+    """Key of a sparse vector {column: entry} that sorts like its dense entry keys.
+
+    Per nonzero column c, in order: (1, -c, key) if its entry key is above
+    zero's, else (-1, c, key), so a zero against a nonzero entry is decided by
+    the nonzero entry's sign, as in the dense tuple.  No terminator is needed
+    for kernel vectors: each is 1 at its own free column and 0 at every other,
+    so no vector's support is a prefix of another's.
+    """
+    out, zero = [], GR_ZERO.sort_key()
+    for c in sorted(vec):
+        key = vec[c].sort_key()
+        out.append((1, -c, key) if key > zero else (-1, c, key))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ serves ``rref``, ``rank``, ``kernel_basis``, ``sparse_kernel_basis`` and
 ``span_factor``; ``coordinates`` reads a vector off a stored ``span_factor``,
 and ``solve_columns`` is that pair.  Determinism contract: the reduced form
 of a row space is unique, so every result is independent of the row order
-and of the order of elimination; kernel vectors are ordered by free column.
+and of the order of elimination; kernel vectors are ordered by free column,
+sparse (dicts column -> nonzero entry) from ``sparse_kernel_basis``.
 """
 
 from __future__ import annotations
@@ -82,33 +83,30 @@ def kernel_basis(matrix, ncols):
     """Basis of the right null space of ``matrix`` (``ncols`` columns).
 
     The basis comes from the reduced row echelon form: one vector per free
-    column, ordered by free-column index, with a 1 in that column.
+    column, ordered by free-column index, with a 1 in that column.  Zero and
+    one have the type of a matrix entry, or are ``GaussianRational`` when the
+    matrix has none.
     """
     entry = next((x for row in matrix for x in row), None)
-    return _kernel(_reduce(enumerate(row) for row in matrix), ncols, entry)
+    zero = GR_ZERO if entry is None else entry - entry
+    kernel = _kernel(_reduce(enumerate(row) for row in matrix), ncols, zero + 1)
+    return [[vec.get(c, zero) for c in range(ncols)] for vec in kernel]
 
 
 def sparse_kernel_basis(rows, ncols):
-    """``kernel_basis`` of a sparse matrix whose rows are dicts column -> entry."""
+    """``kernel_basis`` of rows that are dicts column -> entry, as such dicts."""
     entry = next((x for row in rows for x in row.values()), None)
-    return _kernel(_reduce(row.items() for row in rows), ncols, entry)
+    one = (GR_ZERO if entry is None else entry - entry) + 1
+    return _kernel(_reduce(row.items() for row in rows), ncols, one)
 
 
-def _kernel(reduced, ncols, entry):
-    """Kernel basis from the reduced rows, written in one pass over them.
+def _kernel(reduced, ncols, one):
+    """Kernel basis from the reduced rows, as dicts column -> nonzero entry.
 
     A reduced row has entries only in its pivot and in free columns; its
-    entry x in free column f puts -x at its pivot in the vector of f.  Zero
-    and one have the type of ``entry``, any matrix entry, or are
-    ``GaussianRational`` when the matrix has none.
+    entry x in free column f puts -x at its pivot in the vector of f.
     """
-    zero = GR_ZERO if entry is None else entry - entry
-    one = zero + 1
-    vectors = {}
-    for c in range(ncols):
-        if c not in reduced:
-            vectors[c] = v = [zero] * ncols
-            v[c] = one
+    vectors = {c: {c: one} for c in range(ncols) if c not in reduced}
     for p, row in reduced.items():
         for c, x in row.items():
             if c != p:

@@ -459,11 +459,6 @@ class RationalFunction:
     def is_constant(self):
         return self.num.degree() <= 0 and self.den.degree() == 0
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.num.coeffs.get(0, GR_ZERO)
-
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented

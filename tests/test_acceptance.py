@@ -7,9 +7,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines.
 import random
 from fractions import Fraction
 
-import pytest
-
-from conftest import commutator2, matmul2, neg2, rand_sl2
+from conftest import matmul2, neg2, rand_sl2
 
 from supervec.derivations import (
     SuperDerivation,
@@ -21,7 +19,6 @@ from supervec.derivations import (
 from supervec.geometry import CHART0, CHART1, mobius_lift, nilpotent_flow, sl2_embedding
 from supervec.grassmann import PullbackData, SuperFunction, compose, idx_weight
 from supervec.liealg import (
-    adjoint_matrix,
     conjugation_action,
     expand_in_basis,
     gr_comparison,
@@ -32,7 +29,6 @@ from supervec.liealg import (
 )
 from supervec.linalg import mat_mul, solve_square
 from supervec.scalars import (
-    GR_ONE,
     GR_ZERO,
     GaussianRational,
     Polynomial,

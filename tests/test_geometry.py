@@ -24,14 +24,13 @@ from supervec.geometry import (
     mobius_lift,
     morphism_check_global,
     nilpotent_flow,
-    nonsplit_transition,
     sl2_embedding,
 )
 from supervec.grassmann import PullbackData, SuperFunction, compose
 from supervec.files import parse_manifold_text
 from supervec.liealg import expand_in_basis, solve_global_fields
-from supervec.linalg import kernel_basis, solve_square
-from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial, RationalFunction
+from supervec.linalg import kernel_basis
+from supervec.scalars import GaussianRational, Polynomial, RationalFunction
 
 
 def zm(k):
@@ -517,4 +516,4 @@ def test_global_field_rejects_disagreeing_restrictions(manifolds, basis_cache):
             odds[0] = odds[0] + SuperFunction.one(CHART1, 2)
         changed = SuperDerivation(CHART1, 2, c1.even_coeff, odds)
         with pytest.raises(NotGlobal, match="disagree"):
-            GlobalVectorField(m, field.chart0_der, changed, field.parity)
+            GlobalVectorField(m, field.chart0_der, changed)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import commutator2, matmul2, rand_sl2
+from conftest import rand_sl2
 import reference_liealg
 from test_solver_oracle import SYNTHETIC
 
@@ -40,7 +40,6 @@ from supervec.liealg import (
     conjugation_action,
     expand_in_basis,
     gr_comparison,
-    hc_pair_report,
     jacobi_check,
     odd_derived_span,
     reduced_trivial_subspace,
@@ -144,6 +143,26 @@ def test_negative_cap_rejected_before_any_rows(manifolds, monkeypatch):
                 solve_global_fields(manifolds[name], cap=cap)
             assert isinstance(info.value, InputError)
     assert solve_global_fields(manifolds["c01"], cap=0).dims == (1, 1)
+
+
+def test_one_system_for_both_parities(manifolds, monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(liealg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(liealg, name, wrapper)
+
+    counting("_compatibility_rows")
+    counting("sparse_kernel_basis")
+    basis = solve_global_fields(manifolds["k2"])
+    assert calls == {"_compatibility_rows": 1, "sparse_kernel_basis": 1}
+    assert basis.dims == (4, 4)
+    assert [f.parity for f in basis.fields] == [0] * 4 + [1] * 4
 
 
 def test_explicit_cap_matches_default(manifolds, basis_cache):

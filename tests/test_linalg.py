@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supervec.errors import NotInvertible
+from supervec.liealg import _vector_key
 from supervec.linalg import (
     coordinates,
     determinant,
@@ -26,6 +27,11 @@ def g(x):
     return GaussianRational(Fraction(x))
 
 
+def dense(vectors, ncols):
+    """Dict vectors column -> entry written out over ``ncols`` columns."""
+    return [[vec.get(c, GR_ZERO) for c in range(ncols)] for vec in vectors]
+
+
 def test_kernel_identity_is_empty():
     m = [[g(1), g(0), g(0)], [g(0), g(1), g(0)], [g(0), g(0), g(1)]]
     assert kernel_basis(m, 3) == []
@@ -44,14 +50,17 @@ def test_kernel_over_rational_functions_keeps_their_zero_and_one():
     z, one, zero = RationalFunction.z(), RationalFunction.one(), RationalFunction.zero()
     # the kernel of [z, 1] is spanned by (-1/z, 1)
     assert kernel_basis([[z, one]], 2) == [[-one / z, one]]
-    assert sparse_kernel_basis([{0: z, 1: one}], 2) == [[-one / z, one]]
+    assert sparse_kernel_basis([{0: z, 1: one}], 2) == [{0: -one / z, 1: one}]
     # a matrix of zero entries has no pivot: the zero and one are still its own
-    for basis in (kernel_basis([[zero, zero]], 2), sparse_kernel_basis([{1: zero}], 2)):
-        assert basis == [[one, zero], [zero, one]]
-        assert all(isinstance(x, RationalFunction) for vec in basis for x in vec)
+    basis = kernel_basis([[zero, zero]], 2)
+    assert basis == [[one, zero], [zero, one]]
+    assert all(isinstance(x, RationalFunction) for vec in basis for x in vec)
+    basis = sparse_kernel_basis([{1: zero}], 2)
+    assert basis == [{0: one}, {1: one}]
+    assert all(isinstance(x, RationalFunction) for vec in basis for x in vec.values())
     # with no entries at all the field is Q(i)
     assert kernel_basis([], 2) == [[GR_ONE, GR_ZERO], [GR_ZERO, GR_ONE]]
-    assert sparse_kernel_basis([], 1) == [[GR_ONE]]
+    assert sparse_kernel_basis([], 1) == [{0: GR_ONE}]
 
 
 def test_kernel_small_example():
@@ -118,14 +127,30 @@ def sparse_systems(draw):
 @given(sparse_systems())
 def test_sparse_kernel_matches_dense_kernel(system):
     rows, ncols = system
-    dense = [[row.get(c, GR_ZERO) for c in range(ncols)] for row in rows]
-    assert sparse_kernel_basis(rows, ncols) == reference.kernel_basis(dense, ncols)
+    matrix = dense(rows, ncols)
+    kernel = sparse_kernel_basis(rows, ncols)
+    assert all(x for vec in kernel for x in vec.values())
+    assert dense(kernel, ncols) == reference.kernel_basis(matrix, ncols)
+
+
+@given(sparse_systems())
+@example(([{0: g(1), 3: g(2)}, {1: g(1), 3: GaussianRational(0, 1)}, {2: g(1), 4: g(-1)}], 5))
+def test_sparse_vector_key_sorts_like_dense_entry_keys(system):
+    """The solver orders sparse kernel vectors by ``_vector_key``: the order
+    of their dense tuples of entry keys, negative and imaginary entries too."""
+    rows, ncols = system
+    kernel = sparse_kernel_basis(rows, ncols)
+    vectors = dense(kernel, ncols)
+    by_sparse = sorted(range(len(kernel)), key=lambda i: _vector_key(kernel[i]))
+    by_dense = sorted(range(len(kernel)), key=lambda i: tuple(c.sort_key() for c in vectors[i]))
+    assert by_sparse == by_dense
 
 
 @given(sparse_systems())
 def test_sparse_kernel_matches_block_reference(system):
     rows, ncols = system
-    assert sparse_kernel_basis(rows, ncols) == reference.sparse_kernel_basis(rows, ncols)
+    got = dense(sparse_kernel_basis(rows, ncols), ncols)
+    assert got == reference.sparse_kernel_basis(rows, ncols)
 
 
 @given(sparse_systems(), st.data())
@@ -139,14 +164,15 @@ def test_kernel_vanishing_on_late_columns_is_kernel_of_early_columns(system, dat
     rows, ncols = system
     low = data.draw(st.integers(0, ncols))
     early = [[row.get(c, GR_ZERO) for c in range(low)] for row in rows]
-    cut = [vec[:low] for vec in sparse_kernel_basis(rows, ncols) if not any(vec[low:])]
+    kernel = dense(sparse_kernel_basis(rows, ncols), ncols)
+    cut = [vec[:low] for vec in kernel if not any(vec[low:])]
     assert cut == kernel_basis(early, low)
 
 
 def test_sparse_kernel_blocks_and_empty_columns():
     # blocks {0, 2} and {3}; columns 1 and 4 are untouched
     rows = [{0: g(1), 2: g(2)}, {3: g(5)}, {2: g(0)}]
-    basis = sparse_kernel_basis(rows, 5)
+    basis = dense(sparse_kernel_basis(rows, 5), 5)
     assert basis == [
         [g(0), g(1), g(0), g(0), g(0)],
         [g(-2), g(0), g(1), g(0), g(0)],

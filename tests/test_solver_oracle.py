@@ -26,7 +26,6 @@ from supervec.geometry import (
 from supervec.grassmann import PullbackData, SuperFunction, idx_sort_key, idx_weight
 from supervec.liealg import (
     SuperalgebraBasis,
-    _indices_of_parity,
     _laurent_terms,
     default_cap,
     solve_global_fields,
@@ -54,6 +53,10 @@ def dense_solve(manifold, cap=None):
     if (len(evens), len(odds)) != (len(evens2), len(odds2)):
         raise CapNotSaturated(cap, (len(evens), len(odds)), (len(evens2), len(odds2)))
     return SuperalgebraBasis(manifold, evens, odds, cap, max(n_even, n_odd))
+
+
+def _indices_of_parity(n, parity):
+    return [i for i in sorted(range(1 << n), key=idx_sort_key) if idx_weight(i) % 2 == parity]
 
 
 def _dense_solve_parity(manifold, cap, parity):
@@ -148,7 +151,7 @@ def _dense_solve_parity(manifold, cap, parity):
                 for terms in odd_terms
             ]
             ders.append(SuperDerivation(chart_id, n, even, odds))
-        fields.append((vec, GlobalVectorField(manifold, ders[0], ders[1], parity)))
+        fields.append((vec, GlobalVectorField(manifold, ders[0], ders[1])))
 
     def sort_key(item):
         vec, field = item
