@@ -100,6 +100,10 @@ class CapNotSaturated(MathDomainError):
         self.dims_next = dims_next
 
 
+class SystemTooLarge(MathDomainError):
+    code = "SystemTooLarge"
+
+
 class NotLaurentSystem(MathDomainError):
     code = "NotLaurentSystem"
 

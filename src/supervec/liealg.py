@@ -33,6 +33,7 @@ from .errors import (
     NotInSpan,
     NotLaurentSystem,
     OddCartan,
+    SystemTooLarge,
 )
 from .derivations import SuperDerivation, pullback_invert
 from .geometry import (
@@ -111,6 +112,18 @@ def default_cap(manifold):
     return 2 + budget
 
 
+# Largest compatibility system solved, in columns.  vec is linear in the
+# columns: (1|1) with eta1 = z^-k*t1 has 8(k + 5) of them, k = 3000 solves
+# in 1.1 s and k = 20000 in 7.4 s (154 MB); the (1|9) split at its default
+# cap has 143360 columns and solves in 2.5 s.
+MAX_COLUMNS = 150_000
+
+
+def _column_count(n, cap):
+    """Columns of ``_compatibility_rows(manifold, cap)`` for odd dimension ``n``."""
+    return 2 * (n + 1) * (1 << n) * (cap + 3)
+
+
 def _point_basis(manifold):
     chart = manifold.chart0
     zero = SuperFunction.zero(chart, 1)
@@ -136,6 +149,12 @@ def solve_global_fields(manifold, cap=None):
         return _point_basis(manifold)
     if cap is None:
         cap = default_cap(manifold)
+    estimate = _column_count(manifold.odd_dim, cap)
+    if estimate > MAX_COLUMNS:
+        raise SystemTooLarge(
+            "compatibility system at cap %d would have %d columns, above the limit of %d"
+            % (cap, estimate, MAX_COLUMNS)
+        )
     columns, rows = _compatibility_rows(manifold, cap)
     low = sum(1 for key in columns if key[3] <= cap)
     clearing = max([0] + [-p for (_, _, p), row in rows.items() if min(row) < low])

@@ -534,17 +534,31 @@ class RationalFunction:
 
     def compose(self, inner):
         """Substitute ``inner = a/b`` for the variable, reducing once: ``num`` and
-        ``den`` become ``sum c_e a^e b^(top-e)``, ``top`` the larger degree."""
+        ``den`` become ``sum c_e a^e b^(top-e)``, ``top`` the larger degree.
+
+        For ``a = alpha z^sa``, ``b = z^sb`` and ``sa != sb`` (every transition
+        ``1/z``) that is ``c_e alpha^e z^(sa e + sb (top-e))``, distinct exponents
+        in closed form; any other inner, a constant included, builds the tables
+        ``a^0..a^top`` and ``b^0..b^top``."""
         a, b = inner.num, inner.den
         top = int(max(self.num.degree(), self.den.degree()))
-        a_pows, b_pows = [_POLY_ONE], [_POLY_ONE]
-        for _ in range(top):
-            a_pows.append(a_pows[-1] * a)
-            b_pows.append(b_pows[-1] * b)
-        num, den = (
-            sum(((a_pows[e] * b_pows[top - e]).scale(c) for e, c in p.coeffs.items()), _POLY_ZERO)
-            for p in (self.num, self.den)
-        )
+        if len(a.coeffs) == len(b.coeffs) == 1 and a.coeffs.keys() != b.coeffs.keys():
+            ((sa, alpha),), (sb,) = a.coeffs.items(), b.coeffs  # canonical: b is monic
+            num, den = (
+                _raw_poly({sa * e + sb * (top - e): c if alpha == 1 else c * alpha**e
+                           for e, c in p.coeffs.items()})
+                for p in (self.num, self.den)
+            )
+        else:
+            a_pows, b_pows = [_POLY_ONE], [_POLY_ONE]
+            for _ in range(top):
+                a_pows.append(a_pows[-1] * a)
+                b_pows.append(b_pows[-1] * b)
+            num, den = (
+                sum(((a_pows[e] * b_pows[top - e]).scale(c) for e, c in p.coeffs.items()),
+                    _POLY_ZERO)
+                for p in (self.num, self.den)
+            )
         if den.is_zero():
             raise UndefinedComposition("substitution lands in a pole")
         return RationalFunction(num, den)

@@ -145,6 +145,25 @@ def test_cli_negative_cap_exit_2():
             assert not out and "NegativeCap" in err
 
 
+def test_cli_huge_bundle_degree_exit_3(tmp_path):
+    # the default cap of this transition is about 1e20: refused before any row
+    huge = tmp_path / "huge.smf"
+    huge.write_text(
+        "[manifold]\nname = huge\nodd_dim = 1\n\n[transition]\nw = z^-1\n"
+        "eta1 = z^-99999999999999999999*t1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(supervec.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "supervec", "vec", "--manifold", str(huge), "--machine"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 3 and not done.stdout
+    assert "SystemTooLarge" in done.stderr and "150000" in done.stderr
+    assert "Traceback" not in done.stderr
+    code, out, err = run(["vec", "--manifold", "k2", "--cap", "99999999999999999999"])
+    assert code == 3 and not out and "SystemTooLarge" in err
+
+
 def test_cli_gr_inequality_violation_exit_3(monkeypatch):
     # pretend the split model is k5, whose 10 fields are fewer than the 12 of
     # nonsplit-2-2, so the inequality check in gr_comparison must fire

@@ -17,12 +17,14 @@ from supervec import liealg, linalg
 from supervec.errors import (
     CapNotSaturated,
     InputError,
+    MathDomainError,
     NegativeCap,
     NotClosed,
     NotDiagonalizable,
     NotGlobal,
     NotInSpan,
     OddCartan,
+    SystemTooLarge,
 )
 from supervec.geometry import (
     CHART0,
@@ -143,6 +145,50 @@ def test_negative_cap_rejected_before_any_rows(manifolds, monkeypatch):
                 solve_global_fields(manifolds[name], cap=cap)
             assert isinstance(info.value, InputError)
     assert solve_global_fields(manifolds["c01"], cap=0).dims == (1, 1)
+
+
+def k_family(k):
+    return parse_manifold_text(
+        "[manifold]\nname = k%d\nodd_dim = 1\n\n[transition]\nw = z^-1\neta1 = z^-%d*t1\n"
+        % (k, k)
+    )
+
+
+def test_column_estimate_covers_the_system(manifolds):
+    split4 = "odd_dim = 4\n\n[transition]\nw = z^-1\n" + "".join(
+        "eta%d = z^-1*t%d\n" % (j, j) for j in range(1, 5)
+    )
+    synthetic = dict(SYNTHETIC, s1111=split4)
+    tested = [m for m in manifolds.values() if m.kind != "c01"]
+    tested += [k_family(50), k_family(100)]
+    tested += [parse_manifold_text("[manifold]\nname = %s\n%s" % kv) for kv in synthetic.items()]
+    assert len(tested) == 14
+    for m in tested:
+        cap = liealg.default_cap(m)
+        columns, _ = liealg._compatibility_rows(m, cap)
+        assert liealg._column_count(m.odd_dim, cap) >= len(columns), m.name
+
+
+def test_huge_system_rejected_before_any_rows(manifolds, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("rows built above the column limit")
+
+    monkeypatch.setattr(liealg, "_compatibility_rows", no_rows)
+    huge = k_family(99999999999999999999)
+    for m, cap in ((huge, None), (manifolds["k2"], 10**9)):
+        with pytest.raises(SystemTooLarge) as info:
+            solve_global_fields(m, cap)
+        assert isinstance(info.value, MathDomainError)
+        estimate = liealg._column_count(1, cap or liealg.default_cap(m))
+        assert estimate > liealg.MAX_COLUMNS
+        assert "%d columns" % estimate in info.value.message
+        assert str(liealg.MAX_COLUMNS) in info.value.message
+
+
+def test_k3000_solves_below_the_column_limit():
+    m = k_family(3000)
+    assert liealg._column_count(1, liealg.default_cap(m)) == 24040 <= liealg.MAX_COLUMNS
+    assert solve_global_fields(m).dims == (4, 3001)
 
 
 def test_one_system_for_both_parities(manifolds, monkeypatch):

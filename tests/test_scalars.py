@@ -259,7 +259,30 @@ nonzero_denominator = st.sampled_from(["constant", "monomial", "general"]).flatm
     DENOMINATORS.get
 )
 rational_functions = st.builds(RationalFunction, polys, nonzero_denominator)
-inners = st.one_of(rational_functions, st.integers(-2, 2).map(RationalFunction.constant))
+# c*z^s and c/z^s: the closed-form substitution of compose, alpha == 1 included
+monomial_inners = st.builds(
+    lambda c, s: RationalFunction.monomial(s, c),
+    st.one_of(
+        st.just(GaussianRational(1)),
+        nonzero_coeffs,
+        st.sampled_from([GaussianRational(0, 1), GaussianRational(2, -1)]),
+    ),
+    st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+)
+inners = st.one_of(
+    rational_functions, st.integers(-2, 2).map(RationalFunction.constant), monomial_inners
+)
+
+
+def compose_path(inner):
+    """The substitution ``compose`` takes for ``inner``, read off its Laurent form."""
+    if inner.is_constant():
+        return "constant inner"
+    terms = inner.laurent()
+    if terms is None or len(terms) != 1:
+        return "general inner"
+    (alpha,) = terms.values()
+    return "closed form, alpha == 1" if alpha == 1 else "closed form, alpha != 1"
 
 
 @pytest.mark.parametrize(
@@ -286,6 +309,7 @@ def test_gcd_matches_reference(a, b):
 
 @given(rational_functions, inners)
 def test_compose_matches_reference(outer, inner):
+    event("compose: " + compose_path(inner))
     try:
         expected = reference_compose(outer, inner)
     except UndefinedComposition:
@@ -294,6 +318,61 @@ def test_compose_matches_reference(outer, inner):
             outer.compose(inner)
         return
     got = outer.compose(inner)
+    assert (got.num, got.den) == (expected.num, expected.den)
+
+
+def counting_products(monkeypatch):
+    """A list that grows by one on every ``Polynomial`` product."""
+    calls, product = [], Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    return calls
+
+
+I = GaussianRational(0, 1)
+Z = RationalFunction.z()
+
+
+@pytest.mark.parametrize(
+    "outer, inner, path",
+    [
+        (Z**2 + 3 / Z, 1 / Z, "closed form, alpha == 1"),
+        ((Z - 2) / (Z**2 + I), Z**3, "closed form, alpha == 1"),
+        (Z**3 / (Z + 1) + 5, RationalFunction.monomial(-2, I), "closed form, alpha != 1"),
+        ((Z - 1) ** 2 / Z**4, Z * Fraction(3, 2), "closed form, alpha != 1"),
+        (RationalFunction.constant(Fraction(-7, 3)), 1 / Z, "closed form, alpha == 1"),
+        (RationalFunction.constant(I), (Z + 1) / (Z - 1), "general inner"),
+        (Z**2 + 1 / Z, 2 * Z / (Z**2 + 1), "general inner"),
+        ((Z**2 + 2) / (Z - 3), RationalFunction.constant(2), "constant inner"),
+    ],
+)
+def test_compose_paths_match_reference(monkeypatch, outer, inner, path):
+    assert compose_path(inner) == path
+    expected = reference_compose(outer, inner)
+    products = counting_products(monkeypatch)
+    got = outer.compose(inner)
+    assert (got.num, got.den) == (expected.num, expected.den)
+    if path.startswith("closed form"):
+        assert not products
+    else:
+        assert len(products) >= 2 * max(outer.num.degree(), outer.den.degree())
+
+
+@pytest.mark.parametrize("inner", [1 / Z, 2 * Z**3])
+def test_monomial_inner_substitutes_without_products(monkeypatch, inner):
+    # a degree-1000 Laurent function: the power tables cost 2 * 2000 products
+    outer = 3 * Z**1000 + (1 - 2 * I) * Z**17 - Z + 4 + Z**-500 / 5 - Z**-1000
+    top = max(outer.num.degree(), outer.den.degree())
+    assert top == 2000
+    products = counting_products(monkeypatch)
+    got = outer.compose(inner)
+    assert not products
+    monkeypatch.undo()
+    expected = reference_compose(outer, inner)
     assert (got.num, got.den) == (expected.num, expected.den)
 
 
