@@ -299,10 +299,14 @@ class PullbackData:
     target coordinates and returns its expression in source coordinates.
     The data are the images of the target coordinates: one pure-even image
     for the even coordinate and one pure-odd image per odd coordinate, all
-    living on the source chart.
+    living on the source chart.  The Taylor plan (``_products``, the odd
+    products by idx, and ``_taylor``, the reduced even image with the nilpotent
+    powers and their ``1/k!``) is filled on first use and never read by ``==``
+    or ``hash``; the images never change after ``__init__``.
     """
 
-    __slots__ = ("source_chart", "target_chart", "odd_dim", "even_image", "odd_images")
+    __slots__ = ("source_chart", "target_chart", "odd_dim", "even_image", "odd_images",
+                 "_products", "_taylor")
 
     def __init__(self, source_chart, target_chart, even_image, odd_images):
         odd_images = tuple(odd_images)
@@ -323,6 +327,8 @@ class PullbackData:
         self.odd_dim = n
         self.even_image = even_image
         self.odd_images = odd_images
+        self._products = {0: SuperFunction.one(source_chart, n)}
+        self._taylor = None
 
     @classmethod
     def identity(cls, chart, odd_dim):
@@ -349,12 +355,15 @@ class PullbackData:
         )
 
     def odd_product(self, idx):
-        """Image of theta^idx: ordered product of the odd coordinate images."""
-        out = SuperFunction.one(self.source_chart, self.odd_dim)
-        for j in idx_positions(idx):
-            out = out * self.odd_images[j]
-            if not out:
-                break
+        """Image of theta^idx: ordered product of the odd coordinate images, formed
+        once per pullback as the product without the top bit times that bit's image."""
+        out = self._products.get(idx)
+        if out is None:
+            top = idx.bit_length() - 1
+            out = self.odd_product(idx ^ (1 << top))
+            if out:
+                out = out * self.odd_images[top]
+            self._products[idx] = out
         return out
 
     def apply(self, f):
@@ -365,26 +374,28 @@ class PullbackData:
         """
         if f.chart != self.target_chart or f.odd_dim != self.odd_dim:
             raise ChartMismatch("function lives on %r, pullback expects %r" % (f.chart, self.target_chart))
-        g_red = self.even_image.reduced_part()
-        g_nil = self.even_image.nilpotent_part()
-        nil_powers = [SuperFunction.one(self.source_chart, self.odd_dim)]
-        while nil_powers[-1] and len(nil_powers) <= self.odd_dim // 2 + 1:
-            nxt = nil_powers[-1] * g_nil
-            if not nxt:
-                break
-            nil_powers.append(nxt)
+        if self._taylor is None:
+            g_nil = self.even_image.nilpotent_part()
+            powers = [(self._products[0], None)]
+            while len(powers) <= self.odd_dim // 2 + 1:
+                nxt = powers[-1][0] * g_nil
+                if not nxt:
+                    break
+                powers.append((nxt, RationalFunction.constant(Fraction(1, factorial(len(powers))))))
+            self._taylor = (self.even_image.reduced_part(), powers)
+        g_red, powers = self._taylor
         out = SuperFunction.zero(self.source_chart, self.odd_dim)
         for idx, coeff in f.terms.items():
             expanded = SuperFunction.zero(self.source_chart, self.odd_dim)
             deriv = coeff
-            for k, nil_k in enumerate(nil_powers):
+            for k, (nil_k, inv_factorial) in enumerate(powers):
                 if k > 0:
                     deriv = deriv.derivative()
                     if not deriv:
                         break
                 composed = deriv.compose(g_red)
                 if k > 0:
-                    composed = composed * RationalFunction.constant(Fraction(1, factorial(k)))
+                    composed = composed * inv_factorial
                 if composed:
                     expanded = expanded + nil_k.scale(composed)
             if idx:

@@ -280,18 +280,25 @@ class Polynomial:
         return _raw_poly({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
+        """Each output coefficient is summed as the integers ``(a + b*i)/d``
+        of the term products, over a common ``d`` when the terms share it,
+        and reduced once; exponents whose sum is zero are dropped."""
         if isinstance(other, (GaussianRational, int, Fraction)):
             return self.scale(other)
-        out = {}
+        sums = {}
         for e1, c1 in self.coeffs.items():
+            a1, b1, d1 = c1.a, c1.b, c1.d
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, GR_ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return _raw_poly(out)
+                a, b, d = a1 * c2.a - b1 * c2.b, a1 * c2.b + b1 * c2.a, d1 * c2.d
+                s = sums.get(e1 + e2)
+                if s is not None:
+                    sa, sb, sd = s
+                    if sd == d:
+                        a, b = sa + a, sb + b
+                    else:
+                        a, b, d = sa * d + a * sd, sb * d + b * sd, sd * d
+                sums[e1 + e2] = a, b, d
+        return _raw_poly({e: _reduced(a, b, d) for e, (a, b, d) in sums.items() if a or b})
 
     __rmul__ = __mul__
 
@@ -321,11 +328,12 @@ class Polynomial:
         r = dict(self.coeffs)
         dlead = other.degree()
         dcoef = other.coeffs[dlead]
+        monic = dcoef == 1
         while r:
             e = max(r)
             if e < dlead:
                 break
-            factor = r[e] / dcoef
+            factor = r[e] if monic else r[e] / dcoef
             q[e - dlead] = factor
             for oe, oc in other.coeffs.items():
                 te = e - dlead + oe

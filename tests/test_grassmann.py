@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import event, example, given, strategies as st
 
 from supervec.errors import ChartMismatch, MixedParity
 from supervec.expressions import superfunction_text
@@ -12,6 +13,7 @@ from supervec.grassmann import (
     compose,
     idx_mul,
     idx_parity,
+    idx_positions,
     idx_sort_key,
     idx_weight,
 )
@@ -226,3 +228,136 @@ def test_term_order_is_not_part_of_the_value(case):
         assert f == expected
         assert hash(f) == hash(expected)
         assert superfunction_text(f) == superfunction_text(expected)
+
+
+# The parent's odd_product and apply, kept as the oracle of the Taylor plan:
+# every call multiplies the odd images afresh, stopping at a zero partial
+# product, and rebuilds the powers of the nilpotent part of the even image.
+def reference_odd_product(p, idx):
+    out = SuperFunction.one(p.source_chart, p.odd_dim)
+    for j in idx_positions(idx):
+        out = out * p.odd_images[j]
+        if not out:
+            break
+    return out
+
+
+def reference_apply(p, f):
+    g_red = p.even_image.reduced_part()
+    g_nil = p.even_image.nilpotent_part()
+    nil_powers = [SuperFunction.one(p.source_chart, p.odd_dim)]
+    while nil_powers[-1] and len(nil_powers) <= p.odd_dim // 2 + 1:
+        nxt = nil_powers[-1] * g_nil
+        if not nxt:
+            break
+        nil_powers.append(nxt)
+    out = SuperFunction.zero(p.source_chart, p.odd_dim)
+    for idx, coeff in f.terms.items():
+        expanded = SuperFunction.zero(p.source_chart, p.odd_dim)
+        deriv = coeff
+        for k, nil_k in enumerate(nil_powers):
+            if k > 0:
+                deriv = deriv.derivative()
+                if not deriv:
+                    break
+            composed = deriv.compose(g_red)
+            if k > 0:
+                composed = composed * RationalFunction.constant(Fraction(1, factorial(k)))
+            if composed:
+                expanded = expanded + nil_k.scale(composed)
+        if idx:
+            expanded = expanded * reference_odd_product(p, idx)
+        out = out + expanded
+    return out
+
+
+taylor_coeffs = st.lists(
+    st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), GaussianRational(0, 1)]),
+    min_size=1, max_size=4,
+).map(lambda cs: RationalFunction(Polynomial(dict(enumerate(cs)))))
+
+
+@st.composite
+def pullback_cases(draw):
+    """A pullback on (1|n), n = 1..4, and a function to apply it to.  The odd
+    images in ``sharing`` have every term divisible by one odd generator, so
+    any two of them multiply to zero and longer products vanish part-way."""
+    n = draw(st.integers(1, 4))
+    weights = {parity: [idx for idx in range(1, 1 << n) if idx_parity(idx) == parity]
+               for parity in (0, 1)}
+    red = RationalFunction(Polynomial({0: draw(st.integers(-2, 2)), 1: draw(st.integers(1, 3))}))
+    even = {0: red}
+    if weights[0]:
+        even.update(draw(st.dictionaries(st.sampled_from(weights[0]), taylor_coeffs, max_size=3)))
+    if n == 4 and draw(st.booleans()):
+        # t1*t2 and t3*t4 together give the nilpotent part a nonzero square
+        even.update({0b0011: draw(taylor_coeffs), 0b1100: draw(taylor_coeffs)})
+    shared = draw(st.integers(0, n - 1))
+    sharing = draw(st.sets(st.integers(0, n - 1)))
+    odds = []
+    for j in range(n):
+        allowed = [idx for idx in weights[1] if j not in sharing or idx >> shared & 1]
+        terms = draw(st.dictionaries(st.sampled_from(allowed), taylor_coeffs, max_size=3))
+        odds.append(SuperFunction(C, n, terms))
+    p = PullbackData(C, C, SuperFunction(C, n, even), odds)
+    f = SuperFunction(C, n, draw(st.dictionaries(st.integers(0, (1 << n) - 1), taylor_coeffs)))
+    return p, f
+
+
+@given(pullback_cases())
+def test_taylor_plan_matches_reference(case):
+    p, f = case
+    fresh = PullbackData(p.source_chart, p.target_chart, p.even_image, p.odd_images)
+    expected = reference_apply(p, f)
+    first = p.apply(f)
+    assert first == expected
+    assert p.apply(f) == first
+    g_nil = p.even_image.nilpotent_part()
+    if g_nil * g_nil:
+        event("second-order Taylor term")
+    for idx in range(1 << p.odd_dim):
+        product = p.odd_product(idx)
+        assert product == reference_odd_product(p, idx)
+        if idx & (idx - 1) and not reference_odd_product(p, idx ^ (1 << idx.bit_length() - 1)):
+            event("odd product vanishes part-way")
+    # the filled plan is no part of the value
+    assert p == fresh and hash(p) == hash(fresh)
+    assert fresh.apply(f) == first
+
+
+def counting_odd_image_products(monkeypatch):
+    """A list with one entry per ``SuperFunction`` product: True when it is
+    made inside ``PullbackData.odd_product``."""
+    calls, depth = [], []
+    product, odd_product = SuperFunction.__mul__, PullbackData.odd_product
+
+    def counted_product(self, other):
+        calls.append(bool(depth))
+        return product(self, other)
+
+    def counted_odd_product(self, idx):
+        depth.append(idx)
+        try:
+            return odd_product(self, idx)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(SuperFunction, "__mul__", counted_product)
+    monkeypatch.setattr(PullbackData, "odd_product", counted_odd_product)
+    return calls
+
+
+def test_second_apply_multiplies_no_odd_images(monkeypatch):
+    rng = random.Random(13)
+    n = 4
+    p = rand_pullback(rng, n)
+    f = SuperFunction(C, n, {idx: rand_rf(rng) or RationalFunction.one() for idx in range(1 << n)})
+    fresh = PullbackData(p.source_chart, p.target_chart, p.even_image, p.odd_images)
+    first = p.apply(f)
+    calls = counting_odd_image_products(monkeypatch)
+    assert p.apply(f) == first
+    # one product per term of f with odd factors, none for the plan
+    assert calls == [False] * (len(f.terms) - 1)
+    del calls[:]
+    assert fresh.apply(f) == first
+    assert any(calls)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from supervec import scalars
 from supervec.errors import DivisionByZero, UndefinedComposition
 from supervec.scalars import (
     GaussianRational,
@@ -646,6 +647,128 @@ def test_gaussian_matches_reference(x, y, k, exponent):
     assert (gx == gy) == (rx == ry)
     assert (gx == k) == (rx == k)
     assert (gx == x[0]) == (rx == x[0])
+
+
+# The parent's Polynomial product and division, kept as the oracle of one
+# normalisation per output coefficient: every term product and partial sum is
+# a reduced GaussianRational, and every division step divides by the leading
+# coefficient of the divisor.
+def reference_poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            e = e1 + e2
+            s = out.get(e, GaussianRational(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return Polynomial(out)
+
+
+def reference_poly_divmod(p, q):
+    quotient, r = {}, dict(p.coeffs)
+    dlead = q.degree()
+    dcoef = q.coeffs[dlead]
+    while r:
+        e = max(r)
+        if e < dlead:
+            break
+        factor = r[e] / dcoef
+        quotient[e - dlead] = factor
+        for oe, oc in q.coeffs.items():
+            te = e - dlead + oe
+            s = r.get(te, GaussianRational(0)) - factor * oc
+            if s:
+                r[te] = s
+            else:
+                r.pop(te, None)
+    return Polynomial(quotient), Polynomial(r)
+
+
+# denominators 1..6 mix within one output coefficient; some parts imaginary
+mixed_coeffs = st.builds(
+    lambda re, im, d: GaussianRational(Fraction(re, d), Fraction(im, d)),
+    st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), st.sampled_from([0, 0, 1, -3]),
+    st.integers(1, 6),
+)
+mixed_polys = st.dictionaries(st.integers(0, 4), mixed_coeffs, max_size=5).map(Polynomial)
+divisors = st.dictionaries(st.integers(0, 4), mixed_coeffs, min_size=1, max_size=5).map(Polynomial)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """``(u + v) w`` and ``(u - v) w`` for monomials u, v and w: the
+    coefficient at the sum of the exponents of u and v cancels to zero."""
+    i, j, m = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    a, b, c = (draw(mixed_coeffs) for _ in range(3))
+    u = Polynomial({i: a})
+    v = Polynomial({j: b}) if i != j else Polynomial({j + 4: b})
+    w = Polynomial({m: c})
+    return (u + v) * w, (u - v) * w
+
+
+def assert_canonical(p):
+    for c in p.coeffs.values():
+        assert type(c.a) is int and type(c.b) is int and type(c.d) is int
+        assert c and c.d > 0 and math.gcd(c.a, c.b, c.d) == 1
+
+
+def product_events(p, q):
+    denominators, received = {}, set()
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            denominators.setdefault(e1 + e2, set()).add(c1.d * c2.d)
+            if c1.b or c2.b:
+                event("product: Gaussian coefficients")
+    if any(len(ds) > 1 for ds in denominators.values()):
+        event("product: mixed denominators in one coefficient")
+    if denominators.keys() - reference_poly_mul(p, q).coeffs.keys():
+        event("product: a coefficient cancels to zero")
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.tuples(mixed_polys, mixed_polys), cancelling_pairs()))
+def test_polynomial_product_matches_reference(pair):
+    p, q = pair
+    product_events(p, q)
+    for x, y in ((p, q), (q, p)):
+        got = x * y
+        assert got == reference_poly_mul(x, y)
+        assert_canonical(got)
+
+
+@settings(max_examples=300)
+@given(mixed_polys, divisors, st.booleans())
+def test_polynomial_divmod_matches_reference(p, q, make_monic):
+    if make_monic:
+        q = q.monic()
+    event("divmod: monic divisor" if q.leading_coeff() == 1 else "divmod: non-monic divisor")
+    quotient, remainder = divmod(p, q)
+    assert (quotient, remainder) == reference_poly_divmod(p, q)
+    assert_canonical(quotient)
+    assert_canonical(remainder)
+    assert quotient * q + remainder == p
+
+
+def test_product_reduces_each_output_coefficient_once(monkeypatch):
+    i = GaussianRational(0, 1)
+    p = Polynomial({0: Fraction(1, 2), 1: i, 2: Fraction(-2, 3), 3: 1})
+    q = Polynomial({0: Fraction(1, 2), 1: -i, 2: Fraction(3, 4)})
+    calls, reduced = [], scalars._reduced
+
+    def counted(a, b, d):
+        calls.append((a, b, d))
+        return reduced(a, b, d)
+
+    monkeypatch.setattr(scalars, "_reduced", counted)
+    got = p * q
+    # the z coefficient i/2 - i/2 cancels and is never reduced
+    assert 1 not in got.coeffs
+    assert len(calls) == len(got.coeffs) == 5
+    del calls[:]
+    assert reference_poly_mul(p, q) == got
+    assert len(calls) >= len(p.coeffs) * len(q.coeffs)
 
 
 @pytest.mark.parametrize("parts", [(0.1,), (1, 0.5), ("1/3",), (0, "1/3")])
