@@ -1,14 +1,21 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 on input errors (expression or file syntax,
-invalid transition data), 3 on math-domain errors (singular data,
-unsaturated caps, non-global morphisms).  All diagnostics go to stderr;
-reports are byte-deterministic for a given invocation.
+Each ``cmd_*`` command returns its output as a list of lines, and ``main``
+writes them to ``out`` once, after the command has returned, so stdout is
+written only on exit 0.  Exit codes: 0 on success, 2 on input errors
+(argparse usage, expression or file syntax, invalid transition data), 3 on
+math-domain errors (singular data, unsaturated caps, non-global morphisms).
+All diagnostics go to ``err``, argparse's usage messages included; ``--help``
+goes to ``out``.  The parser is built on the first ``main`` call and reused
+for the rest of the process.  Reports are byte-deterministic for a given
+invocation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 
 from .derivations import SuperDerivation, pullback_invert, rothstein_decompose
@@ -20,9 +27,9 @@ from .expressions import (
     parse_rational,
     parse_superfunction,
     scalar_text,
-    superfunction_text,
 )
 from .files import (
+    image_pairs,
     load_pullback,
     manifold_text,
     pullback_text,
@@ -50,10 +57,6 @@ def _vector_text(vec, labels):
 
 def _basis_labels(basis):
     return ["b%d" % i for i in range(len(basis.fields))]
-
-
-def _emit(lines, out):
-    out.write("\n".join(lines) + "\n")
 
 
 def _manifold_header(manifold, machine):
@@ -92,13 +95,14 @@ def _basis_lines(basis, machine):
     return lines
 
 
-def _bracket_lines(structure, machine):
-    basis = structure.basis
+def _structure_lines(basis, structure, jacobi, machine):
+    """Basis, nonzero upper-triangle brackets and Jacobi verdict."""
     labels = _basis_labels(basis)
-    m = len(basis.fields)
-    lines = []
-    for i in range(m):
-        for j in range(i, m):
+    lines = _basis_lines(basis, machine)
+    if not machine:
+        lines.append("brackets (nonzero, upper triangle):")
+    for i in range(len(labels)):
+        for j in range(i, len(labels)):
             vec = structure.table[(i, j)]
             if not any(vec):
                 continue
@@ -107,65 +111,52 @@ def _bracket_lines(structure, machine):
                 lines.append("bracket.%d.%d=%s" % (i, j, text))
             else:
                 lines.append("  [%s,%s] = %s" % (labels[i], labels[j], text))
+    if machine:
+        lines.append("jacobi=%s" % ("true" if jacobi else "false"))
+    else:
+        lines.append("jacobi: %s" % ("pass" if jacobi else "FAIL"))
     return lines
 
 
-def cmd_vec(args, out):
+def cmd_vec(args):
     manifold = resolve_manifold(args.manifold)
     basis = solve_global_fields(manifold, args.cap)
-    lines = _manifold_header(manifold, args.machine) + _basis_lines(basis, args.machine)
-    _emit(lines, out)
-    return 0
+    return _manifold_header(manifold, args.machine) + _basis_lines(basis, args.machine)
 
 
-def cmd_brackets(args, out):
+def cmd_brackets(args):
     manifold = resolve_manifold(args.manifold)
     basis = solve_global_fields(manifold, args.cap)
     structure = structure_constants(basis)
     ok = jacobi_check(structure)
-    lines = _manifold_header(manifold, args.machine) + _basis_lines(basis, args.machine)
-    if args.machine:
-        lines += _bracket_lines(structure, True)
-        lines.append("jacobi=%s" % ("true" if ok else "false"))
-    else:
-        lines.append("brackets (nonzero, upper triangle):")
-        lines += _bracket_lines(structure, False)
-        lines.append("jacobi: %s" % ("pass" if ok else "FAIL"))
-    _emit(lines, out)
-    return 0
+    return _manifold_header(manifold, args.machine) + _structure_lines(
+        basis, structure, ok, args.machine
+    )
 
 
-def cmd_gr(args, out):
+def cmd_gr(args):
     manifold = resolve_manifold(args.manifold)
     comparison = gr_comparison(manifold, args.cap)
-    lines = []
     if args.machine:
-        lines += _manifold_header(manifold, True)
-        lines.append("dim_even=%d" % comparison.dims[0])
-        lines.append("dim_odd=%d" % comparison.dims[1])
-        lines.append("gr.dim_even=%d" % comparison.gr_dims[0])
-        lines.append("gr.dim_odd=%d" % comparison.gr_dims[1])
-        lines.append("split=%s" % ("true" if comparison.split else "false"))
-        lines.append("gr.file=%s" % repr(manifold_text(comparison.gr)))
-    else:
-        lines.append(manifold_text(comparison.gr).rstrip("\n"))
-        lines.append("")
-        lines.append(
-            "dims %s: even %d, odd %d" % (manifold.name, comparison.dims[0], comparison.dims[1])
-        )
-        lines.append(
-            "dims %s: even %d, odd %d"
-            % (comparison.gr.name, comparison.gr_dims[0], comparison.gr_dims[1])
-        )
-        lines.append("split: %s" % ("yes" if comparison.split else "no"))
-        lines.append(
-            "total %d <= %d: holds" % (sum(comparison.dims), sum(comparison.gr_dims))
-        )
-    _emit(lines, out)
-    return 0
+        return _manifold_header(manifold, True) + [
+            "dim_even=%d" % comparison.dims[0],
+            "dim_odd=%d" % comparison.dims[1],
+            "gr.dim_even=%d" % comparison.gr_dims[0],
+            "gr.dim_odd=%d" % comparison.gr_dims[1],
+            "split=%s" % ("true" if comparison.split else "false"),
+            "gr.file=%s" % repr(manifold_text(comparison.gr)),
+        ]
+    return manifold_text(comparison.gr).splitlines() + [
+        "",
+        "dims %s: even %d, odd %d" % (manifold.name, comparison.dims[0], comparison.dims[1]),
+        "dims %s: even %d, odd %d"
+        % (comparison.gr.name, comparison.gr_dims[0], comparison.gr_dims[1]),
+        "split: %s" % ("yes" if comparison.split else "no"),
+        "total %d <= %d: holds" % (sum(comparison.dims), sum(comparison.gr_dims)),
+    ]
 
 
-def cmd_weights(args, out):
+def cmd_weights(args):
     manifold = resolve_manifold(args.manifold)
     basis = solve_global_fields(manifold, args.cap)
     n_even = len(basis.even_basis)
@@ -184,56 +175,41 @@ def cmd_weights(args, out):
         lines.append("adjoint weights of b%d on the odd part:" % args.cartan)
         for value, mult in weights:
             lines.append("  weight %s multiplicity %d" % (scalar_text(value), mult))
-    _emit(lines, out)
-    return 0
+    return lines
 
 
-def cmd_check(args, out):
+def cmd_check(args):
     manifold = resolve_manifold(args.manifold)
     if args.machine:
-        _emit(["name=%s" % manifold.name, "valid=true"], out)
-    else:
-        _emit(
-            [
-                "ok: %s (odd_dim %d, kind %s)"
-                % (manifold.name, manifold.odd_dim, manifold.kind)
-            ],
-            out,
-        )
-    return 0
+        return ["name=%s" % manifold.name, "valid=true"]
+    return ["ok: %s (odd_dim %d, kind %s)" % (manifold.name, manifold.odd_dim, manifold.kind)]
 
 
-def cmd_decompose(args, out):
+def cmd_decompose(args):
     pullback = load_pullback(args.pullback)
     parts = rothstein_decompose(pullback)
-    gen = parts.nilpotent_generator
+    generator = derivation_text(parts.nilpotent_generator)
     if args.machine:
-        lines = ["degree_zero.z=%s" % superfunction_text(parts.degree_zero.even_image)]
-        for j, img in enumerate(parts.degree_zero.odd_images):
-            lines.append("degree_zero.t%d=%s" % (j + 1, superfunction_text(img)))
-        lines.append("generator=%s" % derivation_text(gen))
-    else:
-        lines = [pullback_text(parts.degree_zero).rstrip("\n"), ""]
-        lines.append("generator (target-chart coordinates): %s" % derivation_text(gen))
-    _emit(lines, out)
-    return 0
+        pairs = image_pairs(parts.degree_zero, "z", "t")
+        return ["degree_zero.%s=%s" % pair for pair in pairs] + ["generator=%s" % generator]
+    return pullback_text(parts.degree_zero).splitlines() + [
+        "",
+        "generator (target-chart coordinates): %s" % generator,
+    ]
 
 
-def cmd_invert(args, out):
+def cmd_invert(args):
     pullback = load_pullback(args.pullback)
-    inverse = pullback_invert(pullback)
-    out.write(pullback_text(inverse))
-    return 0
+    return pullback_text(pullback_invert(pullback)).splitlines()
 
 
-def cmd_compose(args, out):
+def cmd_compose(args):
     outer = load_pullback(args.pullbacks[0])
     inner = load_pullback(args.pullbacks[1])
-    out.write(pullback_text(compose(outer, inner)))
-    return 0
+    return pullback_text(compose(outer, inner)).splitlines()
 
 
-def cmd_flow(args, out):
+def cmd_flow(args):
     odd_dim = args.odd_dim or 0
     if not 0 <= odd_dim <= MAX_ODD_DIM:
         raise BadOddDim(
@@ -246,68 +222,47 @@ def cmd_flow(args, out):
         CHART0, odd_dim, coeff, [SuperFunction.zero(CHART0, odd_dim)] * odd_dim
     )
     t = parse_rational(args.time)
-    out.write(pullback_text(field.exp_pullback(t)))
-    return 0
+    return pullback_text(field.exp_pullback(t)).splitlines()
 
 
-def cmd_report(args, out):
+def cmd_report(args):
     manifold = resolve_manifold(args.manifold)
     report = hc_pair_report(manifold, args.cap)
-    basis = report.basis
-    lines = _manifold_header(manifold, args.machine)
-    if args.machine:
-        if manifold.kind != KIND_C01:
-            lines.append("transition.w=%s" % superfunction_text(manifold.transition.even_image))
-            for j, img in enumerate(manifold.transition.odd_images):
-                lines.append("transition.eta%d=%s" % (j + 1, superfunction_text(img)))
-        lines += _basis_lines(basis, True)
-        lines += _bracket_lines(report.structure, True)
-        lines.append("jacobi=%s" % ("true" if report.jacobi else "false"))
-        lines.append("odd_derived_dim=%d" % report.derived_dim)
-        lines.append("kernel_dim=%d" % report.kernel_dim)
-        lines.append("split_supergroup=%s" % ("true" if report.split_supergroup else "false"))
-        lines.append("gr.dim_even=%d" % report.comparison.gr_dims[0])
-        lines.append("gr.dim_odd=%d" % report.comparison.gr_dims[1])
-        lines.append("gr.split=%s" % ("true" if report.comparison.split else "false"))
-        # gr_comparison raises GrInequalityViolated unless the inequality holds
-        lines.append("gr.inequality=holds")
-        lines.append(
-            "conjugation_identity=%s" % ("true" if report.conjugation_identity_ok else "false")
-        )
-    else:
-        if manifold.kind != KIND_C01:
-            lines.append("transition:")
-            lines.append("  w = %s" % superfunction_text(manifold.transition.even_image))
-            for j, img in enumerate(manifold.transition.odd_images):
-                lines.append("  eta%d = %s" % (j + 1, superfunction_text(img)))
-        lines += _basis_lines(basis, False)
-        lines.append("brackets (nonzero, upper triangle):")
-        lines += _bracket_lines(report.structure, False)
-        lines.append("jacobi: %s" % ("pass" if report.jacobi else "FAIL"))
-        lines.append("odd derived span dimension: %d" % report.derived_dim)
-        lines.append("trivial-reduction kernel dimension: %d" % report.kernel_dim)
-        lines.append("split supergroup: %s" % ("yes" if report.split_supergroup else "no"))
-        lines.append(
-            "gr dims: even %d vs %d, odd %d vs %d"
-            % (
-                report.comparison.dims[0],
-                report.comparison.gr_dims[0],
-                report.comparison.dims[1],
-                report.comparison.gr_dims[1],
-            )
-        )
-        lines.append(
-            "gr inequality (total %d <= %d): holds"
-            % (sum(report.comparison.dims), sum(report.comparison.gr_dims))
-        )
-        lines.append(
-            "conjugation identity check: %s"
-            % ("pass" if report.conjugation_identity_ok else "FAIL")
-        )
-    _emit(lines, out)
-    return 0
+    comparison = report.comparison
+    machine = args.machine
+    lines = _manifold_header(manifold, machine)
+    if manifold.kind != KIND_C01:
+        pairs = image_pairs(manifold.transition, "w", "eta")
+        if machine:
+            lines += ["transition.%s=%s" % pair for pair in pairs]
+        else:
+            lines += ["transition:"] + ["  %s = %s" % pair for pair in pairs]
+    lines += _structure_lines(report.basis, report.structure, report.jacobi, machine)
+    if machine:
+        return lines + [
+            "odd_derived_dim=%d" % report.derived_dim,
+            "kernel_dim=%d" % report.kernel_dim,
+            "split_supergroup=%s" % ("true" if report.split_supergroup else "false"),
+            "gr.dim_even=%d" % comparison.gr_dims[0],
+            "gr.dim_odd=%d" % comparison.gr_dims[1],
+            "gr.split=%s" % ("true" if comparison.split else "false"),
+            # gr_comparison raises GrInequalityViolated unless the inequality holds
+            "gr.inequality=holds",
+            "conjugation_identity=%s" % ("true" if report.conjugation_identity_ok else "false"),
+        ]
+    return lines + [
+        "odd derived span dimension: %d" % report.derived_dim,
+        "trivial-reduction kernel dimension: %d" % report.kernel_dim,
+        "split supergroup: %s" % ("yes" if report.split_supergroup else "no"),
+        "gr dims: even %d vs %d, odd %d vs %d"
+        % (comparison.dims[0], comparison.gr_dims[0], comparison.dims[1], comparison.gr_dims[1]),
+        "gr inequality (total %d <= %d): holds"
+        % (sum(comparison.dims), sum(comparison.gr_dims)),
+        "conjugation identity check: %s" % ("pass" if report.conjugation_identity_ok else "FAIL"),
+    ]
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="supervec",
@@ -360,19 +315,21 @@ def build_parser():
 def main(argv=None, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args, out)
+        lines = args.func(args)
     except InputError as exc:
         err.write("error: %s: %s\n" % (exc.code, exc.message))
         return 2
     except MathDomainError as exc:
         err.write("error: %s: %s\n" % (exc.code, exc.message))
         return 3
+    out.write("\n".join(lines) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -242,18 +242,14 @@ def parse_rational(text):
 # canonical printing
 
 
-def _fraction_text(fr):
-    return "%d/%d" % (fr.numerator, fr.denominator) if fr.denominator != 1 else str(fr.numerator)
-
-
 def _scalar_pieces(c):
     """(sign, body) for a real or imaginary scalar; mixed handled by caller."""
     if not c.im:
         sign = 1 if c.re >= 0 else -1
-        return sign, _fraction_text(abs(c.re))
+        return sign, str(abs(c.re))
     if not c.re:
         sign = 1 if c.im >= 0 else -1
-        return sign, _fraction_text(abs(c.im)) + "*i"
+        return sign, str(abs(c.im)) + "*i"
     raise ValueError("mixed scalar")
 
 

@@ -35,6 +35,31 @@ def _read_config(text, path="<text>"):
     return parser
 
 
+def _read(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise FileFormatError("cannot read %s: %s" % (path, exc))
+
+
+def _images(section, keys, odd_dim, target, what):
+    """The chart-0 pullback whose images are ``section[key]`` for ``keys``."""
+    even, *odds = [parse_superfunction(section[key], odd_dim, CHART0) for key in keys]
+    try:
+        return PullbackData(CHART0, target, even, odds)
+    except MixedParity as exc:
+        raise FileFormatError("bad %s parity: %s" % (what, exc.message))
+
+
+def image_pairs(pullback, even_name, odd_prefix):
+    """``(name, text)`` of the even image, then of each odd image numbered from 1."""
+    pairs = [(even_name, superfunction_text(pullback.even_image))]
+    for j, img in enumerate(pullback.odd_images):
+        pairs.append(("%s%d" % (odd_prefix, j + 1), superfunction_text(img)))
+    return pairs
+
+
 def parse_manifold_text(text, path="<text>"):
     config = _read_config(text, path)
     if not config.has_section("manifold"):
@@ -73,25 +98,12 @@ def parse_manifold_text(text, path="<text>"):
     extra = set(transition) - set(keys)
     if extra:
         raise FileFormatError("unexpected transition entries: %s" % sorted(extra))
-    even = parse_superfunction(transition["w"], odd_dim, CHART0)
-    odds = [
-        parse_superfunction(transition["eta%d" % (j + 1)], odd_dim, CHART0)
-        for j in range(odd_dim)
-    ]
-    try:
-        pullback = PullbackData(CHART0, CHART1, even, odds)
-    except MixedParity as exc:
-        raise FileFormatError("bad transition parity: %s" % exc.message)
+    pullback = _images(transition, keys, odd_dim, CHART1, "transition")
     return SuperManifoldData.from_transition(name, odd_dim, pullback)
 
 
 def load_manifold(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise FileFormatError("cannot read %s: %s" % (path, exc))
-    return parse_manifold_text(text, str(path))
+    return parse_manifold_text(_read(path), str(path))
 
 
 def manifold_text(manifold):
@@ -99,11 +111,8 @@ def manifold_text(manifold):
     if manifold.kind == KIND_C01:
         lines.append("kind = c01")
         return "\n".join(lines) + "\n"
-    lines.append("")
-    lines.append("[transition]")
-    lines.append("w = %s" % superfunction_text(manifold.transition.even_image))
-    for j, img in enumerate(manifold.transition.odd_images):
-        lines.append("eta%d = %s" % (j + 1, superfunction_text(img)))
+    lines += ["", "[transition]"]
+    lines += ["%s = %s" % pair for pair in image_pairs(manifold.transition, "w", "eta")]
     return "\n".join(lines) + "\n"
 
 
@@ -123,27 +132,15 @@ def parse_pullback_text(text, path="<text>"):
     expected = ["t%d" % (j + 1) for j in range(odd_dim)]
     if odd_keys != sorted(expected):
         raise FileFormatError("pullback odd entries must be t1..t%d" % odd_dim)
-    even = parse_superfunction(section["z"], odd_dim, CHART0)
-    odds = [parse_superfunction(section[k], odd_dim, CHART0) for k in expected]
-    try:
-        return PullbackData(CHART0, CHART0, even, odds)
-    except MixedParity as exc:
-        raise FileFormatError("bad pullback parity: %s" % exc.message)
+    return _images(section, ["z"] + expected, odd_dim, CHART0, "pullback")
 
 
 def load_pullback(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise FileFormatError("cannot read %s: %s" % (path, exc))
-    return parse_pullback_text(text, str(path))
+    return parse_pullback_text(_read(path), str(path))
 
 
 def pullback_text(pullback):
-    lines = ["[pullback]", "z = %s" % superfunction_text(pullback.even_image)]
-    for j, img in enumerate(pullback.odd_images):
-        lines.append("t%d = %s" % (j + 1, superfunction_text(img)))
+    lines = ["[pullback]"] + ["%s = %s" % pair for pair in image_pairs(pullback, "z", "t")]
     return "\n".join(lines) + "\n"
 
 

@@ -331,6 +331,36 @@ def test_cli_report_human_deterministic():
 def test_cli_missing_args_exit_2():
     code, out, err = run(["vec"])
     assert code == 2
+    assert "usage:" in err and not out
+
+
+def test_cli_help_goes_to_out():
+    code, out, err = run(["--help"])
+    assert code == 0
+    assert "usage:" in out and not err
+
+
+def test_cli_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_call_sequence_in_one_process():
+    # the cached parser carries nothing from one call to the next
+    golden = (Path(__file__).parent / "golden" / "report-k2.machine.txt").read_text()
+    report = ["report", "--manifold", "k2", "--machine"]
+    results = [
+        run(["vec", "--cap"]),
+        run(["vec", "--manifold", "k5", "--cap", "3"]),
+        run(["--help"]),
+        run(report),
+        run(["vec", "--manifold", "k2", "--cap", "6", "--machine"]),
+        run(report),
+    ]
+    assert [code for code, _, _ in results] == [2, 3, 0, 0, 0, 0]
+    assert results[3] == results[5] == (0, golden, "")
+    for code, out, err in results:
+        if code:
+            assert not out and err
 
 
 def test_point_file_rejects_higher_odd_dim(tmp_path):
