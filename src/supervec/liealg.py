@@ -15,6 +15,12 @@ by every expansion of a bracket or conjugated field (``coordinates``): exact
 structure constants, the graded-Jacobi check, adjoint matrices and weight
 decompositions, the span of odd-odd brackets, the split-model comparison,
 and the conjugation action of global automorphism pullbacks.
+
+The structure constants bracket the basis fields directly on their chart-0
+slot terms (component, multi-index, z-power, coefficient), never through
+``SuperFunction`` values; the Jacobi check forms only the nonzero products
+of the table and adds each into the one sorted triple it belongs to, with
+the multiplicity of the loop over all sorted triples.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .geometry import (
     GlobalVectorField,
     morphism_check_global,
 )
-from .grassmann import PullbackData, SuperFunction, idx_sort_key, idx_weight
+from .grassmann import PullbackData, SuperFunction, idx_mul, idx_sort_key, idx_weight
 from .linalg import coordinates, kernel_basis, mat_mul, rank, rref, span_factor
 from .linalg import sparse_kernel_basis
 from .scalars import (
@@ -326,64 +332,141 @@ def expand_in_basis(basis, ders):
     return [tuple(sol) for sol in out]
 
 
+def _field_terms(vec, keys, n):
+    """A field's slot terms and their nonzero partial derivatives.
+
+    ``vec`` is its slot vector and ``keys[s]`` the (component, multi-index,
+    z-power) of slot s.  Returns (coeffs, partials): ``coeffs[u]`` lists the
+    (multi-index, z-power, c) terms of coefficient u, and ``partials`` the
+    nonzero (u, d, terms of the d-th partial of coefficient u), where d = 0
+    is d/dz, which multiplies by e and lowers e by one, and d = j + 1 is
+    d/dtheta_j, which drops bit j with the sign of ``SuperFunction.d_odd``.
+    """
+    coeffs = [[] for _ in range(n + 1)]
+    for s, c in vec.items():
+        comp, nu, e = keys[s]
+        coeffs[comp].append((nu, e, c))
+    partials = []
+    for u, terms in enumerate(coeffs):
+        partials.append((u, 0, [(nu, e - 1, c * e) for nu, e, c in terms if e]))
+        for j in range(n):
+            bit, low = 1 << j, (1 << j) - 1
+            partials.append(
+                (u, j + 1, [(nu ^ bit, e, -c if (nu & low).bit_count() & 1 else c)
+                            for nu, e, c in terms if nu & bit])
+            )
+    return coeffs, [entry for entry in partials if entry[2]]
+
+
+def _slot_bracket(x, y, both_odd, products):
+    """Nonzero slot terms {(u, nu, e): c} of [X, Y] = X(Y_u) - s Y(X_u).
+
+    ``x`` and ``y`` are ``_field_terms`` pairs and ``products[a][b]`` is
+    ``idx_mul(a, b)``.  X(Y_u) is the sum over d of X_d times the d-th
+    partial of Y_u, its odd factors merged by ``idx_mul``; s = (-1)^{|X||Y|},
+    so Y(X_u) is added when both fields are odd and subtracted otherwise, as
+    in ``SuperDerivation.bracket``.
+    """
+    acc = {}
+    for (coeffs, _), (_, partials), negate in ((x, y, False), (y, x, not both_odd)):
+        for u, d, dy in partials:
+            for nu_x, e_x, c_x in coeffs[d]:
+                merged = products[nu_x]
+                for nu_y, e_y, c_y in dy:
+                    sign, nu = merged[nu_y]
+                    if sign:
+                        key = (u, nu, e_x + e_y)
+                        p = c_x * c_y
+                        cur = acc.get(key, GR_ZERO)
+                        acc[key] = cur - p if (sign < 0) != negate else cur + p
+    return {key: c for key, c in acc.items() if c}
+
+
 def structure_constants(basis):
-    """Exact bracket table over the basis; NotClosed if a bracket escapes."""
+    """Exact bracket table over the basis; NotClosed if a bracket escapes.
+
+    Each bracket is computed on the chart-0 slot terms of the two fields
+    (``_slot_bracket``), with no ``SuperFunction`` in between, and read in
+    the slots and the factor of ``basis.span``: a term in a slot no basis
+    field uses, or a vector off the span, is a bracket that left the span.
+    """
     fields = basis.fields
     m = len(fields)
-    ders = [f.chart0_der for f in fields]
-    pairs = [(i, j) for i in range(m) for j in range(m)]
-    brackets = [ders[i].bracket(ders[j]) for i, j in pairs]
-    try:
-        coeffs = expand_in_basis(basis, brackets)
-    except NotInSpan as exc:
-        raise NotClosed("bracket left the span: %s" % exc.message)
-    table = {}
+    n = basis.manifold.odd_dim
+    slots, factor = basis.span
+    width, keys = len(slots), list(slots)
+    products = [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
+    terms = [_field_terms(_slot_vector(f.chart0_der, slots), keys, n) for f in fields]
     parities = [f.parity for f in fields]
-    for (i, j), vec in zip(pairs, coeffs):
-        expected = (parities[i] + parities[j]) % 2
-        for k, c in enumerate(vec):
-            if c and parities[k] != expected:
-                raise NotClosed("bracket violates parity additivity")
-        table[(i, j)] = vec
+    table = {}
+    for i in range(m):
+        for j in range(m):
+            bracket = _slot_bracket(terms[i], terms[j], parities[i] and parities[j], products)
+            vec = {slots.get(key): c for key, c in bracket.items()}
+            sol = None if None in vec else coordinates(factor, width, m, vec, GR_ZERO)
+            if sol is None:
+                raise NotClosed(
+                    "bracket left the span: derivation does not lie in the span of the basis"
+                )
+            table[(i, j)] = tuple(sol)
+    other = [[k for k in range(m) if parities[k] != p] for p in (0, 1)]
+    for (i, j), vec in table.items():
+        if any(vec[k] for k in other[(parities[i] + parities[j]) % 2]):
+            raise NotClosed("bracket violates parity additivity")
     return StructureConstants(basis, table)
 
 
 def jacobi_check(structure):
     """Graded antisymmetry, parity additivity and the super Jacobi identity.
 
-    One pass over the table checks both preconditions and keeps the nonzero
-    (k, c) pairs of each entry.  The Jacobiator J(i, j, k) =
+    One pass over the table checks parity additivity and keeps the nonzero
+    entries of each bracket as a sparse row {k: c}; graded antisymmetry
+    compares the rows of (i, j) and (j, i).  The Jacobiator J(i, j, k) =
     (-1)^{p_i p_k} [b_i, [b_j, b_k]] + cyclic is cyclic by definition, and on
     an antisymmetric table rewriting each inner bracket gives J(j, i, k) =
     -(-1)^{p_i p_j + p_j p_k + p_k p_i} J(i, j, k), so the sorted triples
-    i <= j <= k decide it.  Parity additivity is the other condition for a
-    Lie superalgebra bracket.  Repeated indices stay: [x, [x, x]] = 0 for odd
-    x does not follow from antisymmetry.
+    i <= j <= k decide it.  Only the nonzero products are formed: for each
+    nonzero entry l of [b_b, b_c] and each nonzero row [b_a, b_l], the
+    contribution (a, b, c) goes into the sorted triple among its rotations,
+    once for each cyclic slot of that triple it fills.  Two rotations of
+    (a, b, c) are sorted only when a = b = c, so (i, i, i) counts three times
+    and every other contribution at most once, as in the loop over all
+    sorted triples.  Repeated indices stay: [x, [x, x]] = 0 for odd x does
+    not follow from antisymmetry.
     """
     par = [f.parity for f in structure.basis.fields]
-    m = len(par)
-    table = structure.table
     rows = {}
-    for (i, j), vec in table.items():
-        both_odd = par[i] and par[j]
+    for (i, j), vec in structure.table.items():
         parity = (par[i] + par[j]) % 2
-        for k, (a, b) in enumerate(zip(vec, table[(j, i)])):
-            if (a - b if both_odd else a + b) or (a and par[k] != parity):
-                return False
-        rows[(i, j)] = [(k, c) for k, c in enumerate(vec) if c]
-    for i in range(m):
-        for j in range(i, m):
-            for k in range(j, m):
-                total = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    negate = par[a] and par[c]
-                    for l, x in rows[(b, c)]:
-                        for t, y in rows[(a, l)]:
-                            cur = total.get(t, GR_ZERO)
-                            total[t] = cur - x * y if negate else cur + x * y
-                if any(total.values()):
-                    return False
-    return True
+        row = {k: c for k, c in enumerate(vec) if c}
+        if any(par[k] != parity for k in row):
+            return False
+        rows[(i, j)] = row
+    by_inner = {}  # l -> the nonzero rows [b_a, b_l] as (a, row)
+    for (i, j), row in rows.items():
+        mirror = row if par[i] and par[j] else {k: -c for k, c in row.items()}
+        if rows[(j, i)] != mirror:
+            return False
+        if row:
+            by_inner.setdefault(j, []).append((i, row))
+    totals = {}
+    for (b, c), inner in rows.items():
+        for l, x in inner.items():
+            for a, outer in by_inner.get(l, ()):
+                if a <= b <= c:
+                    triple, w = (a, b, c), x * 3 if a == c else x
+                elif b <= c <= a:
+                    triple, w = (b, c, a), x
+                elif c <= a <= b:
+                    triple, w = (c, a, b), x
+                else:
+                    continue
+                if par[a] and par[c]:
+                    w = -w
+                for t, y in outer.items():
+                    key = triple + (t,)
+                    totals[key] = totals.get(key, GR_ZERO) + w * y
+    return not any(totals.values())
 
 
 def adjoint_matrix(structure, i):

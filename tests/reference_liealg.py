@@ -1,6 +1,6 @@
-"""Reference basis expansion kept as a test oracle.
+"""Reference basis expansion, bracket table and Jacobi check kept as test oracles.
 
-This is the ``expand_in_basis`` that ``supervec.liealg`` used before a basis
+``expand_in_basis`` is the one that ``supervec.liealg`` used before a basis
 was reduced once, at construction, kept verbatim with its three slot
 helpers: every call collects the slots of the basis and of the targets,
 builds the dense slot x field matrix and solves it for all targets jointly.
@@ -8,11 +8,19 @@ Its ``solve_columns`` is the dense one of ``reference_linalg``, so the oracle
 shares no elimination code with the library.  The coefficients in a basis
 are unique, so the library must return the same tuples, or raise
 ``NotInSpan`` with the same message, on every input.
+
+``reference_structure_constants`` is the bracket table built from a
+``SuperDerivation.bracket`` per pair, expanded with the library's
+``expand_in_basis``, and ``sorted_triple_jacobi_check`` the Jacobi check
+that evaluates the Jacobiator on every sorted triple i <= j <= k.  The
+library brackets on slot terms and forms only the nonzero Jacobi products,
+so it must give the same table, the same errors and the same verdict.
 """
 
 from __future__ import annotations
 
-from supervec.errors import NotInSpan
+from supervec import liealg
+from supervec.errors import NotClosed, NotInSpan
 from supervec.scalars import GR_ZERO
 
 from reference_linalg import solve_columns
@@ -64,3 +72,54 @@ def expand_in_basis(basis, ders):
             raise NotInSpan("derivation does not lie in the span of the basis")
         out.append(tuple(sol))
     return out
+
+
+def reference_structure_constants(basis):
+    """Exact bracket table over the basis; NotClosed if a bracket escapes."""
+    fields = basis.fields
+    m = len(fields)
+    ders = [f.chart0_der for f in fields]
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    brackets = [ders[i].bracket(ders[j]) for i, j in pairs]
+    try:
+        coeffs = liealg.expand_in_basis(basis, brackets)
+    except NotInSpan as exc:
+        raise NotClosed("bracket left the span: %s" % exc.message)
+    table = {}
+    parities = [f.parity for f in fields]
+    for (i, j), vec in zip(pairs, coeffs):
+        expected = (parities[i] + parities[j]) % 2
+        for k, c in enumerate(vec):
+            if c and parities[k] != expected:
+                raise NotClosed("bracket violates parity additivity")
+        table[(i, j)] = vec
+    return liealg.StructureConstants(basis, table)
+
+
+def sorted_triple_jacobi_check(structure):
+    """Graded antisymmetry, parity additivity and the super Jacobi identity,
+    with the Jacobiator evaluated on every sorted triple i <= j <= k."""
+    par = [f.parity for f in structure.basis.fields]
+    m = len(par)
+    table = structure.table
+    rows = {}
+    for (i, j), vec in table.items():
+        both_odd = par[i] and par[j]
+        parity = (par[i] + par[j]) % 2
+        for k, (a, b) in enumerate(zip(vec, table[(j, i)])):
+            if (a - b if both_odd else a + b) or (a and par[k] != parity):
+                return False
+        rows[(i, j)] = [(k, c) for k, c in enumerate(vec) if c]
+    for i in range(m):
+        for j in range(i, m):
+            for k in range(j, m):
+                total = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    negate = par[a] and par[c]
+                    for l, x in rows[(b, c)]:
+                        for t, y in rows[(a, l)]:
+                            cur = total.get(t, GR_ZERO)
+                            total[t] = cur - x * y if negate else cur + x * y
+                if any(total.values()):
+                    return False
+    return True

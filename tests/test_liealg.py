@@ -1,3 +1,4 @@
+import functools
 import math
 import pathlib
 import random
@@ -34,7 +35,7 @@ from supervec.geometry import (
     sl2_embedding,
 )
 from supervec.files import parse_manifold_text
-from supervec.grassmann import PullbackData, SuperFunction, compose
+from supervec.grassmann import PullbackData, SuperFunction, compose, idx_mul
 from supervec.liealg import (
     StructureConstants,
     SuperalgebraBasis,
@@ -51,6 +52,18 @@ from supervec.liealg import (
 )
 from supervec.linalg import mat_mul
 from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial, RationalFunction
+
+
+# the (1|4) split with every eta_j = z^-1 t_j, whose basis is (19, 16)
+S1111 = "odd_dim = 4\n\n[transition]\nw = z^-1\n" + "".join(
+    "eta%d = z^-1*t%d\n" % (j, j) for j in range(1, 5)
+)
+
+
+@functools.cache
+def synthetic_basis(name):
+    text = S1111 if name == "s1111" else SYNTHETIC[name]
+    return solve_global_fields(parse_manifold_text("[manifold]\nname = %s\n%s" % (name, text)))
 
 
 def zm(k):
@@ -155,10 +168,7 @@ def k_family(k):
 
 
 def test_column_estimate_covers_the_system(manifolds):
-    split4 = "odd_dim = 4\n\n[transition]\nw = z^-1\n" + "".join(
-        "eta%d = z^-1*t%d\n" % (j, j) for j in range(1, 5)
-    )
-    synthetic = dict(SYNTHETIC, s1111=split4)
+    synthetic = dict(SYNTHETIC, s1111=S1111)
     tested = [m for m in manifolds.values() if m.kind != "c01"]
     tested += [k_family(50), k_family(100)]
     tested += [parse_manifold_text("[manifold]\nname = %s\n%s" % kv) for kv in synthetic.items()]
@@ -231,23 +241,39 @@ def test_point_bracket_table(structure_cache):
 def test_basis_with_repeated_field_is_not_closed(basis_cache):
     basis = basis_cache("k1")
     evens = basis.even_basis + basis.even_basis[:1]
-    with pytest.raises(NotClosed):
+    with pytest.raises(NotClosed, match="^solver produced linearly dependent basis fields$"):
         SuperalgebraBasis(
             basis.manifold, evens, basis.odd_basis, basis.cap_used, basis.clearing_exponent
         )
 
 
-def test_bracket_leaving_the_span_is_not_closed(basis_cache):
-    basis = basis_cache("k1")
-    smaller = SuperalgebraBasis(
-        basis.manifold,
-        basis.even_basis[1:],
-        basis.odd_basis,
-        basis.cap_used,
-        basis.clearing_exponent,
+def without_field(basis, index):
+    """The basis with its field ``index`` (even fields first) left out."""
+    fields = basis.fields[:index] + basis.fields[index + 1:]
+    n_even = len(basis.even_basis) - (index < len(basis.even_basis))
+    return SuperalgebraBasis(
+        basis.manifold, fields[:n_even], fields[n_even:], basis.cap_used, basis.clearing_exponent
     )
-    with pytest.raises(NotClosed, match="left the span"):
-        structure_constants(smaller)
+
+
+def structure_outcome(build, basis):
+    try:
+        return build(basis).table
+    except NotClosed as exc:
+        return ("NotClosed", exc.message)
+
+
+def test_bracket_leaving_the_span_is_not_closed(basis_cache):
+    # without field 0 of k1 a bracket has a term in a slot no field uses;
+    # without field 3 every bracket term is in a used slot, one vector is off
+    # the span
+    basis = basis_cache("k1")
+    for index in (0, 3):
+        smaller = without_field(basis, index)
+        with pytest.raises(NotClosed, match="left the span"):
+            structure_constants(smaller)
+        expected = structure_outcome(reference_liealg.reference_structure_constants, smaller)
+        assert structure_outcome(structure_constants, smaller) == expected
 
 
 def test_even_self_bracket_vanishes(structure_cache):
@@ -291,6 +317,54 @@ def test_k1_bracket_goldens_after_basis_change(basis_cache, structure_cache):
     # and the direct oracle agrees
     for x, y, expected in goldens:
         assert bracket(x, y) == expected
+
+
+SMALL_COEFFS = [GaussianRational(c) for c in (1, -1, 2, -3)] + [
+    GaussianRational(0, 1),
+    GaussianRational(Fraction(1, 2), -1),
+]
+
+
+@st.composite
+def chart0_fields(draw, n, parity):
+    """A polynomial chart-0 field of the given parity on (1|n), possibly zero."""
+    coeff = st.sampled_from(SMALL_COEFFS)
+    poly = st.dictionaries(st.integers(0, 3), coeff, min_size=1, max_size=2)
+    coeffs = []
+    for comp in range(n + 1):
+        # theta^nu d/dz has the parity of nu, theta^nu d/dtheta_j the opposite
+        nus = [nu for nu in range(1 << n) if (nu.bit_count() + (comp > 0)) % 2 == parity]
+        terms = draw(st.dictionaries(st.sampled_from(nus), poly, max_size=2))
+        coeffs.append(sf(n, {nu: RationalFunction(Polynomial(p)) for nu, p in terms.items()}))
+    return SuperDerivation(CHART0, n, coeffs[0], coeffs[1:])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4), st.integers(0, 1), st.integers(0, 1), st.booleans(), st.data())
+def test_slot_bracket_matches_superderivation_bracket(n, px, py, same, data):
+    x = data.draw(chart0_fields(n, px))
+    y = x if same and px == py else data.draw(chart0_fields(n, py))
+    slots = {}
+    vx, vy = (liealg._slot_vector(der, slots, grow=True) for der in (x, y))
+    keys = list(slots)
+    products = [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
+    both_odd = x.parity() and y.parity()
+    terms = [liealg._field_terms(v, keys, n) for v in (vx, vy)]
+    got = liealg._slot_bracket(*terms, both_odd, products)
+    flat = {}
+    vec = liealg._slot_vector(x.bracket(y), flat, grow=True)
+    assert got == {key: vec[s] for key, s in flat.items()}
+    event("parities %d%d, %s" % (x.parity(), y.parity(), "nonzero" if got else "vanishes"))
+
+
+def test_structure_constants_match_reference(manifolds, basis_cache):
+    bases = [basis_cache(name) for name in manifolds]
+    bases += [synthetic_basis("s222"), synthetic_basis("s1111")]
+    # k2 without its last odd field is a smaller basis that still closes
+    bases.append(without_field(basis_cache("k2"), 7))
+    for basis in bases:
+        expected = reference_liealg.reference_structure_constants(basis).table
+        assert structure_constants(basis).table == expected
 
 
 def test_jacobi_on_all_bundled_tables(structure_cache):
@@ -347,14 +421,80 @@ def reference_jacobi_check(structure):
 def assert_rejected(structure):
     assert not jacobi_check(structure)
     assert not reference_jacobi_check(structure)
+    assert not reference_liealg.sorted_triple_jacobi_check(structure)
 
 
 def test_jacobi_matches_reference_on_bundled_and_s222(manifolds, structure_cache):
     structures = [structure_cache(name) for name in manifolds]
-    s222 = parse_manifold_text("[manifold]\nname = s222\n" + SYNTHETIC["s222"])
-    structures.append(structure_constants(solve_global_fields(s222)))
+    structures.append(structure_constants(synthetic_basis("s222")))
     for structure in structures:
         assert jacobi_check(structure) == reference_jacobi_check(structure)
+        assert jacobi_check(structure) == reference_liealg.sorted_triple_jacobi_check(structure)
+    s1111 = structure_constants(synthetic_basis("s1111"))
+    assert jacobi_check(s1111) and reference_liealg.sorted_triple_jacobi_check(s1111)
+
+
+JACOBI_TABLES = (
+    "k-1", "k0", "k1", "k2", "k3", "k5", "split-2-2", "split-3-1", "nonsplit-2-2", "c01", "xyw",
+)
+
+
+def corrupted_table(structure, kind, data):
+    """The table with one corruption of the given kind, drawn from ``data``."""
+    par = [f.parity for f in structure.basis.fields]
+    m = len(par)
+    table = dict(structure.table)
+    delta = GaussianRational(data.draw(st.sampled_from([-2, -1, 1, 3])))
+
+    def bump(key, k, d):
+        vec = list(table[key])
+        vec[k] = vec[k] + d
+        table[key] = tuple(vec)
+
+    if kind == "self":
+        # odd x, even y with [x, b_y] != 0: delta b_y added to [x, x] keeps
+        # antisymmetry and parity, and J(x, x, x) = -3 delta [x, b_y] != 0
+        choices = [
+            (x, y)
+            for x in range(m)
+            for y in range(m)
+            if par[x] and not par[y] and any(table[(x, y)])
+        ]
+        x, y = data.draw(st.sampled_from(choices))
+        bump((x, x), y, delta)
+    elif kind != "none":
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        parity = (par[i] + par[j]) % 2
+        wrong = kind == "parity"
+        k = data.draw(st.sampled_from([k for k in range(m) if (par[k] != parity) == wrong]))
+        bump((i, j), k, delta)
+        if kind != "antisymmetry" and (i != j or par[i]):
+            # the entry that graded antisymmetry pairs with it (an even
+            # self-bracket pairs with itself and must stay zero)
+            bump((j, i), k, delta if par[i] and par[j] else -delta)
+    return StructureConstants(structure.basis, table)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.sampled_from(JACOBI_TABLES),
+    st.sampled_from(["none", "pair", "antisymmetry", "parity", "self"]),
+    st.data(),
+)
+def test_jacobi_matches_sorted_triple_reference_on_corruptions(structure_cache, name, kind, data):
+    if name == "xyw":
+        # even y, odd x and w with [x, y] = w central: after the "self"
+        # corruption [x, x] = delta y, only the sorted triple (x, x, x) has a
+        # nonzero Jacobiator, so only its multiplicity rejects the table
+        structure = small_structure([0, 1, 1], {(1, 0): (0, 0, 1), (0, 1): (0, 0, -1)})
+    else:
+        structure = structure_cache(name)
+    corrupted = corrupted_table(structure, kind, data)
+    verdict = jacobi_check(corrupted)
+    assert verdict == reference_liealg.sorted_triple_jacobi_check(corrupted)
+    if kind in ("none", "parity", "self"):
+        assert verdict == (kind == "none")
+    event("%s: %s" % (kind, verdict))
 
 
 def test_jacobi_rejects_antisymmetric_parity_additive_corruption(structure_cache):
