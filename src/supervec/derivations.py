@@ -14,6 +14,7 @@ degree-preserving part by the weight-1 slice solve, exp(X) by its series.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import factorial
 from operator import add, sub
 
@@ -238,7 +239,7 @@ def _exp_series(field, f, scale=1):
     raise NotNilpotent("exponential series did not terminate")
 
 
-class RothsteinParts:
+class RothsteinParts(namedtuple("RothsteinParts", "degree_zero nilpotent_generator")):
     """Factorization of an automorphism pullback.
 
     ``degree_zero`` preserves Grassmann degree (reduced even image plus the
@@ -247,19 +248,7 @@ class RothsteinParts:
     original pullback is recovered by :func:`recombine`.
     """
 
-    __slots__ = ("degree_zero", "nilpotent_generator")
-
-    def __init__(self, degree_zero, nilpotent_generator):
-        self.degree_zero = degree_zero
-        self.nilpotent_generator = nilpotent_generator
-
-    def __eq__(self, other):
-        if not isinstance(other, RothsteinParts):
-            return NotImplemented
-        return (
-            self.degree_zero == other.degree_zero
-            and self.nilpotent_generator == other.nilpotent_generator
-        )
+    __slots__ = ()
 
 
 def recombine(parts):

@@ -22,6 +22,7 @@ idempotent on text.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -39,13 +40,7 @@ _SYMBOLS = "+-*/^()"
 MAX_ODD_DIM = 9  # one digit names an odd variable: t1 .. t9
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+_Token = namedtuple("_Token", "kind value pos")
 
 
 def _tokenize(text):

@@ -31,7 +31,8 @@ def _read_config(text, path="<text>"):
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
-        raise FileFormatError("cannot parse %s: %s" % (path, exc))
+        # configparser spreads its path, line number and line over several lines
+        raise FileFormatError("cannot parse %s: %s" % (path, " ".join(str(exc).split())))
     return parser
 
 

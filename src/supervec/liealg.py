@@ -16,16 +16,17 @@ structure constants, the graded-Jacobi check, adjoint matrices and weight
 decompositions, the span of odd-odd brackets, the split-model comparison,
 and the conjugation action of global automorphism pullbacks.
 
-The structure constants bracket the basis fields directly on their chart-0
-slot terms (component, multi-index, z-power, coefficient), never through
-``SuperFunction`` values; the Jacobi check forms only the nonzero products
-of the table and adds each into the one sorted triple it belongs to, with
-the multiplicity of the loop over all sorted triples.
+The basis reads each field's chart-0 slot terms (component, multi-index,
+z-power, coefficient) once, when it is built; the structure constants
+bracket the fields directly on those terms, never through ``SuperFunction``
+values.  The Jacobi check reads the table once and forms only its nonzero
+products, each added into one sorted triple.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -64,7 +65,9 @@ from .scalars import (
 class SuperalgebraBasis:
     """Ordered basis of the global fields, split by parity."""
 
-    __slots__ = ("manifold", "even_basis", "odd_basis", "cap_used", "clearing_exponent", "span")
+    __slots__ = (
+        "manifold", "even_basis", "odd_basis", "cap_used", "clearing_exponent", "span", "_terms"
+    )
 
     def __init__(self, manifold, even_basis, odd_basis, cap_used, clearing_exponent):
         self.manifold = manifold
@@ -72,8 +75,11 @@ class SuperalgebraBasis:
         self.odd_basis = list(odd_basis)
         self.cap_used = cap_used
         self.clearing_exponent = clearing_exponent
-        slots = {}  # the one reduction of the basis, read by every expansion
-        vectors = [_slot_vector(f.chart0_der, slots, grow=True) for f in self.fields]
+        # each field read once, its slots numbered in order of first use; the
+        # one reduction of the basis is read by every expansion
+        self._terms = [_slot_terms(f.chart0_der) for f in self.fields]
+        slots = {key: s for s, key in enumerate(dict.fromkeys(k for t in self._terms for k in t))}
+        vectors = [{slots[key]: c for key, c in terms.items()} for terms in self._terms]
         factor = span_factor(vectors, len(slots), GR_ONE)
         if any(p >= len(slots) for p in factor):
             raise NotClosed("solver produced linearly dependent basis fields")
@@ -91,14 +97,10 @@ class SuperalgebraBasis:
         return len(self.even_basis) + len(self.odd_basis)
 
 
-class StructureConstants:
+class StructureConstants(namedtuple("StructureConstants", "basis table")):
     """Bracket table of a basis: (i, j) -> coefficient tuple of [b_i, b_j]."""
 
-    __slots__ = ("basis", "table")
-
-    def __init__(self, basis, table):
-        self.basis = basis
-        self.table = table
+    __slots__ = ()
 
 
 def default_cap(manifold):
@@ -303,48 +305,49 @@ def _vector_key(vec):
 # expansion of chart-0 derivations in a basis
 
 
-def _slot_vector(der, slots, grow=False):
-    """Sparse vector slot -> coefficient of a chart-0 derivation.
+def _slot_terms(der):
+    """Terms {(component, multi-index, z-power): c} of a chart-0 derivation.
 
-    ``slots`` numbers the (component, multi-index, z-power) slots; with
-    ``grow`` a new slot gets the next number, otherwise a vector using one is
-    None.  NotInSpan if a coefficient is not a polynomial.
+    NotInSpan if a coefficient is not a polynomial.
     """
-    vec = {}
+    terms = {}
     for comp, coeff in enumerate((der.even_coeff, *der.odd_coeffs)):
         for nu, rf in coeff.terms.items():
             if not rf.is_polynomial():
                 raise NotInSpan("derivation has non-polynomial coefficients")
             for e, c in rf.num.coeffs.items():
-                key = (comp, nu, e)
-                vec[slots.setdefault(key, len(slots)) if grow else slots.get(key)] = c
-    return None if None in vec else vec
+                terms[(comp, nu, e)] = c
+    return terms
+
+
+def _span_coordinates(basis, terms):
+    """Coordinates of slot terms in the basis; None off its slots or its span."""
+    slots, factor = basis.span
+    vec = {slots.get(key): c for key, c in terms.items()}
+    return None if None in vec else coordinates(factor, len(slots), len(basis), vec, GR_ZERO)
 
 
 def expand_in_basis(basis, ders):
     """Coefficients of chart-0 derivations in the basis; NotInSpan on failure."""
-    slots, factor = basis.span
-    vectors = [_slot_vector(d, slots) for d in ders]
-    width, m = len(slots), len(basis)
-    out = [None if v is None else coordinates(factor, width, m, v, GR_ZERO) for v in vectors]
+    targets = [_slot_terms(d) for d in ders]
+    out = [_span_coordinates(basis, terms) for terms in targets]
     if None in out:
         raise NotInSpan("derivation does not lie in the span of the basis")
     return [tuple(sol) for sol in out]
 
 
-def _field_terms(vec, keys, n):
+def _field_terms(terms, n):
     """A field's slot terms and their nonzero partial derivatives.
 
-    ``vec`` is its slot vector and ``keys[s]`` the (component, multi-index,
-    z-power) of slot s.  Returns (coeffs, partials): ``coeffs[u]`` lists the
-    (multi-index, z-power, c) terms of coefficient u, and ``partials`` the
-    nonzero (u, d, terms of the d-th partial of coefficient u), where d = 0
-    is d/dz, which multiplies by e and lowers e by one, and d = j + 1 is
-    d/dtheta_j, which drops bit j with the sign of ``SuperFunction.d_odd``.
+    ``terms`` is the field's ``_slot_terms``.  Returns (coeffs, partials):
+    ``coeffs[u]`` lists the (multi-index, z-power, c) terms of coefficient u,
+    and ``partials`` the nonzero (u, d, terms of the d-th partial of
+    coefficient u), where d = 0 is d/dz, which multiplies by e and lowers e
+    by one, and d = j + 1 is d/dtheta_j, which drops bit j with the sign of
+    ``SuperFunction.d_odd``.
     """
     coeffs = [[] for _ in range(n + 1)]
-    for s, c in vec.items():
-        comp, nu, e = keys[s]
+    for (comp, nu, e), c in terms.items():
         coeffs[comp].append((nu, e, c))
     partials = []
     for u, terms in enumerate(coeffs):
@@ -385,25 +388,23 @@ def _slot_bracket(x, y, both_odd, products):
 def structure_constants(basis):
     """Exact bracket table over the basis; NotClosed if a bracket escapes.
 
-    Each bracket is computed on the chart-0 slot terms of the two fields
-    (``_slot_bracket``), with no ``SuperFunction`` in between, and read in
-    the slots and the factor of ``basis.span``: a term in a slot no basis
-    field uses, or a vector off the span, is a bracket that left the span.
+    Each bracket is computed on the slot terms the basis read from its
+    fields (``_slot_bracket``), with no ``SuperFunction`` in between, and
+    read in the slots and the factor of ``basis.span``: a term in a slot no
+    basis field uses, or a vector off the span, is a bracket that left the
+    span.
     """
     fields = basis.fields
     m = len(fields)
     n = basis.manifold.odd_dim
-    slots, factor = basis.span
-    width, keys = len(slots), list(slots)
     products = [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
-    terms = [_field_terms(_slot_vector(f.chart0_der, slots), keys, n) for f in fields]
+    terms = [_field_terms(t, n) for t in basis._terms]
     parities = [f.parity for f in fields]
     table = {}
     for i in range(m):
         for j in range(m):
             bracket = _slot_bracket(terms[i], terms[j], parities[i] and parities[j], products)
-            vec = {slots.get(key): c for key, c in bracket.items()}
-            sol = None if None in vec else coordinates(factor, width, m, vec, GR_ZERO)
+            sol = _span_coordinates(basis, bracket)
             if sol is None:
                 raise NotClosed(
                     "bracket left the span: derivation does not lie in the span of the basis"
@@ -419,31 +420,28 @@ def structure_constants(basis):
 def jacobi_check(structure):
     """Graded antisymmetry, parity additivity and the super Jacobi identity.
 
-    One pass over the table checks parity additivity and keeps the nonzero
-    entries of each bracket as a sparse row {k: c}; graded antisymmetry
-    compares the rows of (i, j) and (j, i).  The Jacobiator J(i, j, k) =
-    (-1)^{p_i p_k} [b_i, [b_j, b_k]] + cyclic is cyclic by definition, and on
-    an antisymmetric table rewriting each inner bracket gives J(j, i, k) =
-    -(-1)^{p_i p_j + p_j p_k + p_k p_i} J(i, j, k), so the sorted triples
-    i <= j <= k decide it.  Only the nonzero products are formed: for each
-    nonzero entry l of [b_b, b_c] and each nonzero row [b_a, b_l], the
-    contribution (a, b, c) goes into the sorted triple among its rotations,
-    once for each cyclic slot of that triple it fills.  Two rotations of
-    (a, b, c) are sorted only when a = b = c, so (i, i, i) counts three times
-    and every other contribution at most once, as in the loop over all
-    sorted triples.  Repeated indices stay: [x, [x, x]] = 0 for odd x does
-    not follow from antisymmetry.
+    One pass over the table keeps the nonzero entries of each bracket as a
+    sparse row {k: c}, and one loop over the rows checks parity additivity
+    and graded antisymmetry, comparing the rows of (i, j) and (j, i).  The
+    Jacobiator J(i, j, k) = (-1)^{p_i p_k} [b_i, [b_j, b_k]] + cyclic is
+    cyclic by definition, and on an antisymmetric table rewriting each inner
+    bracket gives J(j, i, k) = -(-1)^{p_i p_j + p_j p_k + p_k p_i} J(i, j, k),
+    so the sorted triples i <= j <= k decide it.  Only the nonzero products
+    are formed: for each nonzero entry l of [b_b, b_c] and each nonzero row
+    [b_a, b_l], the contribution (a, b, c) goes into the first sorted triple
+    among its rotations.  Two rotations of (a, b, c) are sorted only when
+    a = b = c, and only those products land in (i, i, i), so J(i, i, i) is
+    three times the total kept for it and the verdict is the same.  Repeated
+    indices stay: [x, [x, x]] = 0 for odd x does not follow from
+    antisymmetry.
     """
     par = [f.parity for f in structure.basis.fields]
-    rows = {}
-    for (i, j), vec in structure.table.items():
-        parity = (par[i] + par[j]) % 2
-        row = {k: c for k, c in enumerate(vec) if c}
-        if any(par[k] != parity for k in row):
-            return False
-        rows[(i, j)] = row
+    rows = {key: {k: c for k, c in enumerate(vec) if c} for key, vec in structure.table.items()}
     by_inner = {}  # l -> the nonzero rows [b_a, b_l] as (a, row)
     for (i, j), row in rows.items():
+        parity = (par[i] + par[j]) % 2
+        if any(par[k] != parity for k in row):
+            return False
         mirror = row if par[i] and par[j] else {k: -c for k, c in row.items()}
         if rows[(j, i)] != mirror:
             return False
@@ -454,15 +452,14 @@ def jacobi_check(structure):
         for l, x in inner.items():
             for a, outer in by_inner.get(l, ()):
                 if a <= b <= c:
-                    triple, w = (a, b, c), x * 3 if a == c else x
+                    triple = (a, b, c)
                 elif b <= c <= a:
-                    triple, w = (b, c, a), x
+                    triple = (b, c, a)
                 elif c <= a <= b:
-                    triple, w = (c, a, b), x
+                    triple = (c, a, b)
                 else:
                     continue
-                if par[a] and par[c]:
-                    w = -w
+                w = -x if par[a] and par[c] else x
                 for t, y in outer.items():
                     key = triple + (t,)
                     totals[key] = totals.get(key, GR_ZERO) + w * y
@@ -663,14 +660,7 @@ def conjugation_action(basis, pullback):
 # reports
 
 
-class GrComparison:
-    __slots__ = ("gr", "dims", "gr_dims", "split")
-
-    def __init__(self, gr, dims, gr_dims, split):
-        self.gr = gr
-        self.dims = dims
-        self.gr_dims = gr_dims
-        self.split = split
+GrComparison = namedtuple("GrComparison", "gr dims gr_dims split")
 
 
 def gr_comparison(manifold, cap=None):
@@ -691,24 +681,12 @@ def gr_comparison(manifold, cap=None):
     return GrComparison(split_model, dims, gr_dims, split)
 
 
-class HCReport:
+class HCReport(namedtuple("HCReport", "basis structure jacobi derived_dim kernel_dim"
+                          " split_supergroup comparison conjugation_identity_ok")):
     """Bundled Harish-Chandra data of a manifold: the infinitesimal side plus
     finite witnesses."""
 
-    __slots__ = (
-        "basis",
-        "structure",
-        "jacobi",
-        "derived_dim",
-        "kernel_dim",
-        "split_supergroup",
-        "comparison",
-        "conjugation_identity_ok",
-    )
-
-    def __init__(self, **kw):
-        for key in self.__slots__:
-            setattr(self, key, kw[key])
+    __slots__ = ()
 
 
 def hc_pair_report(manifold, cap=None):

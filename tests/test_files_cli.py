@@ -363,6 +363,71 @@ def test_cli_call_sequence_in_one_process():
             assert not out and err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [("name = x\n", "line: 1"), ("[manifold]\nname\n", "[line 2]")],
+    ids=["no-section-header", "no-equals-sign"],
+)
+def test_cli_bad_file_diagnostic_is_one_line(tmp_path, text, where):
+    bad = tmp_path / "a.smf"
+    bad.write_text(text)
+    code, out, err = run(["check", "--manifold", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: BadFile: cannot parse %s: " % bad)
+    assert err.count("\n") == 1 and err.endswith("\n") and where in err
+
+
+SECTIONS = "[manifold]\nname = x\nodd_dim = 1\n\n[transition]\n"
+CODED_INPUT_ERRORS = {
+    "no-manifold-section": (
+        "check", "[transition]\nw = z^-1\n", 2, "BadFile", "missing [manifold] section"
+    ),
+    "no-name": ("check", "[manifold]\nodd_dim = 1\n", 2, "BadFile", "missing manifold name"),
+    "point-with-transition": (
+        "check", "[manifold]\nname = x\nodd_dim = 1\nkind = c01\n\n[transition]\nw = z\n",
+        2, "BadFile", "the single-chart point takes no transition",
+    ),
+    "extra-transition-entry": (
+        "check", SECTIONS + "w = z^-1\neta1 = t1\neta2 = t1\n",
+        2, "BadFile", "unexpected transition entries: ['eta2']",
+    ),
+    "no-pullback-section": (
+        "invert", "[pull]\nz = z\n", 2, "BadFile", "missing [pullback] section"
+    ),
+    "t-without-digit": (
+        "check", SECTIONS + "w = z^-1\neta1 = t\n",
+        2, "SyntaxError", "odd variable needs a digit index (at position 0)",
+    ),
+    "unexpected-character": (
+        "check", SECTIONS + "w = z$\neta1 = t1\n",
+        2, "SyntaxError", "unexpected character '$' (at position 1)",
+    ),
+    "constant-reduced-map": (
+        "decompose", "[pullback]\nz = 1\nt1 = t1\n",
+        3, "NotInvertible", "reduced even map has vanishing differential",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CODED_INPUT_ERRORS))
+def test_cli_coded_input_errors(tmp_path, case):
+    command, text, exit_code, code, message = CODED_INPUT_ERRORS[case]
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    option = "--manifold" if command == "check" else "--pullback"
+    diagnostic = "error: %s: %s\n" % (code, message)
+    assert run([command, option, str(path)]) == (exit_code, "", diagnostic)
+
+
+def test_cli_exponent_with_plus_sign_reads_like_unsigned(tmp_path):
+    outputs = []
+    for power in ("z^+2", "z^2"):
+        path = tmp_path / "m.smf"
+        path.write_text(SECTIONS + "w = z^-1\neta1 = %s*t1\n" % power)
+        outputs.append(run(["gr", "--manifold", str(path), "--machine"]))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def test_point_file_rejects_higher_odd_dim(tmp_path):
     bad = tmp_path / "bad.smf"
     bad.write_text("[manifold]\nname = pt\nodd_dim = 2\nkind = c01\n")

@@ -27,7 +27,7 @@ from supervec.geometry import (
     sl2_embedding,
 )
 from supervec.grassmann import PullbackData, SuperFunction, compose
-from supervec.files import parse_manifold_text
+from supervec.files import parse_manifold_text, parse_pullback_text
 from supervec.liealg import expand_in_basis, solve_global_fields
 from supervec.linalg import kernel_basis
 from supervec.scalars import GaussianRational, Polynomial, RationalFunction
@@ -97,6 +97,21 @@ def test_morphism_check_z_scaling_is_chart0_only(manifolds):
         [sf(2, {1: RationalFunction.z()}), SuperFunction.odd_var(CHART0, 2, 1)],
     )
     assert morphism_check_global(m, p) == "chart0_only"
+
+
+@pytest.mark.parametrize(
+    "z, t1, verdict",
+    [
+        ("z^2", "t1", "chart0_only"),  # the reduced map is not a Mobius map
+        ("z + 1", "t1/(z - 1)", "chart0_only"),  # a pole, though infinity is fixed
+        ("1/(z - 2)", "t1/(z - 3)", "chart0_only"),  # a pole off the map's pole z = 2
+        ("1/z", "t1", "chart0_only"),  # from chart 1, not holomorphic at w = 0
+        ("z + 1", "t1", "global"),
+    ],
+)
+def test_morphism_check_global_verdicts_on_k2(manifolds, z, t1, verdict):
+    p = parse_pullback_text("[pullback]\nz = %s\nt1 = %s\n" % (z, t1))
+    assert morphism_check_global(manifolds["k2"], p) == verdict
 
 
 def test_mobius_lift_identity_and_determinant(manifolds):

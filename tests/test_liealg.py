@@ -344,16 +344,11 @@ def chart0_fields(draw, n, parity):
 def test_slot_bracket_matches_superderivation_bracket(n, px, py, same, data):
     x = data.draw(chart0_fields(n, px))
     y = x if same and px == py else data.draw(chart0_fields(n, py))
-    slots = {}
-    vx, vy = (liealg._slot_vector(der, slots, grow=True) for der in (x, y))
-    keys = list(slots)
     products = [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
     both_odd = x.parity() and y.parity()
-    terms = [liealg._field_terms(v, keys, n) for v in (vx, vy)]
+    terms = [liealg._field_terms(liealg._slot_terms(der), n) for der in (x, y)]
     got = liealg._slot_bracket(*terms, both_odd, products)
-    flat = {}
-    vec = liealg._slot_vector(x.bracket(y), flat, grow=True)
-    assert got == {key: vec[s] for key, s in flat.items()}
+    assert got == liealg._slot_terms(x.bracket(y))
     event("parities %d%d, %s" % (x.parity(), y.parity(), "nonzero" if got else "vanishes"))
 
 
@@ -656,6 +651,44 @@ def test_adjoint_matrix_requires_even_index(structure_cache):
     structure = structure_cache("k1")
     with pytest.raises(OddCartan):
         adjoint_matrix(structure, len(structure.basis.even_basis))
+
+
+I = GaussianRational(0, 1)
+
+
+def one_even_two_odd(brackets):
+    """A table on one even and two odd fields from its nonzero rows [b_0, b_k]."""
+    basis = SimpleNamespace(even_basis=[None], odd_basis=[None, None])
+    table = {(i, j): (GR_ZERO,) * 3 for i in range(3) for j in range(3)}
+    for k, vec in brackets.items():
+        table[(0, k)] = tuple(GaussianRational(c) if isinstance(c, int) else c for c in vec)
+    return StructureConstants(basis, table)
+
+
+def test_adjoint_matrix_rejects_even_component_of_even_odd_bracket():
+    structure = one_even_two_odd({1: (1, 0, 0)})
+    with pytest.raises(NotClosed, match="^even-odd bracket has even components$"):
+        adjoint_matrix(structure, 0)
+
+
+@pytest.mark.parametrize(
+    "brackets",
+    [
+        {1: (0, 0, 1), 2: (0, 2, 0)},  # ad b_0 = [[0, 2], [1, 0]]: x^2 - 2
+        {1: (0, I, 0), 2: (0, 1, I)},  # ad b_0 = [[i, 1], [0, i]]: (x - i)^2, not real
+    ],
+    ids=["x^2-2", "(x-i)^2"],
+)
+def test_weights_reject_characteristic_polynomial_without_rational_roots(brackets):
+    with pytest.raises(
+        NotDiagonalizable, match="^characteristic polynomial has irrational roots$"
+    ):
+        weight_decomposition(one_even_two_odd(brackets), [1])
+
+
+def test_weights_reject_h_of_wrong_length():
+    with pytest.raises(ValueError, match="^expected 1 even coefficients$"):
+        weight_decomposition(one_even_two_odd({}), [1, 0])
 
 
 # The parent's _rational_roots, kept as the oracle: it tries every divisor of
