@@ -23,7 +23,6 @@ from .errors import BadOddDim, InputError, MathDomainError, OddCartan
 from .expressions import (
     MAX_ODD_DIM,
     derivation_text,
-    max_odd_index,
     parse_rational,
     parse_superfunction,
     scalar_text,
@@ -216,8 +215,8 @@ def cmd_flow(args):
             "--odd-dim must be 1..%d (t1..t%d), or 0 to infer it, not %d"
             % (MAX_ODD_DIM, MAX_ODD_DIM, odd_dim)
         )
-    odd_dim = odd_dim or max_odd_index(args.field)
-    coeff = parse_superfunction(args.field, odd_dim, CHART0)
+    coeff = parse_superfunction(args.field, odd_dim or None, CHART0)
+    odd_dim = coeff.odd_dim
     field = SuperDerivation(
         CHART0, odd_dim, coeff, [SuperFunction.zero(CHART0, odd_dim)] * odd_dim
     )

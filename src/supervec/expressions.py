@@ -11,7 +11,9 @@ Grammar::
 Odd variables are ``t1 .. t9`` and must appear with strictly increasing
 indices within a term, so every sign in a source file is explicit; repeated
 indices are reported separately from decreasing ones.  Denominators must be
-free of odd variables.  Decimal literals are rejected, not converted.
+free of odd variables.  Decimal literals are rejected, not converted.  Digits
+are ASCII ``0-9``; any other character is an error, and so is nesting
+parentheses deeper than ``MAX_NESTING`` levels.
 
 ``superfunction_text`` renders the canonical form: reduced terms first
 (descending powers), then odd terms ordered by (degree, index set); printing
@@ -36,59 +38,43 @@ from .scalars import GaussianRational, RationalFunction
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_SYMBOLS = "+-*/^()"
 MAX_ODD_DIM = 9  # one digit names an odd variable: t1 .. t9
-
+MAX_NESTING = 100  # parenthesis levels; each costs the recursive parser four frames
 
 _Token = namedtuple("_Token", "kind value pos")
+# ASCII digits only: an int with a decimal point to reject, t with its
+# one-digit index, a symbol, or any other non-blank character
+_TOKEN = re.compile(r"([0-9]+)(\.?)|t([0-9]?)|([-+*/^()zi])|(\S)")
 
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                raise ExprSyntaxError("decimal literals are not accepted", i)
-            tokens.append(_Token("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "z":
-            tokens.append(_Token("z", None, i))
-            i += 1
-            continue
-        if ch == "i":
-            tokens.append(_Token("i", None, i))
-            i += 1
-            continue
-        if ch == "t":
-            if i + 1 >= n or not text[i + 1].isdigit():
-                raise ExprSyntaxError("odd variable needs a digit index", i)
-            tokens.append(_Token("t", int(text[i + 1]), i))
-            i += 2
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, None, i))
-            i += 1
-            continue
-        raise ExprSyntaxError("unexpected character %r" % ch, i)
-    tokens.append(_Token("end", None, n))
+    for m in _TOKEN.finditer(text):
+        digits, dot, odd, symbol, other = m.groups()
+        pos = m.start()
+        if dot:
+            raise ExprSyntaxError("decimal literals are not accepted", pos)
+        if odd == "":
+            raise ExprSyntaxError("odd variable needs a digit index", pos)
+        if other:
+            raise ExprSyntaxError("unexpected character %r" % other, pos)
+        if digits:
+            tokens.append(_Token("int", int(digits), pos))
+        elif odd:
+            tokens.append(_Token("t", int(odd), pos))
+        else:
+            tokens.append(_Token(symbol, None, pos))
+    tokens.append(_Token("end", None, len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text, odd_dim, chart):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+        if odd_dim is None:
+            odd_dim = max((t.value for t in self.tokens if t.kind == "t"), default=0)
         self.odd_dim = odd_dim
         self.chart = chart
 
@@ -189,15 +175,16 @@ class _Parser:
                 )
             return SuperFunction.odd_var(self.chart, self.odd_dim, index - 1), index
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(
+                    "parentheses nested deeper than %d levels" % MAX_NESTING, tok.pos
+                )
+            self.depth += 1
             value = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return value, last_odd
         raise ExprSyntaxError("unexpected token", tok.pos)
-
-
-def max_odd_index(text):
-    """Largest odd-variable index mentioned (0 if none); tokenizes only."""
-    return max((t.value for t in _tokenize(text) if t.kind == "t"), default=0)
 
 
 def parse_superfunction(text, odd_dim=None, chart="chart0"):
@@ -206,8 +193,6 @@ def parse_superfunction(text, odd_dim=None, chart="chart0"):
     When ``odd_dim`` is omitted it is inferred as the largest odd index
     mentioned in the text.
     """
-    if odd_dim is None:
-        odd_dim = max_odd_index(text)
     parser = _Parser(text, odd_dim, chart)
     value = parser.parse_expr()
     tok = parser.peek()
@@ -237,55 +222,12 @@ def parse_rational(text):
 # canonical printing
 
 
-def _scalar_pieces(c):
-    """(sign, body) for a real or imaginary scalar; mixed handled by caller."""
-    if not c.im:
-        sign = 1 if c.re >= 0 else -1
-        return sign, str(abs(c.re))
-    if not c.re:
-        sign = 1 if c.im >= 0 else -1
-        return sign, str(abs(c.im)) + "*i"
-    raise ValueError("mixed scalar")
-
-
-def _mixed_scalar_text(c):
-    s_re, re_body = _scalar_pieces(GaussianRational(c.re))
-    s_im, im_body = _scalar_pieces(GaussianRational(0, c.im))
-    first = re_body if s_re > 0 else "-" + re_body
-    return "(%s %s %s)" % (first, "+" if s_im > 0 else "-", im_body)
-
-
-def _z_text(exponent):
-    if exponent == 1:
-        return "z"
-    return "z^%d" % exponent
-
-
-def _monomial_pieces(c, exponent):
-    """(sign, body) for c * z^exponent."""
-    if c.im and c.re:
-        body = _mixed_scalar_text(c)
-        if exponent:
-            body += "*" + _z_text(exponent)
-        return 1, body
-    sign, scalar = _scalar_pieces(c)
-    if exponent == 0:
-        return sign, scalar
-    if scalar == "1":
-        return sign, _z_text(exponent)
-    return sign, scalar + "*" + _z_text(exponent)
-
-
-def _poly_pieces(poly):
-    pieces = []
-    for e in sorted(poly.coeffs, reverse=True):
-        c = poly.coeffs[e]
-        if e == 0 and c.re and c.im:
-            pieces.append(_monomial_pieces(GaussianRational(c.re), 0))
-            pieces.append(_monomial_pieces(GaussianRational(0, c.im), 0))
-        else:
-            pieces.append(_monomial_pieces(c, e))
-    return pieces
+def _parts(c):
+    """(sign, body) pieces of a scalar: one, or a real and an imaginary one."""
+    parts = [(1 if c.re >= 0 else -1, str(abs(c.re)))] if c.re or not c.im else []
+    if c.im:
+        parts.append((1 if c.im > 0 else -1, str(abs(c.im)) + "*i"))
+    return parts
 
 
 def _join(pieces):
@@ -301,40 +243,49 @@ def _join(pieces):
     return out
 
 
-def _num_sign(poly):
-    """Sign of the leading coefficient, lexicographic on (re, im)."""
-    c = poly.leading_coeff()
-    if c.re:
-        return 1 if c.re > 0 else -1
-    return 1 if c.im >= 0 else -1
+def _factor(pieces):
+    """Text of a sum of pieces used as a factor: in parentheses unless one piece."""
+    text = _join(pieces)
+    return text if len(pieces) == 1 else "(" + text + ")"
 
 
-def _poly_factor_text(poly):
-    if len(poly.coeffs) == 1:
-        sign, body = _monomial_pieces(poly.leading_coeff(), int(poly.degree()))
-        return body if sign > 0 else "-" + body if body[0].isdigit() else "-1*" + body
-    return "(" + _join(_poly_pieces(poly)) + ")"
+def _times(pieces, symbol):
+    """One (sign, body) piece for the sum of ``pieces`` times ``symbol``."""
+    sign, body = pieces[0] if len(pieces) == 1 else (1, _factor(pieces))
+    return sign, symbol if body == "1" else body + "*" + symbol
 
 
-def _rf_piece(rf):
-    """(sign, body) for a rational function used as the head of a term."""
+def _z_text(exponent):
+    if exponent == 1:
+        return "z"
+    return "z^%d" % exponent
+
+
+def _monomial_pieces(c, exponent):
+    """(sign, body) pieces of c * z^exponent; the scalar's own when exponent is 0."""
+    return _parts(c) if exponent == 0 else [_times(_parts(c), _z_text(exponent))]
+
+
+def _poly_pieces(poly):
+    coeffs = poly.coeffs
+    return [p for e in sorted(coeffs, reverse=True) for p in _monomial_pieces(coeffs[e], e)]
+
+
+def _rf_pieces(rf):
+    """(sign, body) pieces of a rational function used as the head of a term.
+
+    A non-monomial numerator is signed by its leading coefficient,
+    lexicographic on (re, im), and the denominator is monic.
+    """
     coeffs = rf.laurent()
     if coeffs is not None and len(coeffs) == 1:
         ((k, c),) = coeffs.items()
         return _monomial_pieces(c, k)
-    num, den = rf.num, rf.den
-    sign = _num_sign(num)
-    if sign < 0:
-        num = -num
-    if den.degree() == 0:
-        # canonical form has a monic denominator, so den == 1 here
-        return sign, "(" + _join(_poly_pieces(num)) + ")"
-    num_text = _poly_factor_text(num)
-    if coeffs is not None:
-        den_text = _z_text(int(den.degree()))
-    else:
-        den_text = "(" + _join(_poly_pieces(den)) + ")"
-    return sign, "%s/%s" % (num_text, den_text)
+    sign = _parts(rf.num.leading_coeff())[0][0]
+    body = _factor(_poly_pieces(rf.num if sign > 0 else -rf.num))
+    if rf.den.degree():
+        body += "/" + _factor(_poly_pieces(rf.den))
+    return [(sign, body)]
 
 
 def superfunction_text(sf):
@@ -343,14 +294,10 @@ def superfunction_text(sf):
     for idx in sorted(sf.terms, key=idx_sort_key):
         rf = sf.terms[idx]
         if idx == 0:
-            if rf.den.degree() == 0:
-                pieces.extend(_poly_pieces(rf.num))
-            else:
-                pieces.append(_rf_piece(rf))
-            continue
-        odd_text = "*".join("t%d" % (j + 1) for j in idx_positions(idx))
-        sign, body = _rf_piece(rf)
-        pieces.append((sign, odd_text if body == "1" else body + "*" + odd_text))
+            pieces += _poly_pieces(rf.num) if rf.den.degree() == 0 else _rf_pieces(rf)
+        else:
+            odd_text = "*".join("t%d" % (j + 1) for j in idx_positions(idx))
+            pieces.append(_times(_rf_pieces(rf), odd_text))
     return _join(pieces)
 
 
@@ -367,7 +314,4 @@ def derivation_text(der):
 
 def scalar_text(c):
     """Canonical text of a Gaussian rational coefficient."""
-    if c.re and c.im:
-        return _mixed_scalar_text(c)
-    sign, body = _scalar_pieces(c)
-    return body if sign > 0 else "-" + body
+    return _factor(_parts(c))

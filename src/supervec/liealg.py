@@ -593,6 +593,8 @@ def weight_decomposition(structure, h):
     for r in roots:
         counts[r] = counts.get(r, 0) + 1
     for value, mult in counts.items():
+        if mult == 1:
+            continue  # a simple eigenvalue always has a one-dimensional eigenspace
         shifted = [
             [matrix[r][s] - (value if r == s else GR_ZERO) for s in range(n_odd)]
             for r in range(n_odd)

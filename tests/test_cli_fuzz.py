@@ -21,6 +21,7 @@ from hypothesis import event, given, settings, strategies as st
 from supervec.cli import main
 
 TOKENS = ["z", "z^-2", "z^2", "z^+2", "t", "t0", "t1", "t2", "t3", "3/2", "0.5", "i"]
+TOKENS += ["\u00b2", "\u0663"]  # superscript two and Arabic-Indic three: not ASCII digits
 TOKENS += list("()+-*/^")
 ENTRY = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=7).map(" ".join)
 # even coefficients of an odd variable: a valid one-token term, or up to

@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+import reference_expressions as reference
 from supervec.errors import (
     ExprSyntaxError,
     OddDenominator,
     RepeatedOddVariable,
 )
 from supervec.expressions import (
+    _tokenize,
     derivation_text,
-    max_odd_index,
     parse_rational,
     parse_superfunction,
     scalar_text,
@@ -71,10 +73,8 @@ def test_parse_errors_with_positions():
 
 
 def test_odd_dim_inference():
-    assert max_odd_index("z^3*t1*t2") == 2
-    assert max_odd_index("z + 1") == 0
-    sf = parse_superfunction("z^2*t1*t3")
-    assert sf.odd_dim == 3
+    for text in ["z^3*t1*t2", "z + 1", "z^2*t1*t3", "t9", "(t2 + 1)*(t1 - z)", "-1*i*t4/(z + 1)"]:
+        assert parse_superfunction(text).odd_dim == reference.max_odd_index(text)
 
 
 def test_division_binds_one_factor():
@@ -182,3 +182,56 @@ def test_parse_rational_accepts_integers_and_fractions(text):
 def test_parse_rational_rejects_decimals_and_other_forms(text):
     with pytest.raises(ExprSyntaxError):
         parse_rational(text)
+
+
+def _outcome(function, value):
+    """The function's result, or the (type, message, position) of its error."""
+    try:
+        return function(value)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "position", None)
+
+
+ORACLE = settings(max_examples=300, deadline=None)
+
+
+@ORACLE
+@given(st.text(alphabet="0123456789tzi+-*/^(). #", max_size=24))
+def test_tokenizer_matches_reference(text):
+    got = _outcome(_tokenize, text)
+    assert got == _outcome(reference._tokenize, text)
+    event("tokens" if isinstance(got, list) else got[1].split(" (at")[0])
+
+
+RATIONALS = st.one_of(
+    st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=3)
+)
+GAUSSIANS = st.builds(GaussianRational, RATIONALS, RATIONALS)
+POLYS = st.dictionaries(st.integers(0, 3), GAUSSIANS, max_size=3).map(Polynomial)
+DENOMINATORS = st.one_of(
+    st.just(Polynomial.one()),
+    st.integers(1, 3).map(Polynomial.monomial),
+    POLYS.map(lambda p: p + Polynomial.monomial(4)),
+)
+
+
+@st.composite
+def superfunctions(draw):
+    n = draw(st.integers(0, 3))
+    indices = {idx for idx in draw(st.sets(st.integers(0, 7), max_size=4)) if idx < 1 << n}
+    terms = {idx: RationalFunction(draw(POLYS), draw(DENOMINATORS)) for idx in indices}
+    return SuperFunction("chart0", n, terms)
+
+
+@ORACLE
+@given(sf=superfunctions(), c=GAUSSIANS)
+def test_printer_matches_reference(sf, c):
+    assert superfunction_text(sf) == reference.superfunction_text(sf)
+    assert scalar_text(c) == reference.scalar_text(c)
+    for rf in sf.terms.values():
+        coeffs = rf.laurent()
+        shape = "one" if rf.den.degree() == 0 else "z^k" if coeffs is not None else "general"
+        event("denominator %s" % shape)
+        if any(a.re and a.im for a in rf.num.coeffs.values()):
+            event("mixed numerator coefficient")
+    event("scalar %s" % ("mixed" if c.re and c.im else "zero" if not c else "one part"))

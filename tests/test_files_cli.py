@@ -402,6 +402,24 @@ CODED_INPUT_ERRORS = {
         "check", SECTIONS + "w = z$\neta1 = t1\n",
         2, "SyntaxError", "unexpected character '$' (at position 1)",
     ),
+    "flow-nested-parentheses": (
+        "flow", "(" * 250 + "z" + ")" * 250,
+        2, "SyntaxError", "parentheses nested deeper than 100 levels (at position 100)",
+    ),
+    "transition-nested-parentheses": (
+        "check", SECTIONS + "w = %sz^-1%s\neta1 = t1\n" % ("(" * 300, ")" * 300),
+        2, "SyntaxError", "parentheses nested deeper than 100 levels (at position 100)",
+    ),
+    "superscript-exponent": (
+        "flow", "z^\u00b2", 2, "SyntaxError", "unexpected character '\u00b2' (at position 2)"
+    ),
+    "superscript-odd-index": (
+        "flow", "t\u00b2", 2, "SyntaxError", "odd variable needs a digit index (at position 0)"
+    ),
+    "arabic-indic-digit": (
+        "flow", "\u0663*t1*t2",
+        2, "SyntaxError", "unexpected character '\u0663' (at position 0)",
+    ),
     "constant-reduced-map": (
         "decompose", "[pullback]\nz = 1\nt1 = t1\n",
         3, "NotInvertible", "reduced even map has vanishing differential",
@@ -412,11 +430,14 @@ CODED_INPUT_ERRORS = {
 @pytest.mark.parametrize("case", sorted(CODED_INPUT_ERRORS))
 def test_cli_coded_input_errors(tmp_path, case):
     command, text, exit_code, code, message = CODED_INPUT_ERRORS[case]
-    path = tmp_path / "input.txt"
-    path.write_text(text)
-    option = "--manifold" if command == "check" else "--pullback"
+    if command == "flow":
+        argv = [command, "--field=" + text, "--time=1"]
+    else:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        argv = [command, "--manifold" if command == "check" else "--pullback", str(path)]
     diagnostic = "error: %s: %s\n" % (code, message)
-    assert run([command, option, str(path)]) == (exit_code, "", diagnostic)
+    assert run(argv) == (exit_code, "", diagnostic)
 
 
 def test_cli_exponent_with_plus_sign_reads_like_unsigned(tmp_path):

@@ -686,6 +686,28 @@ def test_weights_reject_characteristic_polynomial_without_rational_roots(bracket
         weight_decomposition(one_even_two_odd(brackets), [1])
 
 
+@pytest.mark.parametrize(
+    "brackets, ranks, weights",
+    [
+        ({1: (0, 1, 0), 2: (0, 0, 2)}, 0, [(2, 1), (1, 1)]),  # simple eigenvalues 1, 2
+        ({1: (0, 1, 0), 2: (0, 0, 1)}, 1, [(1, 2)]),  # the identity: 1 twice
+        ({1: (0, 1, 0), 2: (0, 1, 1)}, 1, None),  # a Jordan block: 1 twice, defective
+    ],
+    ids=["simple", "double", "defective"],
+)
+def test_weights_check_defects_of_repeated_eigenvalues_only(monkeypatch, brackets, ranks, weights):
+    calls = []
+    monkeypatch.setattr(liealg, "rank", lambda m: calls.append(m) or linalg.rank(m))
+    structure = one_even_two_odd(brackets)
+    if weights is None:
+        with pytest.raises(NotDiagonalizable, match="^eigenvalue 1 is defective$"):
+            weight_decomposition(structure, [1])
+    else:
+        expected = [(GaussianRational(value), mult) for value, mult in weights]
+        assert weight_decomposition(structure, [1]) == expected
+    assert len(calls) == ranks
+
+
 def test_weights_reject_h_of_wrong_length():
     with pytest.raises(ValueError, match="^expected 1 even coefficients$"):
         weight_decomposition(one_even_two_odd({}), [1, 0])
