@@ -4,7 +4,12 @@ The files under ``tests/golden`` pin ``report`` (human and ``--machine``) and
 ``gr --machine`` on every bundled manifold, ``vec --machine`` on the
 synthetic manifolds of ``test_solver_oracle`` at their default cap and at
 cap + 2, and ``brackets --machine`` on the same synthetic manifolds at their
-default cap.  The pullback commands are pinned on the fixed ``.spb`` texts of
+default cap.  ``weights --machine`` is pinned on every bundled manifold at
+every even index and one past the last (``OddCartan``), and on ``s222`` and
+``s1111`` at the even indices the ``bracket-table`` benchmark uses; each of
+those files concatenates, per index, a ``--cartan I: exit C`` line and that
+run's stdout and stderr, so an index that exits 3 (``NotDiagonalizable``)
+pins its exit code and its one-line error.  The pullback commands are pinned on the fixed ``.spb`` texts of
 ``PULLBACKS`` (n = 1 to 4, including Mobius lifts of ``k2`` and
 ``nonsplit-2-2`` and a dense n = 3 case): ``invert`` and ``decompose``
 (human and ``--machine``) on each, ``compose`` on one pair per odd
@@ -22,8 +27,9 @@ from pathlib import Path
 import pytest
 
 from supervec.cli import main
-from supervec.files import bundled_manifold_names, parse_manifold_text
-from supervec.liealg import default_cap
+from supervec.files import bundled_manifold_names, parse_manifold_text, resolve_manifold
+from supervec.liealg import default_cap, solve_global_fields
+from test_liealg import S1111
 from test_solver_oracle import SYNTHETIC
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,6 +86,34 @@ def test_brackets_on_synthetic_matches_golden(tmp_path, name):
     _, path = write_synthetic(tmp_path, name)
     expected = (GOLDEN / ("brackets-" + name + ".machine.txt")).read_text()
     assert run_cli(["brackets", "--manifold", str(path), "--machine"]) == expected
+
+
+def weights_text(manifold, indices):
+    chunks = []
+    for i in indices:
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["weights", "--manifold", manifold, "--cartan", str(i), "--machine"], out, err)
+        chunks.append("--cartan %d: exit %d\n%s%s" % (i, code, out.getvalue(), err.getvalue()))
+    return "".join(chunks)
+
+
+@pytest.mark.parametrize("name", bundled_manifold_names())
+def test_weights_matches_golden(name):
+    n_even = len(solve_global_fields(resolve_manifold(name)).even_basis)
+    expected = (GOLDEN / ("weights-" + name + ".machine.txt")).read_text()
+    assert weights_text(name, range(n_even + 1)) == expected
+
+
+# the even indices whose adjoint action the bracket-table benchmark decomposes
+CARTANS = {"s1111": (1, 3, 8, 13, 18), "s222": (1, 3, 7, 11)}
+
+
+@pytest.mark.parametrize("name", sorted(CARTANS))
+def test_weights_on_synthetic_matches_golden(tmp_path, name):
+    path = tmp_path / (name + ".smf")
+    path.write_text("[manifold]\nname = %s\n%s" % (name, dict(SYNTHETIC, s1111=S1111)[name]))
+    expected = (GOLDEN / ("weights-" + name + ".machine.txt")).read_text()
+    assert weights_text(str(path), CARTANS[name]) == expected
 
 
 # chart-0 automorphisms with non-monomial denominators; the two Mobius lifts
