@@ -23,6 +23,7 @@ from .errors import BadOddDim, InputError, MathDomainError, OddCartan
 from .expressions import (
     MAX_ODD_DIM,
     derivation_text,
+    parse_integer,
     parse_rational,
     parse_superfunction,
     scalar_text,
@@ -272,10 +273,10 @@ def build_parser():
     def add_manifold_command(name, func, help_text, cartan=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--manifold", required=True, help="manifold file path or bundled name")
-        p.add_argument("--cap", type=int, default=None, help="override the degree cap")
+        p.add_argument("--cap", type=parse_integer, default=None, help="override the degree cap")
         p.add_argument("--machine", action="store_true", help="line-oriented key=value output")
         if cartan:
-            p.add_argument("--cartan", type=int, required=True, help="even basis index")
+            p.add_argument("--cartan", type=parse_integer, required=True, help="even basis index")
         p.set_defaults(func=func)
         return p
 
@@ -303,7 +304,7 @@ def build_parser():
     p.add_argument("--field", required=True, help="coefficient of d/dz (expression)")
     p.add_argument("--time", required=True, help="rational flow time")
     p.add_argument(
-        "--odd-dim", type=int, default=None, dest="odd_dim",
+        "--odd-dim", type=parse_integer, default=None, dest="odd_dim",
         help="odd dimension 1..9; 0 or omitted infers it from --field",
     )
     p.set_defaults(func=cmd_flow)
@@ -317,10 +318,9 @@ def main(argv=None, out=None, err=None):
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = build_parser().parse_args(argv)
+        lines = args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        lines = args.func(args)
     except InputError as exc:
         err.write("error: %s: %s\n" % (exc.code, exc.message))
         return 2

@@ -40,11 +40,22 @@ from .scalars import GaussianRational, RationalFunction
 
 MAX_ODD_DIM = 9  # one digit names an odd variable: t1 .. t9
 MAX_NESTING = 100  # parenthesis levels; each costs the recursive parser four frames
+MAX_DIGITS = 4300  # digits of one integer literal: Python's default int <-> str limit
 
 _Token = namedtuple("_Token", "kind value pos")
 # ASCII digits only: an int with a decimal point to reject, t with its
 # one-digit index, a symbol, or any other non-blank character
 _TOKEN = re.compile(r"([0-9]+)(\.?)|t([0-9]?)|([-+*/^()zi])|(\S)")
+
+
+def _digits(match, group):
+    """The int of a matched run of ASCII digits, at most MAX_DIGITS long."""
+    digits = match.group(group)
+    if len(digits) > MAX_DIGITS:
+        raise ExprSyntaxError(
+            "integer literal longer than %d digits" % MAX_DIGITS, match.start(group)
+        )
+    return int(digits)
 
 
 def _tokenize(text):
@@ -59,7 +70,7 @@ def _tokenize(text):
         if other:
             raise ExprSyntaxError("unexpected character %r" % other, pos)
         if digits:
-            tokens.append(_Token("int", int(digits), pos))
+            tokens.append(_Token("int", _digits(m, 1), pos))
         elif odd:
             tokens.append(_Token("t", int(odd), pos))
         else:
@@ -201,7 +212,7 @@ def parse_superfunction(text, odd_dim=None, chart="chart0"):
     return value
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text):
@@ -210,12 +221,24 @@ def parse_rational(text):
     Only the integer and ``int/int`` forms of the grammar are accepted;
     decimals, exponents and digit separators are rejected.
     """
-    if not _RATIONAL.fullmatch(text):
+    m = _RATIONAL.fullmatch(text)
+    if not m:
         raise ExprSyntaxError("not a rational number: %r" % text, 0)
-    try:
-        return GaussianRational(Fraction(text))
-    except ZeroDivisionError:
+    num = _digits(m, 1)
+    den = _digits(m, 2) if m.group(2) else 1
+    if not den:
         raise ExprSyntaxError("not a rational number: %r" % text, 0)
+    return GaussianRational(Fraction(-num if text[0] == "-" else num, den))
+
+
+def parse_integer(text):
+    """Integer for command-line options and file fields: an optional sign
+    and ASCII digits, nothing else (no blanks, no digit separators)."""
+    m = _RATIONAL.fullmatch(text)
+    if not m or m.group(2) is not None:
+        raise ExprSyntaxError("not an integer: %r" % text, 0)
+    num = _digits(m, 1)
+    return -num if text[0] == "-" else num
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import configparser
 import os
 from importlib import resources
 
-from .errors import FileFormatError, MixedParity
-from .expressions import MAX_ODD_DIM, parse_superfunction, superfunction_text
+from .errors import ExprSyntaxError, FileFormatError, MixedParity
+from .expressions import MAX_ODD_DIM, parse_integer, parse_superfunction, superfunction_text
 from .geometry import CHART0, CHART1, KIND_C01, SuperManifoldData
 from .grassmann import PullbackData
 
@@ -70,8 +70,8 @@ def parse_manifold_text(text, path="<text>"):
     if not name:
         raise FileFormatError("missing manifold name")
     try:
-        odd_dim = int(section.get("odd_dim", ""))
-    except ValueError:
+        odd_dim = parse_integer(section.get("odd_dim", ""))
+    except ExprSyntaxError:
         raise FileFormatError("odd_dim must be an integer")
     if odd_dim < 1:
         raise FileFormatError("odd_dim must be positive")

@@ -562,43 +562,86 @@ def _rational_roots(poly):
     return roots
 
 
+def _strong_components(rows):
+    """Strongly connected components of the graph r -> s for s in ``rows[r]``.
+
+    Tarjan's algorithm (1972), walked with an explicit stack, since d may
+    exceed the recursion limit.  Its rows and columns taken component by
+    component, a matrix with that nonzero pattern is block triangular (Duff &
+    Reid 1978).
+    """
+    index, low = {}, {}
+    stack, components = [], []
+    for root in range(len(rows)):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        walk = [(root, iter(rows[root]))]
+        while walk:
+            v, successors = walk[-1]
+            for w in successors:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    walk.append((w, iter(rows[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                walk.pop()
+                if walk:
+                    u = walk[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    for w in component:
+                        index[w] = len(rows)  # closed: it lowers no link any more
+                    components.append(component)
+    return components
+
+
 def weight_decomposition(structure, h):
     """Exact eigenvalues (with multiplicity) of sum_i h_i ad(b_i) on the odd part.
 
     ``h`` is a coefficient vector over the even basis.  The operator must be
     diagonalizable with rational eigenvalues; otherwise NotDiagonalizable.
+    Its sparse rows split into strongly connected blocks, whose
+    characteristic polynomials multiply to the operator's, so the roots are
+    taken one block at a time.
     """
     basis = structure.basis
     n_even = len(basis.even_basis)
     n_odd = len(basis.odd_basis)
     if len(h) != n_even:
         raise ValueError("expected %d even coefficients" % n_even)
-    matrix = [[GR_ZERO] * n_odd for _ in range(n_odd)]
+    rows = [{} for _ in range(n_odd)]
     for i, hi in enumerate(h):
         hi = hi if isinstance(hi, GaussianRational) else GaussianRational(hi)
         if not hi:
             continue
         ad = adjoint_matrix(structure, i)
-        for r in range(n_odd):
-            for s in range(n_odd):
-                if ad[r][s]:
-                    matrix[r][s] = matrix[r][s] + hi * ad[r][s]
-    if n_odd == 0:
-        return []
-    charpoly = _char_poly(matrix)
-    roots = _rational_roots(charpoly)
-    if roots is None:
-        raise NotDiagonalizable("characteristic polynomial has irrational roots")
+        for r, row in enumerate(rows):
+            for s, c in enumerate(ad[r]):
+                if c:
+                    row[s] = row.get(s, GR_ZERO) + hi * c
     counts = {}
-    for r in roots:
-        counts[r] = counts.get(r, 0) + 1
-    for value, mult in counts.items():
+    for block in _strong_components(rows):
+        matrix = [[rows[r].get(s, GR_ZERO) for s in block] for r in block]
+        roots = _rational_roots(_char_poly(matrix))
+        if roots is None:
+            raise NotDiagonalizable("characteristic polynomial has irrational roots")
+        for r in roots:
+            counts[r] = counts.get(r, 0) + 1
+    # by magnitude, positive first: the order the divisor search meets them in
+    for value in sorted(counts, key=lambda v: (abs(v.re), v.a < 0)):
+        mult = counts[value]
         if mult == 1:
             continue  # a simple eigenvalue always has a one-dimensional eigenspace
-        shifted = [
-            [matrix[r][s] - (value if r == s else GR_ZERO) for s in range(n_odd)]
-            for r in range(n_odd)
-        ]
+        shifted = [[row.get(s, GR_ZERO) for s in range(n_odd)] for row in rows]
+        for r, row in enumerate(shifted):
+            row[r] = row[r] - value
         if rank(shifted) != n_odd - mult:
             raise NotDiagonalizable("eigenvalue %s is defective" % value)
     ordered = sorted(counts.items(), key=lambda kv: kv[0].sort_key(), reverse=True)

@@ -15,13 +15,22 @@ are unique, so the library must return the same tuples, or raise
 that evaluates the Jacobiator on every sorted triple i <= j <= k.  The
 library brackets on slot terms and forms only the nonzero Jacobi products,
 so it must give the same table, the same errors and the same verdict.
+
+``dense_weight_decomposition`` is the weight decomposition that ``liealg``
+used before it split the operator into strongly connected blocks: one dense
+d x d operator, one characteristic polynomial of it by the trace recursion
+(``dense_char_poly``, d ``mat_mul`` calls), its rational roots, and a defect
+check on the dense shifted operator for each repeated eigenvalue.  The
+library must return the same weights, or raise the same error with the same
+message, on every table and ``h``.
 """
 
 from __future__ import annotations
 
 from supervec import liealg
-from supervec.errors import NotClosed, NotInSpan
-from supervec.scalars import GR_ZERO
+from supervec.errors import NotClosed, NotDiagonalizable, NotInSpan
+from supervec.linalg import mat_mul, rank
+from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial
 
 from reference_linalg import solve_columns
 
@@ -123,3 +132,63 @@ def sorted_triple_jacobi_check(structure):
                 if any(total.values()):
                     return False
     return True
+
+
+def dense_char_poly(matrix):
+    """Characteristic polynomial via the trace recursion, monic in the variable."""
+    d = len(matrix)
+    coeffs = {d: GR_ONE}
+    m = [[GR_ONE if i == j else GR_ZERO for j in range(d)] for i in range(d)]
+    c = GR_ONE
+    for k in range(1, d + 1):
+        if k > 1:
+            for i in range(d):
+                m[i][i] = m[i][i] + c
+            m = mat_mul(matrix, m, GR_ZERO)
+        else:
+            m = [row[:] for row in matrix]
+        trace = GR_ZERO
+        for i in range(d):
+            trace = trace + m[i][i]
+        c = -trace / GaussianRational(k)
+        coeffs[d - k] = c
+    return Polynomial(coeffs)
+
+
+def dense_weight_decomposition(structure, h):
+    """Exact eigenvalues (with multiplicity) of sum_i h_i ad(b_i) on the odd part."""
+    basis = structure.basis
+    n_even = len(basis.even_basis)
+    n_odd = len(basis.odd_basis)
+    if len(h) != n_even:
+        raise ValueError("expected %d even coefficients" % n_even)
+    matrix = [[GR_ZERO] * n_odd for _ in range(n_odd)]
+    for i, hi in enumerate(h):
+        hi = hi if isinstance(hi, GaussianRational) else GaussianRational(hi)
+        if not hi:
+            continue
+        ad = liealg.adjoint_matrix(structure, i)
+        for r in range(n_odd):
+            for s in range(n_odd):
+                if ad[r][s]:
+                    matrix[r][s] = matrix[r][s] + hi * ad[r][s]
+    if n_odd == 0:
+        return []
+    charpoly = dense_char_poly(matrix)
+    roots = liealg._rational_roots(charpoly)
+    if roots is None:
+        raise NotDiagonalizable("characteristic polynomial has irrational roots")
+    counts = {}
+    for r in roots:
+        counts[r] = counts.get(r, 0) + 1
+    for value, mult in counts.items():
+        if mult == 1:
+            continue  # a simple eigenvalue always has a one-dimensional eigenspace
+        shifted = [
+            [matrix[r][s] - (value if r == s else GR_ZERO) for s in range(n_odd)]
+            for r in range(n_odd)
+        ]
+        if rank(shifted) != n_odd - mult:
+            raise NotDiagonalizable("eigenvalue %s is defective" % value)
+    ordered = sorted(counts.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
+    return [(value, mult) for value, mult in ordered]

@@ -11,8 +11,10 @@ from supervec.errors import (
     RepeatedOddVariable,
 )
 from supervec.expressions import (
+    MAX_DIGITS,
     _tokenize,
     derivation_text,
+    parse_integer,
     parse_rational,
     parse_superfunction,
     scalar_text,
@@ -182,6 +184,32 @@ def test_parse_rational_accepts_integers_and_fractions(text):
 def test_parse_rational_rejects_decimals_and_other_forms(text):
     with pytest.raises(ExprSyntaxError):
         parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["0", "7", "-12", "+3", "9" * 4300])
+def test_parse_integer_reads_ascii_digits(text):
+    assert parse_integer(text) == int(text)
+
+
+@pytest.mark.parametrize("text", ["\u0661", "1\u0663", "1_0", " 3", "", "+", "--1", "1/2", "0.5"])
+def test_parse_integer_rejects_everything_else(text):
+    with pytest.raises(ExprSyntaxError, match="^not an integer: "):
+        parse_integer(text)
+
+
+@pytest.mark.parametrize(
+    "read, template, position",
+    [(parse_superfunction, "z + %s*t1", 4), (parse_rational, "1/%s", 2), (parse_integer, "-%s", 1)],
+    ids=["expression", "rational", "integer"],
+)
+def test_integer_literals_are_bounded_at_4300_digits(read, template, position):
+    # the bound is a constant, so Python versions without the int <-> str
+    # limit read the same texts
+    assert MAX_DIGITS == 4300
+    read(template % ("7" * MAX_DIGITS))
+    message = "^integer literal longer than 4300 digits \\(at position %d\\)$" % position
+    with pytest.raises(ExprSyntaxError, match=message):
+        read(template % ("7" * (MAX_DIGITS + 1)))
 
 
 def _outcome(function, value):

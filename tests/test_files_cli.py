@@ -424,18 +424,50 @@ CODED_INPUT_ERRORS = {
         "decompose", "[pullback]\nz = 1\nt1 = t1\n",
         3, "NotInvertible", "reduced even map has vanishing differential",
     ),
+    # integers are ASCII digits in files and options alike
+    "arabic-indic-odd-dim": (
+        "check", SECTIONS.replace("= 1", "= \u0661") + "w = z^-1\neta1 = t1\n",
+        2, "BadFile", "odd_dim must be an integer",
+    ),
+    "arabic-indic-cap": (
+        "vec --cap=\u0661", SECTIONS + "w = z^-1\neta1 = t1\n",
+        2, "SyntaxError", "not an integer: '\u0661' (at position 0)",
+    ),
+    "arabic-indic-cartan": (
+        "weights --cartan=\u0661", SECTIONS + "w = z^-1\neta1 = t1\n",
+        2, "SyntaxError", "not an integer: '\u0661' (at position 0)",
+    ),
+    "arabic-indic-odd-dim-option": (
+        "flow --odd-dim=\u0661", "z*t1*t2",
+        2, "SyntaxError", "not an integer: '\u0661' (at position 0)",
+    ),
+    # literals are bounded by MAX_DIGITS = 4300, Python's int <-> str limit
+    "long-literal-field": (
+        "flow", "z + " + "7" * 4301 + "*t1*t2",
+        2, "SyntaxError", "integer literal longer than 4300 digits (at position 4)",
+    ),
+    "long-literal-time": (
+        "flow --time=-1/" + "7" * 4301, "z*t1*t2",
+        2, "SyntaxError", "integer literal longer than 4300 digits (at position 3)",
+    ),
+    "long-literal-transition": (
+        "check", SECTIONS + "w = z^-1\neta1 = %s*t1\n" % ("7" * 5000),
+        2, "SyntaxError", "integer literal longer than 4300 digits (at position 0)",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CODED_INPUT_ERRORS))
 def test_cli_coded_input_errors(tmp_path, case):
     command, text, exit_code, code, message = CODED_INPUT_ERRORS[case]
+    command, *options = command.split()
     if command == "flow":
-        argv = [command, "--field=" + text, "--time=1"]
+        argv = [command, "--field=" + text, "--time=1"]  # a later --time wins
     else:
         path = tmp_path / "input.txt"
         path.write_text(text)
-        argv = [command, "--manifold" if command == "check" else "--pullback", str(path)]
+        argv = [command, "--pullback" if command in ("invert", "decompose") else "--manifold", str(path)]
+    argv += options
     diagnostic = "error: %s: %s\n" % (code, message)
     assert run(argv) == (exit_code, "", diagnostic)
 

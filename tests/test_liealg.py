@@ -2,12 +2,12 @@ import functools
 import math
 import pathlib
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import rand_sl2
 import reference_liealg
@@ -656,13 +656,21 @@ def test_adjoint_matrix_requires_even_index(structure_cache):
 I = GaussianRational(0, 1)
 
 
-def one_even_two_odd(brackets):
-    """A table on one even and two odd fields from its nonzero rows [b_0, b_k]."""
-    basis = SimpleNamespace(even_basis=[None], odd_basis=[None, None])
-    table = {(i, j): (GR_ZERO,) * 3 for i in range(3) for j in range(3)}
+def one_even_two_odd(brackets, n_odd=2):
+    """A table on one even and ``n_odd`` (by default two) odd fields from
+    its nonzero rows [b_0, b_k]; every other entry reads as zero."""
+    basis = SimpleNamespace(even_basis=[None], odd_basis=[None] * n_odd)
+    table = defaultdict(lambda: (GR_ZERO,) * (1 + n_odd))
     for k, vec in brackets.items():
-        table[(0, k)] = tuple(GaussianRational(c) if isinstance(c, int) else c for c in vec)
+        table[(0, k)] = tuple(c if isinstance(c, GaussianRational) else GaussianRational(c) if c
+                              else GR_ZERO for c in vec)
     return StructureConstants(basis, table)
+
+
+def operator_table(matrix):
+    """``one_even_two_odd`` with ad(b_0) = ``matrix`` on the odd part."""
+    d = len(matrix)
+    return one_even_two_odd({1 + s: (0,) + tuple(row[s] for row in matrix) for s in range(d)}, d)
 
 
 def test_adjoint_matrix_rejects_even_component_of_even_odd_bracket():
@@ -711,6 +719,136 @@ def test_weights_check_defects_of_repeated_eigenvalues_only(monkeypatch, bracket
 def test_weights_reject_h_of_wrong_length():
     with pytest.raises(ValueError, match="^expected 1 even coefficients$"):
         weight_decomposition(one_even_two_odd({}), [1, 0])
+
+
+def _conjugate(block, ops):
+    """E block E^-1 for each E = 1 + c e_ij in turn: row i += c row j, then
+    column j -= c column i; an integer block stays integer."""
+    for i, j, c in ops:
+        if i != j:
+            block[i] = [x + c * y for x, y in zip(block[i], block[j])]
+            for row in block:
+                row[j] = row[j] - c * row[i]
+    return block
+
+
+def _block_diagonal(*blocks):
+    d = sum(len(b) for b in blocks)
+    matrix = [[0] * d for _ in range(d)]
+    start = 0
+    for block in blocks:
+        for r, row in enumerate(block):
+            matrix[start + r][start:start + len(row)] = row
+        start += len(block)
+    return matrix
+
+
+def _companion(roots):
+    """Companion matrix of prod (x - r): a sparse cycle, defective at a
+    repeated root."""
+    coeffs = [1]
+    for root in roots:
+        coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    size = len(roots)
+    return [[int(s == r - 1) for s in range(size - 1)] + [-coeffs[r]] for r in range(size)]
+
+
+def _jordan(value, size):
+    return [[value if r == s else int(s == r + 1) for s in range(size)] for r in range(size)]
+
+
+@st.composite
+def block_triangular_operators(draw):
+    """A random operator that some permutation makes block upper triangular.
+
+    Each diagonal block is conjugated by integer elementary matrices from a
+    diagonal one with eigenvalues in -2..2, the companion matrix of a
+    product of linear factors (a sparse cycle), a Jordan block (defective),
+    the companion of x^2 - 2 (irrational), a rotation or i + value
+    (Gaussian, not real), or zero; the entries above the blocks are drawn
+    sparse.
+    """
+    values = st.integers(-2, 2)
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        kinds = ["diagonal"] * 3 + ["companion", "jordan", "x^2-2", "gaussian", "zero"]
+        kind = draw(st.sampled_from(kinds))
+        event("block: " + kind)
+        value = draw(values)
+        if kind == "diagonal":
+            diagonal = draw(st.lists(values, min_size=1, max_size=3))
+            block = _block_diagonal(*([[x]] for x in diagonal))
+        elif kind == "companion":
+            block = _companion(draw(st.lists(values, min_size=2, max_size=3)))
+        elif kind == "jordan":
+            block = _jordan(value, draw(st.integers(2, 3)))
+        elif kind == "x^2-2":
+            block = [[value, 2], [1, value]]
+        elif kind == "gaussian":
+            block = draw(st.sampled_from([[[value + I]], [[value, -1], [1, value]]]))
+        else:
+            block = _block_diagonal(*[[[0]]] * draw(st.integers(1, 3)))
+        size = len(block)
+        ops = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1), values)
+        blocks.append(_conjugate(block, draw(st.lists(ops, max_size=3))))
+    d = sum(len(b) for b in blocks)
+    matrix = [[0] * d for _ in range(d)]
+    start = 0
+    for block in blocks:
+        end = start + len(block)
+        for r, row in enumerate(block):
+            matrix[start + r][start:end] = row
+            for s in range(end, d):
+                matrix[start + r][s] = draw(st.sampled_from([0, 0, 0, 1, -1, 2]))
+        start = end
+    perm = draw(st.permutations(range(d)))
+    permuted = [[None] * d for _ in range(d)]
+    for r in range(d):
+        for s in range(d):
+            permuted[perm[r]][perm[s]] = matrix[r][s]
+    return permuted
+
+
+def _weights_or_message(decompose, matrix):
+    try:
+        return decompose(operator_table(matrix), [1])
+    except NotDiagonalizable as exc:
+        return exc.message
+
+
+@given(block_triangular_operators())
+@example([[0] * 3 for _ in range(3)])  # the zero operator: eigenvalue 0 three times
+@example([[0, 2], [1, 0]])  # x^2 - 2
+@example([[0, -1], [1, 0]])  # x^2 + 1: eigenvalues +-i
+@example([[1 + I]])  # a non-real coefficient
+@example(_companion([1, 2, 3]))  # a 3-cycle
+@example(_block_diagonal(_jordan(-1, 2), _jordan(2, 2), _jordan(1, 2)))  # 1 is reported
+@settings(deadline=None, max_examples=150)
+def test_weights_match_dense_reference(matrix):
+    got = _weights_or_message(weight_decomposition, matrix)
+    expected = _weights_or_message(reference_liealg.dense_weight_decomposition, matrix)
+    assert got == expected
+    if isinstance(expected, str):
+        event("defective" if expected.endswith("defective") else "irrational roots")
+    else:
+        event("weights, %s" % ("all simple" if all(m == 1 for _, m in expected) else "repeated"))
+
+
+def test_weights_walk_a_cyclic_chain_past_the_recursion_limit():
+    # 667 companion blocks of (x - 3j - 1)(x - 3j - 2)(x - 3j - 3), each a
+    # 3-cycle whose root is closed only through a child's lowlink, chained by
+    # one entry from each block to the next: the walk reaches depth d = 2001,
+    # past the recursion limit, and the weights are 1..d, each once
+    d = 2001
+    matrix = [[0] * d for _ in range(d)]
+    for start in range(0, d, 3):
+        block = _companion([start + 1, start + 2, start + 3])
+        for r, row in enumerate(block):
+            matrix[start + r][start:start + 3] = row
+        if start + 3 < d:
+            matrix[start + 2][start + 3] = 1
+    weights = weight_decomposition(operator_table(matrix), [1])
+    assert weights == [(GaussianRational(w), 1) for w in range(d, 0, -1)]
 
 
 # The parent's _rational_roots, kept as the oracle: it tries every divisor of
