@@ -764,15 +764,15 @@ def block_triangular_operators(draw):
     Each diagonal block is conjugated by integer elementary matrices from a
     diagonal one with eigenvalues in -2..2, the companion matrix of a
     product of linear factors (a sparse cycle), a Jordan block (defective),
-    the companion of x^2 - 2 (irrational), a rotation or i + value
+    [[v, 2], [1, v]] (roots v +- sqrt 2, irrational), a rotation or i + v
     (Gaussian, not real), or zero; the entries above the blocks are drawn
     sparse.
     """
     values = st.integers(-2, 2)
+    kinds = st.sampled_from(["diagonal"] * 3 + ["companion", "jordan", "x^2-2", "gaussian", "zero"])
     blocks = []
     for _ in range(draw(st.integers(1, 4))):
-        kinds = ["diagonal"] * 3 + ["companion", "jordan", "x^2-2", "gaussian", "zero"]
-        kind = draw(st.sampled_from(kinds))
+        kind = draw(kinds)
         event("block: " + kind)
         value = draw(values)
         if kind == "diagonal":
@@ -791,16 +791,13 @@ def block_triangular_operators(draw):
         size = len(block)
         ops = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1), values)
         blocks.append(_conjugate(block, draw(st.lists(ops, max_size=3))))
-    d = sum(len(b) for b in blocks)
-    matrix = [[0] * d for _ in range(d)]
-    start = 0
+    matrix = _block_diagonal(*blocks)
+    d = len(matrix)
+    end = 0
     for block in blocks:
-        end = start + len(block)
-        for r, row in enumerate(block):
-            matrix[start + r][start:end] = row
-            for s in range(end, d):
-                matrix[start + r][s] = draw(st.sampled_from([0, 0, 0, 1, -1, 2]))
-        start = end
+        end += len(block)
+        for r in range(end - len(block), end):
+            matrix[r][end:] = [draw(st.sampled_from([0, 0, 0, 1, -1, 2])) for _ in range(end, d)]
     perm = draw(st.permutations(range(d)))
     permuted = [[None] * d for _ in range(d)]
     for r in range(d):
