@@ -103,10 +103,9 @@ def _structure_lines(basis, structure, jacobi, machine):
         lines.append("brackets (nonzero, upper triangle):")
     for i in range(len(labels)):
         for j in range(i, len(labels)):
-            vec = structure.table[(i, j)]
-            if not any(vec):
+            text = _vector_text(structure.table[(i, j)], labels)
+            if text == "0":
                 continue
-            text = _vector_text(vec, labels)
             if machine:
                 lines.append("bracket.%d.%d=%s" % (i, j, text))
             else:

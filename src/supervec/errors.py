@@ -124,6 +124,10 @@ class InexactRootDivision(MathDomainError):
     code = "InexactRootDivision"
 
 
+class NumberTooLong(MathDomainError):
+    code = "NumberTooLong"
+
+
 class BadReducedMap(InputError):
     code = "BadReducedMap"
 

@@ -27,11 +27,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (
-    ExprSyntaxError,
-    OddDenominator,
-    RepeatedOddVariable,
-)
+from .errors import ExprSyntaxError, NumberTooLong, OddDenominator, RepeatedOddVariable
 from .grassmann import SuperFunction, idx_positions, idx_sort_key
 from .scalars import GaussianRational, RationalFunction
 
@@ -41,6 +37,7 @@ from .scalars import GaussianRational, RationalFunction
 MAX_ODD_DIM = 9  # one digit names an odd variable: t1 .. t9
 MAX_NESTING = 100  # parenthesis levels; each costs the recursive parser four frames
 MAX_DIGITS = 4300  # digits of one integer literal: Python's default int <-> str limit
+_TOO_LONG = 10**MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
 
 _Token = namedtuple("_Token", "kind value pos")
 # ASCII digits only: an int with a decimal point to reject, t with its
@@ -246,11 +243,13 @@ def parse_integer(text):
 
 
 def _parts(c):
-    """(sign, body) pieces of a scalar: one, or a real and an imaginary one."""
-    parts = [(1 if c.re >= 0 else -1, str(abs(c.re)))] if c.re or not c.im else []
-    if c.im:
-        parts.append((1 if c.im > 0 else -1, str(abs(c.im)) + "*i"))
-    return parts
+    """(sign, body) pieces of a scalar: one, or a real and an imaginary one,
+    each integer at most MAX_DIGITS long, so that the text parses back."""
+    parts = [(q, unit) for q, unit in ((c.re, ""), (c.im, "*i")) if q] or [(c.re, "")]
+    for q, _ in parts:
+        if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+            raise NumberTooLong("cannot print an integer longer than %d digits" % MAX_DIGITS)
+    return [(1 if q >= 0 else -1, str(abs(q)) + unit) for q, unit in parts]
 
 
 def _join(pieces):

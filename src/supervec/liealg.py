@@ -51,8 +51,7 @@ from .geometry import (
     morphism_check_global,
 )
 from .grassmann import PullbackData, SuperFunction, idx_mul, idx_sort_key, idx_weight
-from .linalg import coordinates, kernel_basis, mat_mul, rank, rref, span_factor
-from .linalg import sparse_kernel_basis
+from .linalg import coordinates, kernel_basis, mat_mul, rref, span_factor, sparse_kernel_basis
 from .scalars import (
     GR_ONE,
     GR_ZERO,
@@ -392,15 +391,15 @@ def structure_constants(basis):
     fields (``_slot_bracket``), with no ``SuperFunction`` in between, and
     read in the slots and the factor of ``basis.span``: a term in a slot no
     basis field uses, or a vector off the span, is a bracket that left the
-    span.
+    span.  Parity additivity is read off the slot keys, z^e theta^nu d_u of
+    parity |nu| + (u > 0): on homogeneous basis fields it is the same check.
     """
-    fields = basis.fields
-    m = len(fields)
     n = basis.manifold.odd_dim
     products = [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
     terms = [_field_terms(t, n) for t in basis._terms]
-    parities = [f.parity for f in fields]
-    table = {}
+    parities = [f.parity for f in basis.fields]
+    m = len(parities)
+    table, violated = {}, False  # a bracket off the span is named before a parity violation
     for i in range(m):
         for j in range(m):
             bracket = _slot_bracket(terms[i], terms[j], parities[i] and parities[j], products)
@@ -410,10 +409,10 @@ def structure_constants(basis):
                     "bracket left the span: derivation does not lie in the span of the basis"
                 )
             table[(i, j)] = tuple(sol)
-    other = [[k for k in range(m) if parities[k] != p] for p in (0, 1)]
-    for (i, j), vec in table.items():
-        if any(vec[k] for k in other[(parities[i] + parities[j]) % 2]):
-            raise NotClosed("bracket violates parity additivity")
+            p = parities[i] + parities[j]
+            violated = violated or any((nu.bit_count() + (u > 0) + p) % 2 for u, nu, _ in bracket)
+    if violated:
+        raise NotClosed("bracket violates parity additivity")
     return StructureConstants(basis, table)
 
 
@@ -466,22 +465,22 @@ def jacobi_check(structure):
     return not any(totals.values())
 
 
+def _odd_columns(structure, i):
+    """Sparse columns {r: c} of [b_i, .] on the odd part, read once from the table."""
+    n_even = len(structure.basis.even_basis)
+    if not 0 <= i < n_even:
+        raise OddCartan("adjoint matrices are taken for even basis elements")
+    columns = [{k - n_even: c for k, c in enumerate(structure.table[(i, s)]) if c}
+               for s in range(n_even, n_even + len(structure.basis.odd_basis))]
+    if any(min(column, default=0) < 0 for column in columns):
+        raise NotClosed("even-odd bracket has even components")
+    return columns
+
+
 def adjoint_matrix(structure, i):
     """Matrix of [b_i, .] on the odd part, in the odd basis; i must be even."""
-    basis = structure.basis
-    n_even = len(basis.even_basis)
-    if i >= n_even:
-        raise OddCartan("adjoint matrices are taken for even basis elements")
-    n_odd = len(basis.odd_basis)
-    mat = [[GR_ZERO] * n_odd for _ in range(n_odd)]
-    for s in range(n_odd):
-        vec = structure.table[(i, n_even + s)]
-        for k, c in enumerate(vec):
-            if c and k < n_even:
-                raise NotClosed("even-odd bracket has even components")
-        for r in range(n_odd):
-            mat[r][s] = vec[n_even + r]
-    return mat
+    columns = _odd_columns(structure, i)
+    return [[column.get(r, GR_ZERO) for column in columns] for r in range(len(columns))]
 
 
 def _char_poly(matrix):
@@ -607,9 +606,10 @@ def weight_decomposition(structure, h):
 
     ``h`` is a coefficient vector over the even basis.  The operator must be
     diagonalizable with rational eigenvalues; otherwise NotDiagonalizable.
-    Its sparse rows split into strongly connected blocks, whose
-    characteristic polynomials multiply to the operator's, so the roots are
-    taken one block at a time.
+    Its sparse rows, summed from the table's sparse odd columns, split into
+    strongly connected blocks, whose characteristic polynomials multiply to
+    the operator's, so the roots are taken one block at a time; a repeated
+    eigenvalue is checked on the kernel of the shifted sparse rows.
     """
     basis = structure.basis
     n_even = len(basis.even_basis)
@@ -621,11 +621,9 @@ def weight_decomposition(structure, h):
         hi = hi if isinstance(hi, GaussianRational) else GaussianRational(hi)
         if not hi:
             continue
-        ad = adjoint_matrix(structure, i)
-        for r, row in enumerate(rows):
-            for s, c in enumerate(ad[r]):
-                if c:
-                    row[s] = row.get(s, GR_ZERO) + hi * c
+        for s, column in enumerate(_odd_columns(structure, i)):
+            for r, c in column.items():
+                rows[r][s] = rows[r].get(s, GR_ZERO) + hi * c
     counts = {}
     for block in _strong_components(rows):
         matrix = [[rows[r].get(s, GR_ZERO) for s in block] for r in block]
@@ -639,13 +637,10 @@ def weight_decomposition(structure, h):
         mult = counts[value]
         if mult == 1:
             continue  # a simple eigenvalue always has a one-dimensional eigenspace
-        shifted = [[row.get(s, GR_ZERO) for s in range(n_odd)] for row in rows]
-        for r, row in enumerate(shifted):
-            row[r] = row[r] - value
-        if rank(shifted) != n_odd - mult:
+        shifted = [{**row, r: row.get(r, GR_ZERO) - value} for r, row in enumerate(rows)]
+        if len(sparse_kernel_basis(shifted, n_odd)) != mult:
             raise NotDiagonalizable("eigenvalue %s is defective" % value)
-    ordered = sorted(counts.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
-    return [(value, mult) for value, mult in ordered]
+    return sorted(counts.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
 
 
 def odd_derived_span(structure):

@@ -20,19 +20,23 @@ so it must give the same table, the same errors and the same verdict.
 used before it split the operator into strongly connected blocks: one dense
 d x d operator, one characteristic polynomial of it by the trace recursion
 (``dense_char_poly``, d ``mat_mul`` calls), its rational roots, and a defect
-check on the dense shifted operator for each repeated eigenvalue.  The
-library must return the same weights, or raise the same error with the same
-message, on every table and ``h``.
+check on the dense shifted operator for each repeated eigenvalue.  It reads
+the table through ``adjoint_matrix``, the dense reader that ``liealg`` used
+before it read the odd columns sparse, kept verbatim, and takes the rank
+with the dense ``rref`` of ``reference_linalg``, so it shares no table
+reader and no elimination with the library.  The library must return the
+same weights, or raise the same error with the same message, on every table
+and ``h``.
 """
 
 from __future__ import annotations
 
 from supervec import liealg
-from supervec.errors import NotClosed, NotDiagonalizable, NotInSpan
-from supervec.linalg import mat_mul, rank
+from supervec.errors import NotClosed, NotDiagonalizable, NotInSpan, OddCartan
+from supervec.linalg import mat_mul
 from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial
 
-from reference_linalg import solve_columns
+from reference_linalg import rank, solve_columns
 
 
 def _derivation_slots(ders):
@@ -155,6 +159,24 @@ def dense_char_poly(matrix):
     return Polynomial(coeffs)
 
 
+def adjoint_matrix(structure, i):
+    """Matrix of [b_i, .] on the odd part, in the odd basis; i must be even."""
+    basis = structure.basis
+    n_even = len(basis.even_basis)
+    if i >= n_even:
+        raise OddCartan("adjoint matrices are taken for even basis elements")
+    n_odd = len(basis.odd_basis)
+    mat = [[GR_ZERO] * n_odd for _ in range(n_odd)]
+    for s in range(n_odd):
+        vec = structure.table[(i, n_even + s)]
+        for k, c in enumerate(vec):
+            if c and k < n_even:
+                raise NotClosed("even-odd bracket has even components")
+        for r in range(n_odd):
+            mat[r][s] = vec[n_even + r]
+    return mat
+
+
 def dense_weight_decomposition(structure, h):
     """Exact eigenvalues (with multiplicity) of sum_i h_i ad(b_i) on the odd part."""
     basis = structure.basis
@@ -167,7 +189,7 @@ def dense_weight_decomposition(structure, h):
         hi = hi if isinstance(hi, GaussianRational) else GaussianRational(hi)
         if not hi:
             continue
-        ad = liealg.adjoint_matrix(structure, i)
+        ad = adjoint_matrix(structure, i)
         for r in range(n_odd):
             for s in range(n_odd):
                 if ad[r][s]:

@@ -7,6 +7,7 @@ from hypothesis import event, given, settings, strategies as st
 import reference_expressions as reference
 from supervec.errors import (
     ExprSyntaxError,
+    NumberTooLong,
     OddDenominator,
     RepeatedOddVariable,
 )
@@ -210,6 +211,21 @@ def test_integer_literals_are_bounded_at_4300_digits(read, template, position):
     message = "^integer literal longer than 4300 digits \\(at position %d\\)$" % position
     with pytest.raises(ExprSyntaxError, match=message):
         read(template % ("7" * (MAX_DIGITS + 1)))
+
+
+@pytest.mark.parametrize("part", ["re", "re-denominator", "im", "im-denominator"])
+def test_printed_integers_are_bounded_at_4300_digits(part):
+    # a product of literals can be longer than any literal: the printer keeps
+    # to the parser's bound, so every text it prints parses back
+    def scalar(n):
+        q = Fraction(1, n) if part.endswith("denominator") else Fraction(n)
+        return GaussianRational(q, 1) if part.startswith("re") else GaussianRational(1, q)
+
+    longest = scalar(10**MAX_DIGITS - 1)
+    text = scalar_text(longest)
+    assert parse_superfunction(text, 0) == SuperFunction.constant("chart0", 0, longest)
+    with pytest.raises(NumberTooLong, match="^cannot print an integer longer than 4300 digits$"):
+        scalar_text(scalar(10**MAX_DIGITS))
 
 
 def _outcome(function, value):

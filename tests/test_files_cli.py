@@ -454,6 +454,11 @@ CODED_INPUT_ERRORS = {
         "check", SECTIONS + "w = z^-1\neta1 = %s*t1\n" % ("7" * 5000),
         2, "SyntaxError", "integer literal longer than 4300 digits (at position 0)",
     ),
+    # and so is every printed integer: the square of a 3000-digit literal is not
+    "long-printed-coefficient": (
+        "flow", "%s*%s*t1*t2" % ("7" * 3000, "7" * 3000),
+        3, "NumberTooLong", "cannot print an integer longer than 4300 digits",
+    ),
 }
 
 

@@ -276,6 +276,29 @@ def test_bracket_leaving_the_span_is_not_closed(basis_cache):
         assert structure_outcome(structure_constants, smaller) == expected
 
 
+@pytest.mark.parametrize("escape", [False, True], ids=["parity", "span-first"])
+def test_parity_is_checked_on_slot_keys_after_the_span(basis_cache, monkeypatch, escape):
+    # the first bracket, [b_0, b_0] of two even fields, is given the slot terms
+    # of the first odd field: it lies in the span, with the wrong parity;
+    # with ``escape`` the last bracket has a term in a slot no field uses
+    basis = basis_cache("k1")
+    m, slot_bracket, calls = len(basis), liealg._slot_bracket, []
+
+    def patched(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            return dict(basis._terms[len(basis.even_basis)])
+        if escape and len(calls) == m * m:
+            return {(0, 0, -1): GR_ONE}
+        return slot_bracket(*args)
+
+    monkeypatch.setattr(liealg, "_slot_bracket", patched)
+    message = "left the span" if escape else "^bracket violates parity additivity$"
+    with pytest.raises(NotClosed, match=message):
+        structure_constants(basis)
+    assert len(calls) == m * m  # the parity verdict waits for every bracket
+
+
 def test_even_self_bracket_vanishes(structure_cache):
     structure = structure_cache("k1")
     n_even = len(structure.basis.even_basis)
@@ -647,10 +670,19 @@ def test_weights_reject_defective_element(structure_cache):
         weight_decomposition(structure, list(vec[:n_even]))
 
 
-def test_adjoint_matrix_requires_even_index(structure_cache):
+@pytest.mark.parametrize("index", ["-1", "n_even"])
+def test_adjoint_matrix_requires_even_index(structure_cache, index):
     structure = structure_cache("k1")
-    with pytest.raises(OddCartan):
-        adjoint_matrix(structure, len(structure.basis.even_basis))
+    i = -1 if index == "-1" else len(structure.basis.even_basis)
+    with pytest.raises(OddCartan, match="^adjoint matrices are taken for even basis elements$"):
+        adjoint_matrix(structure, i)
+
+
+@pytest.mark.parametrize("name", ["k1", "k2", "nonsplit-2-2", "split-3-1"])
+def test_adjoint_matrix_matches_dense_reference(structure_cache, name):
+    structure = structure_cache(name)
+    for i in range(len(structure.basis.even_basis)):
+        assert adjoint_matrix(structure, i) == reference_liealg.adjoint_matrix(structure, i)
 
 
 I = GaussianRational(0, 1)
@@ -695,7 +727,7 @@ def test_weights_reject_characteristic_polynomial_without_rational_roots(bracket
 
 
 @pytest.mark.parametrize(
-    "brackets, ranks, weights",
+    "brackets, kernels, weights",
     [
         ({1: (0, 1, 0), 2: (0, 0, 2)}, 0, [(2, 1), (1, 1)]),  # simple eigenvalues 1, 2
         ({1: (0, 1, 0), 2: (0, 0, 1)}, 1, [(1, 2)]),  # the identity: 1 twice
@@ -703,9 +735,16 @@ def test_weights_reject_characteristic_polynomial_without_rational_roots(bracket
     ],
     ids=["simple", "double", "defective"],
 )
-def test_weights_check_defects_of_repeated_eigenvalues_only(monkeypatch, brackets, ranks, weights):
+def test_weights_check_defects_of_repeated_eigenvalues_only(
+    monkeypatch, brackets, kernels, weights
+):
     calls = []
-    monkeypatch.setattr(liealg, "rank", lambda m: calls.append(m) or linalg.rank(m))
+
+    def counting(rows, ncols):
+        calls.append(rows)
+        return linalg.sparse_kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(liealg, "sparse_kernel_basis", counting)
     structure = one_even_two_odd(brackets)
     if weights is None:
         with pytest.raises(NotDiagonalizable, match="^eigenvalue 1 is defective$"):
@@ -713,7 +752,7 @@ def test_weights_check_defects_of_repeated_eigenvalues_only(monkeypatch, bracket
     else:
         expected = [(GaussianRational(value), mult) for value, mult in weights]
         assert weight_decomposition(structure, [1]) == expected
-    assert len(calls) == ranks
+    assert len(calls) == kernels
 
 
 def test_weights_reject_h_of_wrong_length():
