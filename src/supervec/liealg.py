@@ -391,8 +391,8 @@ def structure_constants(basis):
     fields (``_slot_bracket``), with no ``SuperFunction`` in between, and
     read in the slots and the factor of ``basis.span``: a term in a slot no
     basis field uses, or a vector off the span, is a bracket that left the
-    span.  Parity additivity is read off the slot keys, z^e theta^nu d_u of
-    parity |nu| + (u > 0): on homogeneous basis fields it is the same check.
+    span.  Parity additivity is read off the slot keys (z^e theta^nu d_u has
+    parity |nu| + (u > 0)); on homogeneous fields that is the coordinates' verdict.
     """
     n = basis.manifold.odd_dim
     products = [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
