@@ -27,7 +27,7 @@ from .errors import (
     ResidualNotCleared,
     UnsupportedReducedMap,
 )
-from .grassmann import PullbackData, SuperFunction, compose, idx_weight
+from .grassmann import PullbackData, SuperFunction, compose, idx_weight, weights_parity
 from .linalg import determinant, solve_columns
 from .scalars import (
     Fraction,
@@ -96,25 +96,16 @@ class SuperDerivation:
     def __hash__(self):
         return hash((self.chart, self.odd_dim, self.even_coeff, self.odd_coeffs))
 
+    def _shifts(self):
+        """|nu| - (u > 0) for each term theta^nu d_u: the degree it raises by, and its
+        parity, which is that of |nu| + (u > 0)."""
+        for u, c in enumerate((self.even_coeff,) + self.odd_coeffs):
+            for idx in c.terms:
+                yield idx.bit_count() - (u > 0)
+
     def parity(self):
         """0 (even), 1 (odd), or None for mixed; the zero field counts as even."""
-        seen = set()
-        p = self.even_coeff.parity()
-        if self.even_coeff:
-            if p is None:
-                return None
-            seen.add(p)
-        for c in self.odd_coeffs:
-            if c:
-                p = c.parity()
-                if p is None:
-                    return None
-                seen.add((p + 1) % 2)
-        if not seen:
-            return 0
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        return weights_parity(self._shifts())
 
     def __add__(self, other):
         if not isinstance(other, SuperDerivation):
@@ -189,13 +180,7 @@ class SuperDerivation:
         """
         if self.parity() is None:
             raise MixedParity("filtration level requires parity-homogeneous derivations")
-        top = self.odd_dim + 1
-        level = self.even_coeff.min_weight() if self.even_coeff else top + 1
-        for c in self.odd_coeffs:
-            cur = (c.min_weight() - 1) if c else top + 1
-            if cur < level:
-                level = cur
-        return min(level, top)
+        return min(self._shifts(), default=self.odd_dim + 1)
 
     def exp_pullback(self, scale=1):
         """Pullback of exp(scale * X) for a nilpotent even field X.

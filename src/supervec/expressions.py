@@ -170,7 +170,9 @@ class _Parser:
             )
         if tok.kind == "t":
             index = tok.value
-            if index < 1 or index > self.odd_dim:
+            if index == 0:
+                raise ExprSyntaxError("odd variables start at t1, not t0", tok.pos)
+            if index > self.odd_dim:
                 raise ExprSyntaxError(
                     "odd variable t%d exceeds odd dimension %d" % (index, self.odd_dim),
                     tok.pos,

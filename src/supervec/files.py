@@ -69,6 +69,8 @@ def parse_manifold_text(text, path="<text>"):
     name = section.get("name")
     if not name:
         raise FileFormatError("missing manifold name")
+    if name.splitlines() != [name]:
+        raise FileFormatError("manifold name must be one line")
     try:
         odd_dim = parse_integer(section.get("odd_dim", ""))
     except ExprSyntaxError:

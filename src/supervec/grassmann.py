@@ -35,6 +35,14 @@ def idx_weight(idx):
     return idx.bit_count()
 
 
+def weights_parity(weights):
+    """Parity shared by all the weights: 0 when there are none, None when they differ."""
+    parities = {w & 1 for w in weights}
+    if len(parities) > 1:
+        return None
+    return parities.pop() if parities else 0
+
+
 def idx_parity(idx):
     return idx.bit_count() & 1
 
@@ -152,26 +160,9 @@ class SuperFunction:
     def _select(self, keep):
         return _raw_sf(self.chart, self.odd_dim, {i: c for i, c in self.terms.items() if keep(i)})
 
-    def min_weight(self):
-        """Smallest Grassmann degree present; odd_dim + 1 for the zero function."""
-        if not self.terms:
-            return self.odd_dim + 1
-        return min(idx.bit_count() for idx in self.terms)
-
-    def is_pure_even(self):
-        return all(idx.bit_count() % 2 == 0 for idx in self.terms)
-
-    def is_pure_odd(self):
-        return all(idx.bit_count() % 2 == 1 for idx in self.terms)
-
     def parity(self):
         """0 or 1 for parity-homogeneous values (zero counts as even), None if mixed."""
-        if not self.terms:
-            return 0
-        parities = {idx.bit_count() & 1 for idx in self.terms}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
+        return weights_parity(idx.bit_count() for idx in self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, SuperFunction):
@@ -315,12 +306,12 @@ class PullbackData:
             raise ValueError("expected %d odd coordinate images" % n)
         if even_image.chart != source_chart:
             raise ChartMismatch("even image must live on the source chart")
-        if not even_image.is_pure_even():
+        if even_image.parity() != 0:
             raise MixedParity("even coordinate image must be pure even")
         for img in odd_images:
             if img.chart != source_chart or img.odd_dim != n:
                 raise ChartMismatch("odd image on wrong chart")
-            if not img.is_pure_odd():
+            if img and img.parity() != 1:
                 raise MixedParity("odd coordinate image must be pure odd")
         self.source_chart = source_chart
         self.target_chart = target_chart

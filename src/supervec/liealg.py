@@ -707,17 +707,14 @@ def gr_comparison(manifold, cap=None):
     """Dimensions of the manifold versus its split model, with the inequality check."""
     basis = solve_global_fields(manifold, cap)
     split_model = manifold.gr()
-    if split_model is manifold:
-        gr_basis = basis
-    else:
-        gr_basis = solve_global_fields(split_model, cap)
+    split = split_model is manifold
+    gr_basis = basis if split else solve_global_fields(split_model, cap)
     dims = basis.dims
     gr_dims = gr_basis.dims
     if sum(dims) > sum(gr_dims):
         raise GrInequalityViolated(
             "total dimension %d exceeds the split model's %d" % (sum(dims), sum(gr_dims))
         )
-    split = manifold.is_split and dims == gr_dims
     return GrComparison(split_model, dims, gr_dims, split)
 
 

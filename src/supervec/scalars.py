@@ -144,16 +144,8 @@ class GaussianRational:
 
     def __pow__(self, exponent):
         if exponent < 0:
-            return (GR_ONE / self) ** (-exponent)
-        out = GR_ONE
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            return _power(GR_ONE / self, -exponent, GR_ONE)
+        return _power(self, exponent, GR_ONE)
 
     def sort_key(self):
         """Total order key (lexicographic on components), for determinism only."""
@@ -176,6 +168,18 @@ class GaussianRational:
 
 
 _new = object.__new__
+
+
+def _power(base, k, one):
+    """``base**k`` for ``k >= 0`` by repeated squaring."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
 
 
 def _reduced(a, b, d):
@@ -267,14 +271,7 @@ class Polynomial:
         return _raw_poly(out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            s = out.get(exp, GR_ZERO) - c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return _raw_poly(out)
+        return self + (-other)
 
     def __neg__(self):
         return _raw_poly({e: -c for e, c in self.coeffs.items()})
@@ -311,15 +308,7 @@ class Polynomial:
     def __pow__(self, exponent):
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        out = _POLY_ONE
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, exponent, _POLY_ONE)
 
     def __divmod__(self, other):
         if other.is_zero():

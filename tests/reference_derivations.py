@@ -15,6 +15,12 @@ the degree-preserving part is inverted through its composed odd linear
 matrix and ``invert_matrix``, and exp(-generator) is applied by composing
 with its pullback.  The inverse is unique, so the library must return the
 same pullback, or raise the same coded error, on every input.
+
+``parity`` and ``filtration_level`` are ``SuperDerivation``'s methods from
+before both gradings were read off the terms theta^nu d_u, kept verbatim with
+the two ``SuperFunction`` methods they called: they combine each
+coefficient's parity and least Grassmann degree, flipping the parity and
+lowering the degree by one in the odd directions.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from supervec.derivations import (
     recombine,
 )
 from supervec.errors import (
+    MixedParity,
     NotInvertible,
     RecombinationMismatch,
     ResidualNotCleared,
@@ -152,3 +159,58 @@ def pullback_invert(p):
     if not gen:
         return phi0_inv
     return compose(phi0_inv, (-gen).exp_pullback(1))
+
+
+def _function_parity(f):
+    """0 or 1 for parity-homogeneous values (zero counts as even), None if mixed."""
+    if not f.terms:
+        return 0
+    parities = {idx.bit_count() & 1 for idx in f.terms}
+    if len(parities) == 1:
+        return parities.pop()
+    return None
+
+
+def _min_weight(f):
+    """Smallest Grassmann degree present; odd_dim + 1 for the zero function."""
+    if not f.terms:
+        return f.odd_dim + 1
+    return min(idx.bit_count() for idx in f.terms)
+
+
+def parity(x):
+    """0 (even), 1 (odd), or None for mixed; the zero field counts as even."""
+    seen = set()
+    p = _function_parity(x.even_coeff)
+    if x.even_coeff:
+        if p is None:
+            return None
+        seen.add(p)
+    for c in x.odd_coeffs:
+        if c:
+            p = _function_parity(c)
+            if p is None:
+                return None
+            seen.add((p + 1) % 2)
+    if not seen:
+        return 0
+    if len(seen) == 1:
+        return seen.pop()
+    return None
+
+
+def filtration_level(x):
+    """Largest k such that the field raises Grassmann degree by k.
+
+    The even coefficient must have degree >= k and every odd coefficient
+    degree >= k + 1; the zero derivation sits at the top level n + 1.
+    """
+    if parity(x) is None:
+        raise MixedParity("filtration level requires parity-homogeneous derivations")
+    top = x.odd_dim + 1
+    level = _min_weight(x.even_coeff) if x.even_coeff else top + 1
+    for c in x.odd_coeffs:
+        cur = (_min_weight(c) - 1) if c else top + 1
+        if cur < level:
+            level = cur
+    return min(level, top)

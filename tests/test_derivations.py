@@ -178,6 +178,44 @@ def test_filtration_levels():
     assert SuperDerivation.zero(C, 2).filtration_level() == 3
 
 
+grading_values = st.sampled_from(
+    [RationalFunction.zero(), RationalFunction.one(), zm(-1), zm(2),
+     RationalFunction.constant(GaussianRational(Fraction(-1, 2), 1))]
+)
+
+
+@st.composite
+def graded_derivations(draw):
+    """Fields with n = 0..4 whose coefficients are each zero, homogeneous of the
+    parity a field of a drawn parity needs there, or drawn from any index."""
+    n = draw(st.integers(0, 4))
+    parity = draw(st.integers(0, 1))
+    coeffs = []
+    for u in range(n + 1):
+        kind = draw(st.sampled_from(["zero", "homogeneous", "homogeneous", "any"]))
+        pool = [i for i in range(1 << n)
+                if kind == "any" or idx_parity(i) == (parity + (u > 0)) & 1]
+        picked = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)) if pool else []
+        coeffs.append(sf(n, {i: draw(grading_values) for i in picked} if kind != "zero" else {}))
+    return SuperDerivation(C, n, coeffs[0], coeffs[1:])
+
+
+@given(graded_derivations())
+@example(SuperDerivation.zero(C, 0))
+@example(SuperDerivation.d_odd(C, 3, 2))
+@example(SuperDerivation(C, 1, sf(1, {0: zm(1)}), [sf(1, {0: zm(2)})]))
+def test_gradings_match_parent_oracles(x):
+    assert x.parity() == reference.parity(x)
+    try:
+        expected = reference.filtration_level(x)
+    except MixedParity as exc:
+        with pytest.raises(MixedParity) as info:
+            x.filtration_level()
+        assert info.value.message == exc.message
+    else:
+        assert x.filtration_level() == expected
+
+
 def test_filtration_is_a_lie_filtration():
     rng = random.Random(16)
     for _ in range(30):

@@ -383,6 +383,19 @@ CODED_INPUT_ERRORS = {
         "check", "[transition]\nw = z^-1\n", 2, "BadFile", "missing [manifold] section"
     ),
     "no-name": ("check", "[manifold]\nodd_dim = 1\n", 2, "BadFile", "missing manifold name"),
+    # a name is one line, so it cannot forge the --machine lines that follow it
+    "name-continuation-line": (
+        "vec --machine", "[manifold]\nname = a\n  dim_even=99\nodd_dim = 1\n\n[transition]\n"
+        "w = z^-1\neta1 = t1\n", 2, "BadFile", "manifold name must be one line",
+    ),
+    "name-line-separator": (
+        "vec --machine", SECTIONS.replace("= x", "= a\u2028dim_even=99") + "w = z^-1\neta1 = t1\n",
+        2, "BadFile", "manifold name must be one line",
+    ),
+    "name-next-line": (
+        "vec --machine", SECTIONS.replace("= x", "= a\u0085dim_even=99") + "w = z^-1\neta1 = t1\n",
+        2, "BadFile", "manifold name must be one line",
+    ),
     "point-with-transition": (
         "check", "[manifold]\nname = x\nodd_dim = 1\nkind = c01\n\n[transition]\nw = z\n",
         2, "BadFile", "the single-chart point takes no transition",
@@ -397,6 +410,13 @@ CODED_INPUT_ERRORS = {
     "t-without-digit": (
         "check", SECTIONS + "w = z^-1\neta1 = t\n",
         2, "SyntaxError", "odd variable needs a digit index (at position 0)",
+    ),
+    "t0-field": (
+        "flow", "t0*t1", 2, "SyntaxError", "odd variables start at t1, not t0 (at position 0)"
+    ),
+    "t0-transition": (
+        "check", SECTIONS + "w = z^-1\neta1 = z*t0\n",
+        2, "SyntaxError", "odd variables start at t1, not t0 (at position 2)",
     ),
     "unexpected-character": (
         "check", SECTIONS + "w = z$\neta1 = t1\n",

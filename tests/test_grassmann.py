@@ -172,6 +172,24 @@ def test_pullback_parity_validation():
         PullbackData(C, C, SuperFunction.coordinate(C, 1), [SuperFunction.one(C, 1)])
 
 
+def test_pullback_parity_messages_and_zero_odd_image():
+    one, z = RationalFunction.one(), RationalFunction.z()
+    t1, t2 = SuperFunction.odd_var(C, 2, 0), SuperFunction.odd_var(C, 2, 1)
+    mixed_even = SuperFunction(C, 2, {0: z, 1: one})
+    with pytest.raises(MixedParity) as info:
+        PullbackData(C, C, mixed_even, [t1, t2])
+    assert info.value.message == "even coordinate image must be pure even"
+    mixed_odd = SuperFunction(C, 2, {1: one, 3: z})
+    for odds in ([mixed_odd, t2], [t1, mixed_odd]):
+        with pytest.raises(MixedParity) as info:
+            PullbackData(C, C, SuperFunction.coordinate(C, 2), odds)
+        assert info.value.message == "odd coordinate image must be pure odd"
+    zero = SuperFunction.zero(C, 2)
+    p = PullbackData(C, C, SuperFunction.coordinate(C, 2), [zero, t2])
+    assert p.odd_images == (zero, t2)
+    assert PullbackData(C, C, zero, [t1, t2]).even_image == zero
+
+
 def test_compose_unit_and_associativity():
     rng = random.Random(12)
     for _ in range(15):

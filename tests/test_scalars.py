@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from supervec import scalars
 from supervec.errors import DivisionByZero, UndefinedComposition
@@ -775,3 +775,45 @@ def test_product_reduces_each_output_coefficient_once(monkeypatch):
 def test_gaussian_rejects_floats_and_strings(parts):
     with pytest.raises(TypeError):
         GaussianRational(*parts)
+
+
+# one repeated-squaring loop serves both powers: each must equal the product
+# of |k| factors, the reciprocal's for a negative Gaussian exponent
+@given(gaussians, st.integers(-6, 6))
+@example(GaussianRational(0), -2)
+@example(GaussianRational(0), 0)
+def test_gaussian_power_is_repeated_product(x, k):
+    if k < 0 and not x:
+        with pytest.raises(DivisionByZero):
+            x**k
+        return
+    factor = x if k >= 0 else GaussianRational(1) / x
+    expected = GaussianRational(1)
+    for _ in range(abs(k)):
+        expected = expected * factor
+    got = x**k
+    assert got == expected
+    assert_matches_reference(got, ReferenceGaussian(expected.re, expected.im))
+
+
+@given(mixed_polys, st.integers(0, 5))
+def test_polynomial_power_is_repeated_product(p, k):
+    expected = Polynomial.one()
+    for _ in range(k):
+        expected = expected * p
+    got = p**k
+    assert got == expected
+    assert_canonical(got)
+    assert p**0 == Polynomial.one()
+    with pytest.raises(ValueError):
+        p ** (-1 - k)
+
+
+@given(mixed_polys, mixed_polys)
+def test_polynomial_difference_is_sum_with_negation(p, q):
+    diff = p - q
+    assert_canonical(diff)
+    assert diff + q == p
+    assert diff == -(q - p)
+    zero = p - p
+    assert zero == Polynomial.zero() and zero.coeffs == {} and not zero
