@@ -11,7 +11,9 @@ those files concatenates, per index, a ``--cartan I: exit C`` line and that
 run's stdout and stderr, so an index that exits 3 (``NotDiagonalizable``)
 pins its exit code and its one-line error.  The pullback commands are pinned on the fixed ``.spb`` texts of
 ``PULLBACKS`` (n = 1 to 4, including Mobius lifts of ``k2`` and
-``nonsplit-2-2`` and a dense n = 3 case): ``invert`` and ``decompose``
+``nonsplit-2-2``, a dense n = 3 case, a dense n = 4 case with cubic
+coefficients and an n = 1 case with a coefficient over 998244353):
+``invert`` and ``decompose``
 (human and ``--machine``) on each, ``compose`` on one pair per odd
 dimension, and ``flow`` on two nilpotent fields with non-monomial
 denominators.  Regenerate one only for an intended
@@ -159,6 +161,19 @@ PULLBACKS = {
         "t3 = t3 - t4\n"
         "t4 = z*t4 + t1*t2*t4\n"
     ),
+    # workloads.random_automorphism(random.Random(5), 4, 3) of perfbench:
+    # every coefficient a dense cubic, so the gcds have degree > 3 operands
+    "n4-dense": (
+        "[pullback]\n"
+        "z = (1/2*z - 3/2)/(z - 1) + (2*z^3 + 3*z^2 + 3/2*z + 3/2)*t1*t2 + (3*z^3 - z^2 + 1/2*z - 3)*t1*t3 - (1/2*z^3 + 3/2*z^2 + 2*z + 3)*t2*t3 + (2*z^3 + z^2 - z + 1/2)*t1*t4 - (3*z^3 + z^2 - z + 3/2)*t2*t4 - (z^3 - z^2 + z - 3/2)*t3*t4 - (3/2*z^3 + 2*z^2 - z + 2)*t1*t2*t3*t4\n"
+        "t1 = (1/2*z^3 + z^2 + z - 2)*t1 - (3*z^3 + 3*z^2 + 2*z + 2)*t2 - (2*z^3 + 2*z^2 + z + 1)*t3 + (2*z^3 - z^2 - 1/2*z - 1)*t4 + (3/2*z^3 - 3*z^2 + 1/2*z - 3)*t1*t2*t3 - (3/2*z^3 + z^2 - z + 2)*t1*t2*t4 + (2*z^3 - 1/2*z^2 + 1/2*z - 1)*t1*t3*t4 + (1/2*z^3 - z^2 + 2*z - 1/2)*t2*t3*t4\n"
+        "t2 = -1*(2*z^3 + z^2 - 3*z - 3)*t1 - (z^3 - z^2 + z - 3/2)*t2 - (2*z^3 - z^2 + 1/2*z + 3)*t3 - (1/2*z^3 + 3/2*z^2 + z + 2)*t4 - (1/2*z^3 - 3/2*z^2 - z + 3/2)*t1*t2*t3 - (3/2*z^3 - z^2 + 3*z + 1)*t1*t2*t4 + (z^3 + 2*z^2 - 1/2*z - 1)*t1*t3*t4 - (z^3 + 1/2*z^2 + 2*z + 1/2)*t2*t3*t4\n"
+        "t3 = -1*(3*z^3 - z^2 - z + 1)*t1 - (1/2*z^3 - 3/2*z^2 - 3*z - 1)*t2 - (z^3 + 1/2*z^2 + z + 3/2)*t3 - (2*z^3 + 1/2*z^2 - 3/2*z - 1/2)*t4 - (z^3 + 3/2*z^2 - 2*z - 3/2)*t1*t2*t3 - (2*z^3 + z^2 + 1/2*z - 3)*t1*t2*t4 + (3/2*z^3 - 2*z^2 + 3*z - 3/2)*t1*t3*t4 - (2*z^3 - 1/2*z^2 + z - 3/2)*t2*t3*t4\n"
+        "t4 = -1*(2*z^3 - 3/2*z^2 - 1/2*z - 1/2)*t1 + (3/2*z^3 - 3*z^2 - z - 3)*t2 + (2*z^3 - 3*z^2 + z - 1/2)*t3 + (z^3 + z^2 - 1/2*z + 1)*t4 + (z^3 - 3/2*z^2 - 3*z + 3/2)*t1*t2*t3 - (z^3 + 3*z^2 - z - 2)*t1*t2*t4 - (z^3 + 1/2*z^2 - z - 3/2)*t1*t3*t4 - (2*z^3 - z^2 - 3*z - 1/2)*t2*t3*t4\n"
+    ),
+    # a coefficient with denominator 998244353, the prime of Polynomial.gcd's
+    # coprimality certificate, which it must decline
+    "n1-mod-p": "[pullback]\nz = (2*z - 1)/(z + 3)\nt1 = (z^2 + 1/998244353)/(z + 3)*t1\n",
 }
 
 COMPOSE_PAIRS = [("mobius-k2", "n1"), ("mobius-nonsplit-2-2", "n2"), ("n3", "n3")]
