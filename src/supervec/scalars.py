@@ -8,13 +8,22 @@ equality:
   ``d > 0`` and ``gcd(a, b, d) = 1``: each result divides out one
   ``math.gcd``.  ``re`` and ``im`` read the parts as ``Fraction``.
 * ``Polynomial`` is a sparse exponent -> coefficient map with no stored
-  zeros; the zero polynomial has degree ``-inf``.
+  zeros; the zero polynomial has degree ``-inf``.  Products and division sum
+  each coefficient as the integers ``(a, b, d)`` and reduce it once.  The gcd
+  of two operands of degree > 0 takes one of three exact paths.  Against a
+  single term ``c*z^k`` it is ``z^min(k, j)``, ``j`` the other's lowest
+  exponent, since z is prime.  Else, when ``p = 998244353`` divides no
+  denominator and ``i -> s`` (``s*s = -1 mod p``) keeps both leading
+  coefficients nonzero, a constant gcd of the images over F_p proves it is 1:
+  the true gcd divides both images and keeps its degree (Gauss's lemma over
+  Z[i] localised at ``(p, i - s)``; Brown 1971).  Else, and for a zero or
+  constant operand, the monic remainder sequence runs and stops at a unit.
 * ``RationalFunction`` keeps ``gcd(num, den) = 1`` with a monic denominator.
   Arithmetic builds each result canonical from its reduced operands by
   Henrici's method (Knuth, TAOCP vol. 2, 4.5.1), from gcds of the factors
   only, and ``constant`` builds ``c/1`` canonical as it stands;
   ``__init__`` normalises what is built from raw polynomials (parsing,
-  ``compose``), and ``Polynomial.gcd`` stops at a unit.
+  ``compose``).
 
 Laurent behaviour (powers of ``1/z``) is obtained by living inside
 ``RationalFunction`` with a monomial denominator; ``laurent`` is the one
@@ -314,24 +323,34 @@ class Polynomial:
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         q = {}
-        r = dict(self.coeffs)
+        r = {e: (c.a, c.b, c.d) for e, c in self.coeffs.items()}
         dlead = other.degree()
-        dcoef = other.coeffs[dlead]
-        monic = dcoef == 1
+        inv = GR_ONE / other.coeffs[dlead]
+        ia, ib, id_ = inv.a, inv.b, inv.d
+        # remainder coefficients stay integer triples, each reduced once: when
+        # it leads, or at the end; each step adds factor * (a lower term, negated)
+        rest = [(oe - dlead, -c.a, -c.b, c.d) for oe, c in other.coeffs.items() if oe < dlead]
         while r:
             e = max(r)
             if e < dlead:
                 break
-            factor = r[e] if monic else r[e] / dcoef
-            q[e - dlead] = factor
-            for oe, oc in other.coeffs.items():
-                te = e - dlead + oe
-                s = r.get(te, GR_ZERO) - factor * oc
-                if s:
-                    r[te] = s
-                else:
-                    r.pop(te, None)
-        return _raw_poly(q), _raw_poly(r)
+            a, b, d = r.pop(e)
+            factor = q[e - dlead] = _reduced(a * ia - b * ib, a * ib + b * ia, d * id_)
+            fa, fb, fd = factor.a, factor.b, factor.d
+            for shift, oa, ob, od in rest:
+                te = e + shift
+                a, b, d = fa * oa - fb * ob, fa * ob + fb * oa, fd * od
+                s = r.get(te)
+                if s is not None:
+                    sa, sb, sd = s
+                    if sd == d:
+                        a, b = sa + a, sb + b
+                    else:
+                        a, b, d = sa * d + a * sd, sb * d + b * sd, sd * d
+                r[te] = a, b, d
+                if not (a or b):
+                    del r[te]
+        return _raw_poly(q), _raw_poly({e: _reduced(*t) for e, t in r.items()})
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -347,6 +366,13 @@ class Polynomial:
 
     def gcd(self, other):
         a, b = self, other
+        if a.degree() > 0 and b.degree() > 0:
+            if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+                # c*z^k against g: z^min(k, lowest exponent of g)
+                k = min(min(a.coeffs), min(b.coeffs))
+                return _raw_poly({k: GR_ONE}) if k else _POLY_ONE
+            if _coprime_mod_p(a, b):
+                return _POLY_ONE
         while b.degree() > 0:
             a, b = b, (a % b).monic()
         # a nonzero constant remainder is a unit: the gcd is 1
@@ -383,6 +409,36 @@ class Polynomial:
         for e in sorted(self.coeffs, reverse=True):
             parts.append("%r*x^%d" % (self.coeffs[e], e))
         return "Polynomial(%s)" % " + ".join(parts)
+
+
+# p = 1 (mod 4) and s*s = -1 (mod p), 3 being a primitive root mod p
+_P = 998244353
+_S = pow(3, (_P - 1) // 4, _P)
+
+
+def _coprime_mod_p(f, g):
+    """True when ``(a + b*i)/d -> (a + b*s)/d mod p`` certifies ``gcd(f, g) = 1``
+    for ``f`` and ``g`` of degree > 0; False when it declines or cannot."""
+    images = []
+    for poly in (f, g):
+        u = [0] * (max(poly.coeffs) + 1)
+        for e, c in poly.coeffs.items():
+            if not c.d % _P:
+                return False
+            u[e] = (c.a + c.b * _S) * pow(c.d, -1, _P) % _P
+        if not u[-1]:
+            return False
+        images.append(u)
+    u, v = images
+    while len(v) > 1:
+        inv, n = pow(v[-1], -1, _P), len(v) - 1
+        for k in range(len(u) - 1 - n, -1, -1):
+            c = u.pop() * inv % _P
+            u[k:] = [(x - c * y) % _P for x, y in zip(u[k:], v)]
+        while u and not u[-1]:
+            u.pop()
+        u, v = v, u
+    return bool(v)
 
 
 def _raw_poly(coeffs):

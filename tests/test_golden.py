@@ -162,14 +162,29 @@ PULLBACKS = {
         "t4 = z*t4 + t1*t2*t4\n"
     ),
     # workloads.random_automorphism(random.Random(5), 4, 3) of perfbench:
-    # every coefficient a dense cubic, so the gcds have degree > 3 operands
+    # every coefficient a dense cubic, so the gcds meet operands of degree up to 9
     "n4-dense": (
         "[pullback]\n"
-        "z = (1/2*z - 3/2)/(z - 1) + (2*z^3 + 3*z^2 + 3/2*z + 3/2)*t1*t2 + (3*z^3 - z^2 + 1/2*z - 3)*t1*t3 - (1/2*z^3 + 3/2*z^2 + 2*z + 3)*t2*t3 + (2*z^3 + z^2 - z + 1/2)*t1*t4 - (3*z^3 + z^2 - z + 3/2)*t2*t4 - (z^3 - z^2 + z - 3/2)*t3*t4 - (3/2*z^3 + 2*z^2 - z + 2)*t1*t2*t3*t4\n"
-        "t1 = (1/2*z^3 + z^2 + z - 2)*t1 - (3*z^3 + 3*z^2 + 2*z + 2)*t2 - (2*z^3 + 2*z^2 + z + 1)*t3 + (2*z^3 - z^2 - 1/2*z - 1)*t4 + (3/2*z^3 - 3*z^2 + 1/2*z - 3)*t1*t2*t3 - (3/2*z^3 + z^2 - z + 2)*t1*t2*t4 + (2*z^3 - 1/2*z^2 + 1/2*z - 1)*t1*t3*t4 + (1/2*z^3 - z^2 + 2*z - 1/2)*t2*t3*t4\n"
-        "t2 = -1*(2*z^3 + z^2 - 3*z - 3)*t1 - (z^3 - z^2 + z - 3/2)*t2 - (2*z^3 - z^2 + 1/2*z + 3)*t3 - (1/2*z^3 + 3/2*z^2 + z + 2)*t4 - (1/2*z^3 - 3/2*z^2 - z + 3/2)*t1*t2*t3 - (3/2*z^3 - z^2 + 3*z + 1)*t1*t2*t4 + (z^3 + 2*z^2 - 1/2*z - 1)*t1*t3*t4 - (z^3 + 1/2*z^2 + 2*z + 1/2)*t2*t3*t4\n"
-        "t3 = -1*(3*z^3 - z^2 - z + 1)*t1 - (1/2*z^3 - 3/2*z^2 - 3*z - 1)*t2 - (z^3 + 1/2*z^2 + z + 3/2)*t3 - (2*z^3 + 1/2*z^2 - 3/2*z - 1/2)*t4 - (z^3 + 3/2*z^2 - 2*z - 3/2)*t1*t2*t3 - (2*z^3 + z^2 + 1/2*z - 3)*t1*t2*t4 + (3/2*z^3 - 2*z^2 + 3*z - 3/2)*t1*t3*t4 - (2*z^3 - 1/2*z^2 + z - 3/2)*t2*t3*t4\n"
-        "t4 = -1*(2*z^3 - 3/2*z^2 - 1/2*z - 1/2)*t1 + (3/2*z^3 - 3*z^2 - z - 3)*t2 + (2*z^3 - 3*z^2 + z - 1/2)*t3 + (z^3 + z^2 - 1/2*z + 1)*t4 + (z^3 - 3/2*z^2 - 3*z + 3/2)*t1*t2*t3 - (z^3 + 3*z^2 - z - 2)*t1*t2*t4 - (z^3 + 1/2*z^2 - z - 3/2)*t1*t3*t4 - (2*z^3 - z^2 - 3*z - 1/2)*t2*t3*t4\n"
+        "z = (1/2*z - 3/2)/(z - 1) + (2*z^3 + 3*z^2 + 3/2*z + 3/2)*t1*t2"
+        " + (3*z^3 - z^2 + 1/2*z - 3)*t1*t3 - (1/2*z^3 + 3/2*z^2 + 2*z + 3)*t2*t3"
+        " + (2*z^3 + z^2 - z + 1/2)*t1*t4 - (3*z^3 + z^2 - z + 3/2)*t2*t4"
+        " - (z^3 - z^2 + z - 3/2)*t3*t4 - (3/2*z^3 + 2*z^2 - z + 2)*t1*t2*t3*t4\n"
+        "t1 = (1/2*z^3 + z^2 + z - 2)*t1 - (3*z^3 + 3*z^2 + 2*z + 2)*t2"
+        " - (2*z^3 + 2*z^2 + z + 1)*t3 + (2*z^3 - z^2 - 1/2*z - 1)*t4"
+        " + (3/2*z^3 - 3*z^2 + 1/2*z - 3)*t1*t2*t3 - (3/2*z^3 + z^2 - z + 2)*t1*t2*t4"
+        " + (2*z^3 - 1/2*z^2 + 1/2*z - 1)*t1*t3*t4 + (1/2*z^3 - z^2 + 2*z - 1/2)*t2*t3*t4\n"
+        "t2 = -1*(2*z^3 + z^2 - 3*z - 3)*t1 - (z^3 - z^2 + z - 3/2)*t2"
+        " - (2*z^3 - z^2 + 1/2*z + 3)*t3 - (1/2*z^3 + 3/2*z^2 + z + 2)*t4"
+        " - (1/2*z^3 - 3/2*z^2 - z + 3/2)*t1*t2*t3 - (3/2*z^3 - z^2 + 3*z + 1)*t1*t2*t4"
+        " + (z^3 + 2*z^2 - 1/2*z - 1)*t1*t3*t4 - (z^3 + 1/2*z^2 + 2*z + 1/2)*t2*t3*t4\n"
+        "t3 = -1*(3*z^3 - z^2 - z + 1)*t1 - (1/2*z^3 - 3/2*z^2 - 3*z - 1)*t2"
+        " - (z^3 + 1/2*z^2 + z + 3/2)*t3 - (2*z^3 + 1/2*z^2 - 3/2*z - 1/2)*t4"
+        " - (z^3 + 3/2*z^2 - 2*z - 3/2)*t1*t2*t3 - (2*z^3 + z^2 + 1/2*z - 3)*t1*t2*t4"
+        " + (3/2*z^3 - 2*z^2 + 3*z - 3/2)*t1*t3*t4 - (2*z^3 - 1/2*z^2 + z - 3/2)*t2*t3*t4\n"
+        "t4 = -1*(2*z^3 - 3/2*z^2 - 1/2*z - 1/2)*t1 + (3/2*z^3 - 3*z^2 - z - 3)*t2"
+        " + (2*z^3 - 3*z^2 + z - 1/2)*t3 + (z^3 + z^2 - 1/2*z + 1)*t4"
+        " + (z^3 - 3/2*z^2 - 3*z + 3/2)*t1*t2*t3 - (z^3 + 3*z^2 - z - 2)*t1*t2*t4"
+        " - (z^3 + 1/2*z^2 - z - 3/2)*t1*t3*t4 - (2*z^3 - z^2 - 3*z - 1/2)*t2*t3*t4\n"
     ),
     # a coefficient with denominator 998244353, the prime of Polynomial.gcd's
     # coprimality certificate, which it must decline

@@ -8,9 +8,11 @@ from hypothesis import event, example, given, settings, strategies as st
 from supervec import scalars
 from supervec.errors import DivisionByZero, UndefinedComposition
 from supervec.scalars import (
+    GR_ZERO,
     GaussianRational,
     Polynomial,
     RationalFunction,
+    _raw_poly,
     mobius_coefficients,
     mobius_inverse,
 )
@@ -191,12 +193,38 @@ def test_mobius_helpers():
     assert mobius_coefficients(z * z) is None
 
 
-# The parent's Polynomial.gcd and RationalFunction.compose, kept as oracles:
-# Euclid runs down to a zero remainder, and compose reduces at every Horner
-# step and once more for num / den.
+# The parent's Polynomial.__divmod__, verbatim: each step subtracts reduced
+# GaussianRational products from reduced remainder coefficients.
+def reference_divmod(self, other):
+    if other.is_zero():
+        raise DivisionByZero("polynomial division by zero")
+    q = {}
+    r = dict(self.coeffs)
+    dlead = other.degree()
+    dcoef = other.coeffs[dlead]
+    monic = dcoef == 1
+    while r:
+        e = max(r)
+        if e < dlead:
+            break
+        factor = r[e] if monic else r[e] / dcoef
+        q[e - dlead] = factor
+        for oe, oc in other.coeffs.items():
+            te = e - dlead + oe
+            s = r.get(te, GR_ZERO) - factor * oc
+            if s:
+                r[te] = s
+            else:
+                r.pop(te, None)
+    return _raw_poly(q), _raw_poly(r)
+
+
+# The older Polynomial.gcd and RationalFunction.compose, kept as oracles:
+# Euclid runs down to a zero remainder of the reference division, and compose
+# reduces at every Horner step and once more for num / den.
 def reference_gcd(a, b):
     while not b.is_zero():
-        r = a % b
+        r = reference_divmod(a, b)[1]
         a, b = b, r.monic()
     return a.monic()
 
@@ -302,9 +330,51 @@ def test_constant_is_built_canonical(c):
         assert value is RationalFunction.zero()
 
 
+P, S = scalars._P, scalars._S
+I = GaussianRational(0, 1)
+
+def test_certificate_prime_has_a_square_root_of_minus_one():
+    assert P % 4 == 1 and S * S % P == P - 1
+
+
+def gcd_branch(a, b, expected):
+    """The path ``Polynomial.gcd`` takes for ``a`` and ``b``."""
+    if not (a and b):
+        return "zero operand"
+    if a.degree() == 0 or b.degree() == 0:
+        return "constant operand"
+    sides = (len(a.coeffs) == 1) + (len(b.coeffs) == 1)
+    if sides:
+        return "monomial operand on %s" % ("both sides" if sides == 2 else "one side")
+    if any(c.d % P == 0 for c in (*a.coeffs.values(), *b.coeffs.values())):
+        return "declined: p divides a denominator"
+    if any((p.leading_coeff().a + p.leading_coeff().b * S) % P == 0 for p in (a, b)):
+        return "declined: a leading coefficient maps to 0"
+    if scalars._coprime_mod_p(a, b):
+        return "certified coprime"
+    return "unlucky prime" if expected.degree() == 0 else "remainder sequence, gcd > 1"
+
+
+@settings(max_examples=300)
 @given(st.one_of(polys, any_denominator), any_denominator)
+@example(Polynomial({3: 2}), Polynomial({1: 1, 2: 1}))
+@example(Polynomial({3: 2}), Polynomial({2: I}))
+@example(Polynomial({1: 1}), Polynomial({1: 1, 0: -P}))
+@example(Polynomial({1: 1, 0: 1}), Polynomial({1: 1, 0: 2}))
+@example(Polynomial({1: 1, 0: Fraction(1, P)}), Polynomial({1: 1, 0: 2}))
+# h = (p - s + i) z + 1 maps to the constant 1: the images of h (z + 1) and
+# h (z + 2) are coprime, the polynomials are not
+@example(Polynomial({1: GaussianRational(P - S, 1), 0: 1}) * Polynomial({1: 1, 0: 1}),
+         Polynomial({1: GaussianRational(P - S, 1), 0: 1}) * Polynomial({1: 1, 0: 2}))
+@example(Polynomial({1: 1, 0: 1}), Polynomial({1: 1, 0: 1 - P}))
+@example(Polynomial({2: 1, 0: -1}), Polynomial({2: 3, 1: 3}))
+@example(Polynomial.zero(), Polynomial({1: 1, 0: 1}))
+@example(Polynomial.zero(), Polynomial.zero())
+@example(Polynomial.constant(3), Polynomial({1: 1, 0: 1}))
 def test_gcd_matches_reference(a, b):
-    assert a.gcd(b) == reference_gcd(a, b)
+    expected = reference_gcd(a, b)
+    event("gcd: " + gcd_branch(a, b, expected))
+    assert a.gcd(b) == expected
     assert b.gcd(a) == reference_gcd(b, a)
 
 
@@ -649,10 +719,9 @@ def test_gaussian_matches_reference(x, y, k, exponent):
     assert (gx == x[0]) == (rx == x[0])
 
 
-# The parent's Polynomial product and division, kept as the oracle of one
-# normalisation per output coefficient: every term product and partial sum is
-# a reduced GaussianRational, and every division step divides by the leading
-# coefficient of the divisor.
+# The parent's Polynomial product, kept as the oracle of one normalisation
+# per output coefficient: every term product and partial sum is a reduced
+# GaussianRational.
 def reference_poly_mul(p, q):
     out = {}
     for e1, c1 in p.coeffs.items():
@@ -664,26 +733,6 @@ def reference_poly_mul(p, q):
             else:
                 out.pop(e, None)
     return Polynomial(out)
-
-
-def reference_poly_divmod(p, q):
-    quotient, r = {}, dict(p.coeffs)
-    dlead = q.degree()
-    dcoef = q.coeffs[dlead]
-    while r:
-        e = max(r)
-        if e < dlead:
-            break
-        factor = r[e] / dcoef
-        quotient[e - dlead] = factor
-        for oe, oc in q.coeffs.items():
-            te = e - dlead + oe
-            s = r.get(te, GaussianRational(0)) - factor * oc
-            if s:
-                r[te] = s
-            else:
-                r.pop(te, None)
-    return Polynomial(quotient), Polynomial(r)
 
 
 # denominators 1..6 mix within one output coefficient; some parts imaginary
@@ -738,17 +787,57 @@ def test_polynomial_product_matches_reference(pair):
         assert_canonical(got)
 
 
+def division_events(p, q, quotient):
+    coeffs = (*p.coeffs.values(), *q.coeffs.values())
+    if any(c.b for c in coeffs):
+        event("divmod: Gaussian coefficients")
+    if len({c.d for c in coeffs}) > 1:
+        event("divmod: mixed denominators")
+    event("divmod: monic divisor" if q.leading_coeff() == 1 else "divmod: non-monic divisor")
+    # the step with quotient term z^s updates the exponents s + e below its
+    # leading one; one of them absent afterwards cancelled to zero
+    partial, dlead = p, q.degree()
+    for s in sorted(quotient.coeffs, reverse=True):
+        partial = partial - Polynomial({s: quotient.coeffs[s]}) * q
+        if any(s + e not in partial.coeffs for e in q.coeffs if e != dlead):
+            event("divmod: a remainder coefficient cancels part-way")
+            break
+
+
+exact_quotients = st.builds(lambda m, q: (m * q, q), mixed_polys, divisors)
+
+
 @settings(max_examples=300)
-@given(mixed_polys, divisors, st.booleans())
-def test_polynomial_divmod_matches_reference(p, q, make_monic):
+@given(st.one_of(st.tuples(mixed_polys, divisors), exact_quotients), st.booleans())
+@example((Polynomial({3: 1, 2: 1, 1: -1, 0: -1}), Polynomial({1: 2, 0: 2})), False)
+def test_divmod_matches_reference(pair, make_monic):
+    p, q = pair
     if make_monic:
         q = q.monic()
-    event("divmod: monic divisor" if q.leading_coeff() == 1 else "divmod: non-monic divisor")
     quotient, remainder = divmod(p, q)
-    assert (quotient, remainder) == reference_poly_divmod(p, q)
+    division_events(p, q, quotient)
+    if p and not remainder:
+        event("divmod: exact quotient")
+    assert (quotient, remainder) == reference_divmod(p, q)
     assert_canonical(quotient)
     assert_canonical(remainder)
     assert quotient * q + remainder == p
+
+
+def test_division_reduces_each_output_coefficient_once(monkeypatch):
+    p = Polynomial({4: Fraction(1, 2), 3: I, 2: Fraction(-2, 3), 1: 1, 0: 5})
+    q = Polynomial({2: Fraction(3, 4), 1: -I, 0: Fraction(1, 2)})
+    calls, reduced = [], scalars._reduced
+
+    def counted(a, b, d):
+        calls.append((a, b, d))
+        return reduced(a, b, d)
+
+    monkeypatch.setattr(scalars, "_reduced", counted)
+    quotient, remainder = divmod(p, q)
+    # the inverse of the leading coefficient, then each output coefficient
+    assert len(calls) == 1 + len(quotient.coeffs) + len(remainder.coeffs) == 6
+    assert reference_divmod(p, q) == (quotient, remainder)
 
 
 def test_product_reduces_each_output_coefficient_once(monkeypatch):
