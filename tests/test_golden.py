@@ -6,7 +6,8 @@ synthetic manifolds of ``test_solver_oracle`` at their default cap and at
 cap + 2, and ``brackets --machine`` on the same synthetic manifolds at their
 default cap.  ``weights --machine`` is pinned on every bundled manifold at
 every even index and one past the last (``OddCartan``), and on ``s222`` and
-``s1111`` at the even indices the ``bracket-table`` benchmark uses; each of
+``s1111`` at the even indices the ``bracket-table`` benchmark uses, and on a
+(1|1) manifold whose weight is -10^7 at index 0; each of
 those files concatenates, per index, a ``--cartan I: exit C`` line and that
 run's stdout and stderr, so an index that exits 3 (``NotDiagonalizable``)
 pins its exit code and its one-line error.  The pullback commands are pinned on the fixed ``.spb`` texts of
@@ -116,6 +117,18 @@ def test_weights_on_synthetic_matches_golden(tmp_path, name):
     path.write_text("[manifold]\nname = %s\n%s" % (name, dict(SYNTHETIC, s1111=S1111)[name]))
     expected = (GOLDEN / ("weights-" + name + ".machine.txt")).read_text()
     assert weights_text(str(path), CARTANS[name]) == expected
+
+
+# a 1x1 odd block with characteristic polynomial x + 10^7, whose root a search
+# by increasing magnitude reaches only after 10^7 candidates
+LARGE_ROOT = "odd_dim = 1\n\n[transition]\nw = z^-1\neta1 = z^-2*t1 + 10000000*z^-1*t1\n"
+
+
+def test_weights_with_a_large_root_matches_golden(tmp_path):
+    path = tmp_path / "large-root.smf"
+    path.write_text("[manifold]\nname = large-root\n" + LARGE_ROOT)
+    expected = (GOLDEN / "weights-large-root.machine.txt").read_text()
+    assert weights_text(str(path), [0]) == expected
 
 
 # chart-0 automorphisms with non-monomial denominators; the two Mobius lifts
