@@ -15,7 +15,6 @@ degree-preserving part by the weight-1 slice solve, exp(X) by its series.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import factorial
 from operator import add, sub
 
 from .errors import (
@@ -30,7 +29,6 @@ from .errors import (
 from .grassmann import PullbackData, SuperFunction, compose, idx_weight, weights_parity
 from .linalg import determinant, solve_columns
 from .scalars import (
-    Fraction,
     GaussianRational,
     RationalFunction,
     mobius_inverse,
@@ -219,8 +217,8 @@ def _exp_series(field, f, scale=1):
         term = field.apply(term)
         if not term:
             return acc
-        factor = GaussianRational(Fraction(1, factorial(k))) * scale**k
-        acc = acc + term.scale(RationalFunction.constant(factor))
+        term = term.scale(scale / k)
+        acc = acc + term
     raise NotNilpotent("exponential series did not terminate")
 
 

@@ -13,7 +13,9 @@ indices within a term, so every sign in a source file is explicit; repeated
 indices are reported separately from decreasing ones.  Denominators must be
 free of odd variables.  Decimal literals are rejected, not converted.  Digits
 are ASCII ``0-9``; any other character is an error, and so is nesting
-parentheses deeper than ``MAX_NESTING`` levels.
+parentheses deeper than ``MAX_NESTING`` levels.  ``int``, ``i`` and ``z^k``
+tokens, and the sums, products and quotients of them, parse as
+``RationalFunction``; ``t`` tokens and whatever contains one, as ``SuperFunction``.
 
 ``superfunction_text`` renders the canonical form: reduced terms first
 (descending powers), then odd terms ordered by (degree, index set); printing
@@ -131,26 +133,21 @@ class _Parser:
         while self.peek().kind == "/":
             slash = self.take()
             divisor, _ = self.parse_primary(last_odd)
-            if any(idx for idx in divisor.terms):
-                raise OddDenominator("denominators must be free of odd variables")
-            rf = divisor.reduced_part()
-            if not rf:
+            if isinstance(divisor, SuperFunction):
+                if any(idx for idx in divisor.terms):
+                    raise OddDenominator("denominators must be free of odd variables")
+                divisor = divisor.reduced_part()
+            if not divisor:
                 raise ExprSyntaxError("division by zero", slash.pos)
-            value = value.scale(RationalFunction.one() / rf)
+            value = value * (RationalFunction.one() / divisor)
         return value, last_odd
 
     def parse_primary(self, last_odd):
         tok = self.take()
         if tok.kind == "int":
-            return (
-                SuperFunction.constant(self.chart, self.odd_dim, GaussianRational(tok.value)),
-                last_odd,
-            )
+            return RationalFunction.constant(GaussianRational(tok.value)), last_odd
         if tok.kind == "i":
-            return (
-                SuperFunction.constant(self.chart, self.odd_dim, GaussianRational(0, 1)),
-                last_odd,
-            )
+            return RationalFunction.constant(GaussianRational(0, 1)), last_odd
         if tok.kind == "z":
             exponent = 1
             if self.peek().kind == "^":
@@ -162,12 +159,7 @@ class _Parser:
                 elif self.peek().kind == "+":
                     self.take()
                 exponent = sign * self.expect("int").value
-            return (
-                SuperFunction.from_rf(
-                    self.chart, self.odd_dim, RationalFunction.monomial(exponent)
-                ),
-                last_odd,
-            )
+            return RationalFunction.monomial(exponent), last_odd
         if tok.kind == "t":
             index = tok.value
             if index == 0:
@@ -208,7 +200,9 @@ def parse_superfunction(text, odd_dim=None, chart="chart0"):
     tok = parser.peek()
     if tok.kind != "end":
         raise ExprSyntaxError("trailing input", tok.pos)
-    return value
+    if isinstance(value, SuperFunction):
+        return value
+    return SuperFunction.from_rf(chart, parser.odd_dim, value)
 
 
 _RATIONAL = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")

@@ -100,10 +100,6 @@ class SuperManifoldData:
             return self
         return SuperManifoldData(self.name + "-gr", self.odd_dim, KIND_P1, truncated)
 
-    @property
-    def is_split(self):
-        return self.kind == KIND_C01 or self.gr() is self
-
     def __eq__(self, other):
         if not isinstance(other, SuperManifoldData):
             return NotImplemented

@@ -14,14 +14,12 @@ them as a map, and printing (``expressions.superfunction_text``) sorts them
 by ``idx_sort_key``.
 
 ``PullbackData`` holds the coordinate images of a morphism between charts and
-applies it to functions by finite Taylor expansion in the nilpotent part of
-the even image (the series terminates because squares of the nilpotent part
-eventually vanish).
+applies it to functions by finite Taylor expansion in the nilpotent part g of
+the even image: each power g^k is kept with its 1/k!, and the series
+terminates because the powers of g eventually vanish.
 """
 
 from __future__ import annotations
-
-from math import factorial
 
 from .errors import ChartMismatch, MixedParity
 from .scalars import Fraction, GaussianRational, RationalFunction
@@ -41,10 +39,6 @@ def weights_parity(weights):
     if len(parities) > 1:
         return None
     return parities.pop() if parities else 0
-
-
-def idx_parity(idx):
-    return idx.bit_count() & 1
 
 
 def idx_positions(idx):
@@ -114,10 +108,6 @@ class SuperFunction:
     @classmethod
     def from_rf(cls, chart, odd_dim, rf):
         return cls(chart, odd_dim, {0: rf})
-
-    @classmethod
-    def constant(cls, chart, odd_dim, c):
-        return cls(chart, odd_dim, {0: RationalFunction.constant(c)})
 
     @classmethod
     def coordinate(cls, chart, odd_dim):
@@ -244,11 +234,7 @@ class SuperFunction:
         if isinstance(value, SuperFunction):
             return value
         if isinstance(value, (RationalFunction, GaussianRational, int, Fraction)):
-            return SuperFunction.from_rf(
-                self.chart,
-                self.odd_dim,
-                value if isinstance(value, RationalFunction) else RationalFunction.constant(value),
-            )
+            return SuperFunction.from_rf(self.chart, self.odd_dim, value)
         raise TypeError("cannot combine SuperFunction with %r" % type(value))
 
     def d_even(self):
@@ -292,7 +278,7 @@ class PullbackData:
     for the even coordinate and one pure-odd image per odd coordinate, all
     living on the source chart.  The Taylor plan (``_products``, the odd
     products by idx, and ``_taylor``, the reduced even image with the nilpotent
-    powers and their ``1/k!``) is filled on first use and never read by ``==``
+    powers ``g_nil^k / k!``) is filled on first use and never read by ``==``
     or ``hash``; the images never change after ``__init__``.
     """
 
@@ -367,26 +353,24 @@ class PullbackData:
             raise ChartMismatch("function lives on %r, pullback expects %r" % (f.chart, self.target_chart))
         if self._taylor is None:
             g_nil = self.even_image.nilpotent_part()
-            powers = [(self._products[0], None)]
+            powers = [self._products[0]]
             while len(powers) <= self.odd_dim // 2 + 1:
-                nxt = powers[-1][0] * g_nil
+                nxt = powers[-1] * g_nil
                 if not nxt:
                     break
-                powers.append((nxt, RationalFunction.constant(Fraction(1, factorial(len(powers))))))
+                powers.append(nxt.scale(Fraction(1, len(powers))))
             self._taylor = (self.even_image.reduced_part(), powers)
         g_red, powers = self._taylor
         out = SuperFunction.zero(self.source_chart, self.odd_dim)
         for idx, coeff in f.terms.items():
             expanded = SuperFunction.zero(self.source_chart, self.odd_dim)
             deriv = coeff
-            for k, (nil_k, inv_factorial) in enumerate(powers):
+            for k, nil_k in enumerate(powers):
                 if k > 0:
                     deriv = deriv.derivative()
                     if not deriv:
                         break
                 composed = deriv.compose(g_red)
-                if k > 0:
-                    composed = composed * inv_factorial
                 if composed:
                     expanded = expanded + nil_k.scale(composed)
             if idx:

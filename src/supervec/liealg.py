@@ -511,10 +511,11 @@ def _rational_roots(poly):
     all real rational).  With the coefficients cleared to integers ``c_e``,
     every rational root is ``y / c_deg`` for an integer root ``y`` of the
     monic ``Q(y) = c_deg^(deg-1) * P(y / c_deg)`` (coefficients divided by
-    their gcd first).  The smallest ``|y|`` is at most the geometric mean of
-    the roots, ``|y|^deg <= |Q(0)|``, so the divisors of ``Q(0)`` are tried by
-    increasing ``|y|`` up to that bound; the root found is divided out and the
-    search goes on from its magnitude.
+    their gcd first).  A linear ``Q`` has the root ``-Q(0)``.  Otherwise the
+    smallest ``|y|`` is at most the geometric mean of the roots,
+    ``|y|^deg <= |Q(0)|``, so the divisors of ``Q(0)`` are tried by increasing
+    ``|y|`` up to that bound.  The root found is divided out and the search goes
+    on from its magnitude.
     """
     if any(c.b for c in poly.coeffs.values()):
         return None
@@ -537,7 +538,7 @@ def _rational_roots(poly):
         lead = ints[deg] // content
         monic = [ints[e] // content * lead ** (deg - 1 - e) for e in range(deg)] + [1]
         bound = abs(monic[0])
-        found = None
+        found = Fraction(-monic[0], lead) if deg == 1 else None
         k = max(1, -(-low.numerator * abs(lead) // low.denominator))
         while found is None and k**deg <= bound:
             if bound % k == 0:

@@ -87,3 +87,8 @@ def neg2(A):
 
 def gr(x):
     return GaussianRational(x)
+
+
+def idx_parity(idx):
+    """Parity of theta^idx: the number of its odd factors, mod 2."""
+    return idx.bit_count() & 1

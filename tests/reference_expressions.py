@@ -9,15 +9,25 @@ parenthesised factor had one rule each: ``_scalar_pieces``,
 and the leading-sign rule in several places.  On ASCII text the library must
 give the same tokens, or the same error with the same message and position,
 and on every value it must print the same bytes.
+
+``_Parser`` and ``parse_superfunction`` are the parser from before even factors
+were built as rational functions: every ``int``, ``i`` and ``z`` token is a
+``SuperFunction`` and every product a Grassmann product.  They are kept
+verbatim on the library tokenizer, except that the deleted
+``SuperFunction.constant(chart, n, c)`` is spelled
+``SuperFunction.from_rf(chart, n, RationalFunction.constant(c))``.  The library
+parser must give equal values, or raise the same error at the same position.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from supervec.errors import ExprSyntaxError
-from supervec.grassmann import idx_positions, idx_sort_key
-from supervec.scalars import GaussianRational
+from supervec.errors import ExprSyntaxError, OddDenominator, RepeatedOddVariable
+from supervec.expressions import MAX_NESTING
+from supervec.expressions import _tokenize as library_tokenize
+from supervec.grassmann import SuperFunction, idx_positions, idx_sort_key
+from supervec.scalars import GaussianRational, RationalFunction
 
 _SYMBOLS = "+-*/^()"
 
@@ -194,3 +204,142 @@ def scalar_text(c):
         return _mixed_scalar_text(c)
     sign, body = _scalar_pieces(c)
     return body if sign > 0 else "-" + body
+
+
+class _Parser:
+    def __init__(self, text, odd_dim, chart):
+        self.tokens = library_tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        if odd_dim is None:
+            odd_dim = max((t.value for t in self.tokens if t.kind == "t"), default=0)
+        self.odd_dim = odd_dim
+        self.chart = chart
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.take()
+        if tok.kind != kind:
+            raise ExprSyntaxError("expected %r" % kind, tok.pos)
+        return tok
+
+    # expr := ['-'] term (('+'|'-') term)*; the optional leading sign makes
+    # the signed rationals of the coeff rule expressible ("-1*t1*t2")
+    def parse_expr(self):
+        negate = False
+        if self.peek().kind in "+-":
+            negate = self.take().kind == "-"
+        value = self.parse_term()
+        if negate:
+            value = -value
+        while self.peek().kind in "+-":
+            op = self.take()
+            rhs = self.parse_term()
+            value = value + rhs if op.kind == "+" else value - rhs
+        return value
+
+    # term := factor ('*' factor)*, with increasing bare odd indices
+    def parse_term(self):
+        last_odd = 0
+        value, last_odd = self.parse_factor(last_odd)
+        while self.peek().kind == "*":
+            self.take()
+            rhs, last_odd = self.parse_factor(last_odd)
+            value = value * rhs
+        return value
+
+    # factor := primary ('/' primary)*
+    def parse_factor(self, last_odd):
+        value, last_odd = self.parse_primary(last_odd)
+        while self.peek().kind == "/":
+            slash = self.take()
+            divisor, _ = self.parse_primary(last_odd)
+            if any(idx for idx in divisor.terms):
+                raise OddDenominator("denominators must be free of odd variables")
+            rf = divisor.reduced_part()
+            if not rf:
+                raise ExprSyntaxError("division by zero", slash.pos)
+            value = value.scale(RationalFunction.one() / rf)
+        return value, last_odd
+
+    def parse_primary(self, last_odd):
+        tok = self.take()
+        if tok.kind == "int":
+            return (
+                SuperFunction.from_rf(
+                    self.chart, self.odd_dim, RationalFunction.constant(GaussianRational(tok.value))
+                ),
+                last_odd,
+            )
+        if tok.kind == "i":
+            return (
+                SuperFunction.from_rf(
+                    self.chart, self.odd_dim, RationalFunction.constant(GaussianRational(0, 1))
+                ),
+                last_odd,
+            )
+        if tok.kind == "z":
+            exponent = 1
+            if self.peek().kind == "^":
+                self.take()
+                sign = 1
+                if self.peek().kind == "-":
+                    self.take()
+                    sign = -1
+                elif self.peek().kind == "+":
+                    self.take()
+                exponent = sign * self.expect("int").value
+            return (
+                SuperFunction.from_rf(
+                    self.chart, self.odd_dim, RationalFunction.monomial(exponent)
+                ),
+                last_odd,
+            )
+        if tok.kind == "t":
+            index = tok.value
+            if index == 0:
+                raise ExprSyntaxError("odd variables start at t1, not t0", tok.pos)
+            if index > self.odd_dim:
+                raise ExprSyntaxError(
+                    "odd variable t%d exceeds odd dimension %d" % (index, self.odd_dim),
+                    tok.pos,
+                )
+            if index == last_odd:
+                raise RepeatedOddVariable("odd variable t%d repeated" % index, tok.pos)
+            if index < last_odd:
+                raise ExprSyntaxError(
+                    "odd variable indices must increase within a term", tok.pos
+                )
+            return SuperFunction.odd_var(self.chart, self.odd_dim, index - 1), index
+        if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(
+                    "parentheses nested deeper than %d levels" % MAX_NESTING, tok.pos
+                )
+            self.depth += 1
+            value = self.parse_expr()
+            self.expect(")")
+            self.depth -= 1
+            return value, last_odd
+        raise ExprSyntaxError("unexpected token", tok.pos)
+
+
+def parse_superfunction(text, odd_dim=None, chart="chart0"):
+    """Parse an expression into a canonical SuperFunction.
+
+    When ``odd_dim`` is omitted it is inferred as the largest odd index
+    mentioned in the text.
+    """
+    parser = _Parser(text, odd_dim, chart)
+    value = parser.parse_expr()
+    tok = parser.peek()
+    if tok.kind != "end":
+        raise ExprSyntaxError("trailing input", tok.pos)
+    return value

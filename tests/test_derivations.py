@@ -22,10 +22,11 @@ from supervec.errors import (
     UnsupportedReducedMap,
 )
 from supervec.files import parse_pullback_text
-from supervec.grassmann import PullbackData, SuperFunction, compose, idx_parity, idx_weight
+from supervec.grassmann import PullbackData, SuperFunction, compose, idx_weight
 from supervec.scalars import GaussianRational, Polynomial, RationalFunction
 
 import reference_derivations as reference
+from conftest import idx_parity
 from test_golden import PULLBACKS
 
 C = "chart0"

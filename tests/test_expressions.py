@@ -1,8 +1,9 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import reference_expressions as reference
 from supervec.errors import (
@@ -13,6 +14,7 @@ from supervec.errors import (
 )
 from supervec.expressions import (
     MAX_DIGITS,
+    _Parser,
     _tokenize,
     derivation_text,
     parse_integer,
@@ -24,6 +26,7 @@ from supervec.expressions import (
 from supervec.derivations import SuperDerivation
 from supervec.grassmann import SuperFunction
 from supervec.scalars import GaussianRational, Polynomial, RationalFunction
+from test_files_cli import CODED_INPUT_ERRORS
 
 
 def zm(k):
@@ -223,7 +226,9 @@ def test_printed_integers_are_bounded_at_4300_digits(part):
 
     longest = scalar(10**MAX_DIGITS - 1)
     text = scalar_text(longest)
-    assert parse_superfunction(text, 0) == SuperFunction.constant("chart0", 0, longest)
+    assert parse_superfunction(text, 0) == SuperFunction.from_rf(
+        "chart0", 0, RationalFunction.constant(longest)
+    )
     with pytest.raises(NumberTooLong, match="^cannot print an integer longer than 4300 digits$"):
         scalar_text(scalar(10**MAX_DIGITS))
 
@@ -279,3 +284,50 @@ def test_printer_matches_reference(sf, c):
         if any(a.re and a.im for a in rf.num.coeffs.values()):
             event("mixed numerator coefficient")
     event("scalar %s" % ("mixed" if c.re and c.im else "zero" if not c else "one part"))
+
+
+@ORACLE
+@given(
+    st.one_of(
+        superfunctions().map(superfunction_text),
+        st.text(alphabet="0123456789tzi+-*/^() ", max_size=24),
+    )
+)
+@example("0")
+@example("i")
+@example("1/(t1 - t1)")
+@example("1/(z + t1)")
+@example("(t2 + t3)*t1")
+@example("z^-3/(z - 1)*t1*t2")
+def test_parser_matches_reference(text):
+    got = _outcome(parse_superfunction, text)
+    assert got == _outcome(reference.parse_superfunction, text)
+    if isinstance(got, SuperFunction):
+        event("value %s" % type(_Parser(text, None, "chart0").parse_expr()).__name__)
+    else:
+        event("error %s" % got[0].__name__)
+
+
+def coded_expressions():
+    """(case, text) of each expression in the coded CLI errors: a --field, or the
+    right-hand side of a transition or pullback line."""
+    line_rule = re.compile(r"(?:w|eta[0-9]|z|t[0-9]) = (.*)")
+    for case, (command, source, *_) in sorted(CODED_INPUT_ERRORS.items()):
+        if command.startswith("flow"):
+            yield case, source
+            continue
+        for line in source.splitlines():
+            if m := line_rule.fullmatch(line):
+                yield case, m.group(1)
+
+
+CODED_EXPRESSIONS = list(coded_expressions())
+
+
+@pytest.mark.parametrize(
+    "text", [text for _, text in CODED_EXPRESSIONS],
+    ids=["%s-%d" % (case, k) for k, (case, _) in enumerate(CODED_EXPRESSIONS)],
+)
+def test_parser_matches_reference_on_coded_input_errors(text):
+    got = _outcome(parse_superfunction, text)
+    assert got == _outcome(reference.parse_superfunction, text)

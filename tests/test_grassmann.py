@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import event, example, given, strategies as st
 
+from conftest import idx_parity
 from supervec.errors import ChartMismatch, MixedParity
 from supervec.expressions import superfunction_text
 from supervec.grassmann import (
@@ -12,7 +13,6 @@ from supervec.grassmann import (
     SuperFunction,
     compose,
     idx_mul,
-    idx_parity,
     idx_positions,
     idx_sort_key,
     idx_weight,

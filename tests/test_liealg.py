@@ -948,8 +948,14 @@ IRRATIONAL_FACTORS = {
 }
 
 
-# the reference tries every pair of divisors, which is slow on some draws
+# the reference tries every pair of divisors, which is slow on some draws;
+# the examples have roots of 7 or more digits, which a linear factor gives
+# in closed form and a search by magnitude reaches only after that many steps
 @settings(deadline=None)
+@example([(1234567, 1)], [], "none", Fraction(1))
+@example([(-9999991, 7)], [], "none", Fraction(-3, 2))
+@example([(3, 1), (-12345678, 1)], [], "none", Fraction(1))
+@example([(2, 1), (1234567, 3)], [2], "z^2-2", Fraction(1))
 @given(
     st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=5),
     st.lists(st.integers(1, 3), max_size=5),
