@@ -27,12 +27,8 @@ from .errors import (
     UnsupportedReducedMap,
 )
 from .grassmann import PullbackData, SuperFunction, compose, idx_weight, weights_parity
-from .linalg import determinant, solve_columns
-from .scalars import (
-    GaussianRational,
-    RationalFunction,
-    mobius_inverse,
-)
+from .linalg import rank, solve_columns
+from .scalars import GaussianRational, mobius_inverse
 
 
 class SuperDerivation:
@@ -287,9 +283,7 @@ def rothstein_decompose(p):
     rho = phi0.even_image.reduced_part()
     if not rho.derivative():
         raise NotInvertible("reduced even map has vanishing differential")
-    mat = odd_linear_matrix(phi0)
-    rf_zero, rf_one = RationalFunction.zero(), RationalFunction.one()
-    if not determinant(mat, rf_zero, rf_one):
+    if rank(odd_linear_matrix(phi0)) < n:
         raise NotInvertible("odd linear part is singular over the rational functions")
     target = p.target_chart
     gen = SuperDerivation.zero(target, n)

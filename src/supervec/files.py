@@ -147,11 +147,6 @@ def pullback_text(pullback):
     return "\n".join(lines) + "\n"
 
 
-def bundled_manifold_names():
-    root = resources.files("supervec").joinpath("manifolds")
-    return sorted(p.name[: -len(".smf")] for p in root.iterdir() if p.name.endswith(".smf"))
-
-
 def load_bundled_manifold(name):
     root = resources.files("supervec").joinpath("manifolds")
     entry = root.joinpath(name + ".smf")

@@ -33,7 +33,7 @@ from .derivations import (
     pullback_invert,
 )
 from .grassmann import PullbackData, SuperFunction, compose
-from .linalg import determinant
+from .linalg import rank
 from .scalars import (
     GR_ZERO,
     GaussianRational,
@@ -73,8 +73,7 @@ class SuperManifoldData:
             for rf in img.terms.values():
                 if rf.laurent() is None:
                     raise NotLaurent("transition coefficients may only have poles at z = 0")
-        mat = odd_linear_matrix(transition)
-        if not determinant(mat, RationalFunction.zero(), RationalFunction.one()):
+        if rank(odd_linear_matrix(transition)) < odd_dim:
             raise DegenerateOddPart("degree-1 odd transition matrix is singular")
         return cls(name, odd_dim, KIND_P1, transition)
 
@@ -175,17 +174,21 @@ def _coeffs_of(pullback):
 
 
 def _holomorphic_at(pullback, point):
-    return all(rf.pole_order_at(point) == 0 for rf in _coeffs_of(pullback))
+    # a reduced quotient has a pole exactly where its denominator vanishes
+    return all(rf.den.eval(point) for rf in _coeffs_of(pullback))
 
 
 def morphism_check_global(manifold, p):
     """Classify a chart-0 self-pullback as "global" or "chart0_only".
 
     The morphism is global when, around every point of the manifold, some
-    chart representation of it has pole-free coefficients: chart 0 away from
-    the reduced map's pole, the mixed representations at the pole and at
-    infinity.  The chart-1 representation is obtained by conjugating with
-    the transition (inverting it in closed form).
+    chart representation of it has pole-free coefficients.  Away from the
+    reduced map's pole that is ``p`` itself, so each monic denominator must
+    be a power of (z - pole), or 1 when the reduced map fixes infinity.  At
+    the pole it is the map into chart 1, ``compose(chi, p)`` for the
+    transition chi.  At infinity (w = 0) it is the conjugate
+    ``compose(compose(chi, p), chi^-1)`` when infinity is fixed, else the map
+    from chart 1 into chart 0, ``compose(p, chi^-1)``.
     """
     if manifold.kind == KIND_C01:
         if p.source_chart != POINT_CHART or p.target_chart != POINT_CHART:
@@ -196,39 +199,23 @@ def morphism_check_global(manifold, p):
         return "global" if coeff and coeff.is_constant() else "chart0_only"
     if p.source_chart != CHART0 or p.target_chart != CHART0:
         raise ChartMismatch("pullback must be a chart-0 self-map")
-    mu = p.even_image.reduced_part()
-    coeffs = mobius_coefficients(mu)
+    coeffs = mobius_coefficients(p.even_image.reduced_part())
     if coeffs is None:
         return "chart0_only"
     _, _, gamma, delta = coeffs
-    chi = manifold.transition
-    chi_inv = pullback_invert(chi)
     pole = -delta / gamma if gamma else None
-    # chart-0 coefficients may only blow up where the reduced map leaves chart 0
-    for rf in _coeffs_of(p):
-        den = rf.den
-        if den.degree() > 0:
-            if pole is None:
-                return "chart0_only"
-            root_mult = den.root_multiplicity(pole)
-            if root_mult < den.degree():
-                return "chart0_only"
-    # where the reduced map hits infinity, the into-chart-1 representation must hold
-    if pole is not None:
-        into1 = compose(chi, p)
-        if not _holomorphic_at(into1, pole):
-            return "chart0_only"
-    # behaviour at infinity: either the reduced map fixes it (conjugate view)
-    # or sends it to a finite point (mixed view from chart 1)
+    leave = Polynomial.one() if pole is None else Polynomial({1: 1, 0: -pole})
+    if any(rf.den != leave ** rf.den.degree() for rf in _coeffs_of(p)):
+        return "chart0_only"
+    chi = manifold.transition
+    into1 = compose(chi, p)
     if pole is None:
-        conj = compose(compose(chi, p), chi_inv)
-        if not _holomorphic_at(conj, GR_ZERO):
-            return "chart0_only"
+        at_infinity = compose(into1, pullback_invert(chi))
+    elif _holomorphic_at(into1, pole):
+        at_infinity = compose(p, pullback_invert(chi))
     else:
-        from1 = compose(p, chi_inv)
-        if not _holomorphic_at(from1, GR_ZERO):
-            return "chart0_only"
-    return "global"
+        return "chart0_only"
+    return "global" if _holomorphic_at(at_infinity, GR_ZERO) else "chart0_only"
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +307,8 @@ def mobius_lift(manifold, family, matrix, s=0):
         raise FamilyShapeMismatch("parameter s applies to the diagonal family only")
     if family == FAMILY_NONSPLIT:
         _require_nonsplit(manifold)
-        correction = _base_power(a, b, 3) * (-b) if b else RationalFunction.zero()
-        even = SuperFunction(
-            CHART0, 2, {0: _mobius_rf(a, b, c, d), 3: correction}
-        )
+        correction = _base_power(a, b, 3) * (-b)
+        even = SuperFunction(CHART0, 2, {0: _mobius_rf(a, b, c, d), 3: correction})
         sq = _base_power(a, b, 2)
         odds = [
             SuperFunction(CHART0, 2, {1: sq}),

@@ -388,20 +388,6 @@ class Polynomial:
             acc = acc + c * point**e
         return acc
 
-    def root_multiplicity(self, point):
-        if self.is_zero():
-            raise ValueError("every point is a root of the zero polynomial")
-        linear = Polynomial({1: GR_ONE, 0: -_as_gaussian(point)})
-        mult = 0
-        p = self
-        while True:
-            q, r = divmod(p, linear)
-            if r.is_zero():
-                mult += 1
-                p = q
-            else:
-                return mult
-
     def __repr__(self):
         if not self.coeffs:
             return "Polynomial(0)"
@@ -616,12 +602,6 @@ class RationalFunction:
             raise UndefinedComposition("substitution lands in a pole")
         return RationalFunction(num, den)
 
-    def eval(self, point):
-        d = self.den.eval(point)
-        if not d:
-            raise DivisionByZero("evaluation at a pole")
-        return self.num.eval(point) / d
-
     def laurent(self):
         """``{k: c}`` with ``self = sum c*z^k`` when the denominator is a power
         of z, else None: the monic one-term denominator is ``z^shift``."""
@@ -630,13 +610,6 @@ class RationalFunction:
             return None
         (shift,) = den
         return {e - shift: c for e, c in self.num.coeffs.items()}
-
-    def pole_order_at(self, point):
-        den_mult = self.den.root_multiplicity(point)
-        if self.num.is_zero():
-            return 0
-        num_mult = self.num.root_multiplicity(point)
-        return max(0, den_mult - num_mult)
 
     def __repr__(self):
         if self.den == _POLY_ONE:

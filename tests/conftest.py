@@ -1,10 +1,16 @@
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from supervec.files import load_bundled_manifold
 from supervec.liealg import hc_pair_report, solve_global_fields, structure_constants
 from supervec.scalars import GaussianRational
+
+
+def bundled_manifold_names():
+    root = resources.files("supervec").joinpath("manifolds")
+    return sorted(p.name[: -len(".smf")] for p in root.iterdir() if p.name.endswith(".smf"))
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,8 @@ import supervec
 from supervec import cli, derivations, liealg
 from supervec.cli import main
 from supervec.errors import FileFormatError
+from conftest import bundled_manifold_names
 from supervec.files import (
-    bundled_manifold_names,
     load_bundled_manifold,
     load_manifold,
     load_pullback,

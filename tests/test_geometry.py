@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
-from conftest import commutator2, matmul2, neg2, rand_sl2
+import reference_geometry as reference
+from conftest import bundled_manifold_names, commutator2, idx_parity, matmul2, neg2, rand_sl2
 
 from supervec.derivations import SuperDerivation, bracket, pullback_invert
 from supervec.errors import (
@@ -18,8 +20,10 @@ from supervec.errors import (
 )
 from supervec.geometry import (
     CHART0,
+    _coeffs_of,
     CHART1,
     KIND_C01,
+    POINT_CHART,
     GlobalVectorField,
     SuperManifoldData,
     mobius_lift,
@@ -28,10 +32,10 @@ from supervec.geometry import (
     sl2_embedding,
 )
 from supervec.grassmann import PullbackData, SuperFunction, compose
-from supervec.files import parse_manifold_text, parse_pullback_text
+from supervec.files import load_bundled_manifold, parse_manifold_text, parse_pullback_text
 from supervec.liealg import expand_in_basis, solve_global_fields
 from supervec.linalg import kernel_basis
-from supervec.scalars import GaussianRational, Polynomial, RationalFunction
+from supervec.scalars import GaussianRational, Polynomial, RationalFunction, mobius_coefficients
 
 
 def zm(k):
@@ -308,6 +312,12 @@ def _cauchy_interpolate_at_zero(samples):
     raise AssertionError("interpolation failed")
 
 
+def _value_at(rf, point):
+    """The value of a reduced quotient at a point, or None at a pole."""
+    den = rf.den.eval(point)
+    return rf.num.eval(point) / den if den else None
+
+
 def test_lift_derivative_at_identity_matches_embedding(manifolds):
     # for nilpotent E the matrix exponential is I + tE exactly; the
     # t-derivative of each lift coefficient at a sample point must match the
@@ -340,20 +350,18 @@ def test_lift_derivative_at_identity_matches_embedding(manifolds):
                     samples = []
                     skip = False
                     for t in ts:
-                        rf = images[t].coefficient(idx)
-                        try:
-                            base_value = rf.eval(z0g)
-                        except Exception:
+                        base_value = _value_at(images[t].coefficient(idx), z0g)
+                        if base_value is None:
                             skip = True
                             break
                         # difference quotient against t = 0
-                        ref = images[Fraction(0)].coefficient(idx).eval(z0g)
+                        ref = _value_at(images[Fraction(0)].coefficient(idx), z0g)
                         if t:
                             samples.append((t, (base_value - ref) / GaussianRational(t)))
                     if skip:
                         continue
                     derivative = _cauchy_interpolate_at_zero(samples)
-                    assert derivative == base.coefficient(idx).eval(z0g)
+                    assert derivative == _value_at(base.coefficient(idx), z0g)
 
 
 def test_nilpotent_flow_group_law(manifolds):
@@ -472,6 +480,129 @@ def test_morphism_check_rejects_wrong_lift_power(manifolds):
         [sf(1, {1: RationalFunction.one() / base**2})],
     )
     assert morphism_check_global(m, right) == "global"
+
+
+BUNDLED = {name: load_bundled_manifold(name) for name in bundled_manifold_names()}
+P1_NAMES = sorted(name for name, m in BUNDLED.items() if m.kind != KIND_C01)
+DENOMINATOR_ROOTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+SMALL = st.integers(-2, 2)
+
+
+def _pullback(n, mu, even_terms, odd_terms):
+    """Chart-0 pullback with reduced map ``mu`` and the given extra terms."""
+    even = SuperFunction(CHART0, n, {0: mu, **even_terms})
+    return PullbackData(CHART0, CHART0, even, [sf(n, terms) for terms in odd_terms])
+
+
+@st.composite
+def globality_cases(draw):
+    """(manifold name, chart-0 pullback) on a bundled P^1 manifold.
+
+    The start is a Mobius lift of the manifold's family, a Mobius map that
+    sends each theta_j to itself, or a map whose reduced part is not Mobius;
+    up to two of its nilpotent or theta-linear coefficients are then replaced
+    by p(z) / (z - a)^k, with a in DENOMINATOR_ROOTS or the reduced map's pole.
+    """
+    name = draw(st.sampled_from(P1_NAMES))
+    m = BUNDLED[name]
+    n = m.odd_dim
+    z = RationalFunction.z()
+    start = draw(st.sampled_from(["lift", "mobius", "not mobius"]))
+    pole = None
+    if start == "not mobius":
+        maps = [z * z, (z * z + 1) / (z - 1), z**3 / (z + 1), RationalFunction.constant(2)]
+        mu = draw(st.sampled_from(maps))
+        p = _pullback(n, mu, {}, [{1 << j: RationalFunction.one()} for j in range(n)])
+    else:
+        a = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1)]))
+        # b = 0 fixes infinity
+        b, c = draw(st.one_of(st.just(0), SMALL)), draw(SMALL)
+        matrix = ((a, b), (c, (1 + b * c) / a))
+        family = "nonsplit" if name == "nonsplit-2-2" else "diagonal"
+        p = mobius_lift(m, family, matrix)
+        if start == "mobius":
+            odds = [{1 << j: RationalFunction.one()} for j in range(n)]
+            p = _pullback(n, p.even_image.reduced_part(), {}, odds)
+        pole = -a / b if b else None
+    even_terms = {idx: rf for idx, rf in p.even_image.terms.items() if idx}
+    odd_terms = [dict(img.terms) for img in p.odd_images]
+    slots = [(0, idx) for idx in range(1, 1 << n) if not idx_parity(idx)]
+    slots += [(j + 1, 1 << i) for j in range(n) for i in range(n)]
+    roots = st.sampled_from(DENOMINATOR_ROOTS)
+    if pole is not None:
+        roots = st.one_of(st.just(pole), roots)
+    for coord, idx in draw(st.lists(st.sampled_from(slots), max_size=2)):
+        num = Polynomial({e: draw(SMALL) for e in range(draw(st.integers(0, 3)))})
+        root, k = draw(roots), draw(st.integers(0, 3))
+        rf = RationalFunction(num) / (z - root) ** k
+        (even_terms if coord == 0 else odd_terms[coord - 1])[idx] = rf
+    return name, _pullback(n, p.even_image.reduced_part(), even_terms, odd_terms)
+
+
+def _exit(manifold, p, verdict):
+    """The parent check's exit that gave a P^1 verdict."""
+    if verdict == "global":
+        return "global"
+    coeffs = mobius_coefficients(p.even_image.reduced_part())
+    if coeffs is None:
+        return "reduced map not Mobius"
+    _, _, gamma, delta = coeffs
+    dens = [rf.den for rf in _coeffs_of(p)]
+    if not gamma:
+        if any(den.degree() for den in dens):
+            return "a denominator while infinity is fixed"
+        return "a pole at fixed infinity"
+    pole = -delta / gamma
+    if any(reference.root_multiplicity(den, pole) < den.degree() for den in dens):
+        return "a denominator root off the pole"
+    if not reference._holomorphic_at(compose(manifold.transition, p), pole):
+        return "a pole into chart 1 at the map's pole"
+    return "a pole at moved infinity"
+
+
+def _parsed(z, *odds):
+    return parse_pullback_text("[pullback]\nz = %s\n" % z + "".join(
+        "t%d = %s\n" % (j + 1, text) for j, text in enumerate(odds)))
+
+
+def _point_case(odd_coeff):
+    chart = POINT_CHART
+    return "c01", PullbackData(
+        chart, chart, SuperFunction.coordinate(chart, 1), [SuperFunction(chart, 1, {1: odd_coeff})]
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=globality_cases())
+@example(case=("k2", _parsed("z^2", "t1")))  # not Mobius
+@example(case=("k2", _parsed("z + 1", "t1/(z - 1)")))  # a denominator, infinity fixed
+@example(case=("k2", _parsed("1/(z - 2)", "t1/(z - 3)")))  # a root off the pole
+@example(case=("k2", _parsed("z/(z + 1)", "t1/((z + 1)*(z + 1)*(z + 1))")))  # pole into chart 1
+@example(case=("k2", _parsed("z + 1", "z^3*t1")))  # a pole at fixed infinity
+@example(case=("k2", _parsed("1/z", "t1")))  # a pole at moved infinity
+@example(case=("k2", _parsed("z + 1", "t1")))  # global, infinity fixed
+@example(case=("split-2-2", _parsed(  # global, infinity moved
+    "(z + 1)/(z + 2)", "t1/((z + 2)*(z + 2))", "t2/((z + 2)*(z + 2))")))
+@example(case=_point_case(RationalFunction.constant(3)))
+@example(case=_point_case(RationalFunction.z()))
+@example(case=("c01", _parsed("z", "t1")))  # ChartMismatch
+@example(case=("k2", PullbackData.identity(CHART1, 1)))  # ChartMismatch
+def test_morphism_check_global_matches_reference(case):
+    name, p = case
+    m = BUNDLED[name]
+    outcomes = []
+    for check in (morphism_check_global, reference.morphism_check_global):
+        try:
+            outcomes.append(check(m, p))
+        except Exception as e:
+            outcomes.append(type(e))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], type):
+        event("error %s" % outcomes[0].__name__)
+    elif m.kind == KIND_C01:
+        event("point %s" % outcomes[0])
+    else:
+        event(_exit(m, p, outcomes[0]))
 
 
 def _chart1_restriction(manifold, chart0_der):

@@ -30,7 +30,8 @@ from pathlib import Path
 import pytest
 
 from supervec.cli import main
-from supervec.files import bundled_manifold_names, parse_manifold_text, resolve_manifold
+from conftest import bundled_manifold_names
+from supervec.files import parse_manifold_text, resolve_manifold
 from supervec.liealg import default_cap, solve_global_fields
 from test_liealg import S1111
 from test_solver_oracle import SYNTHETIC

@@ -32,6 +32,7 @@ from supervec.liealg import (
 )
 from supervec.scalars import GR_ZERO, Polynomial, RationalFunction
 
+from reference_geometry import pole_order_at
 from reference_linalg import kernel_basis
 
 SYNTHETIC = {
@@ -220,7 +221,7 @@ def reference_default_cap(manifold):
         worst = 0
         for rf in img.terms.values():
             at_infinity = max(0, int(rf.num.degree()) - int(rf.den.degree()))
-            worst = max(worst, rf.pole_order_at(GR_ZERO), at_infinity)
+            worst = max(worst, pole_order_at(rf, GR_ZERO), at_infinity)
         budget += worst
     return 2 + budget
 
