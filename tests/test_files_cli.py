@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import bundled_manifold_names
 import supervec
 from supervec import cli, derivations, liealg
 from supervec.cli import main
 from supervec.errors import FileFormatError
-from conftest import bundled_manifold_names
 from supervec.files import (
     load_bundled_manifold,
     load_manifold,
