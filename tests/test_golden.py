@@ -22,17 +22,30 @@ output change, with
 ``python -m supervec report --manifold NAME [--machine] > tests/golden/...``
 (likewise ``gr``, ``vec``, ``brackets`` and the pullback commands, given the
 file names and arguments below).
+
+No command prints a conjugation matrix, so ``conjugation.txt`` pins the
+library's ``conjugation_action`` directly: the matrices of the Mobius lifts
+of ``rand_sl2(random.Random(seed))`` for seeds 1 to 3 on ``nonsplit-2-2``
+(``nonsplit`` family), ``k2`` and ``split-3-1`` (``diagonal``), and of the
+scaling pullback theta -> 3 theta on ``c01``, one row per line with
+``scalar_text`` entries.  Regenerate it only for an intended output change,
+by writing ``conjugation_text()`` to that file.
 """
 
 import io
+import random
 from pathlib import Path
 
 import pytest
 
 from supervec.cli import main
-from conftest import bundled_manifold_names
-from supervec.files import parse_manifold_text, resolve_manifold
-from supervec.liealg import default_cap, solve_global_fields
+from conftest import bundled_manifold_names, rand_sl2
+from supervec.expressions import scalar_text
+from supervec.files import load_bundled_manifold, parse_manifold_text, resolve_manifold
+from supervec.geometry import mobius_lift
+from supervec.grassmann import PullbackData, SuperFunction
+from supervec.liealg import conjugation_action, default_cap, solve_global_fields
+from supervec.scalars import RationalFunction
 from test_liealg import S1111
 from test_solver_oracle import SYNTHETIC
 
@@ -246,3 +259,35 @@ def test_compose_matches_golden(tmp_path, outer, inner):
 def test_flow_matches_golden(name):
     expected = (GOLDEN / ("flow-" + name + ".txt")).read_text()
     assert run_cli(["flow"] + FLOWS[name]) == expected
+
+
+# (manifold, lift family) pairs whose seeded Mobius lifts conjugation.txt pins
+CONJUGATIONS = [("nonsplit-2-2", "nonsplit"), ("k2", "diagonal"), ("split-3-1", "diagonal")]
+
+
+def conjugation_text():
+    chunks = []
+
+    def put(title, matrix):
+        rows = ("  " + " ".join(scalar_text(c) for c in row) + "\n" for row in matrix)
+        chunks.append(title + ":\n" + "".join(rows))
+
+    for name, family in CONJUGATIONS:
+        manifold = load_bundled_manifold(name)
+        basis = solve_global_fields(manifold)
+        for seed in (1, 2, 3):
+            matrix = rand_sl2(random.Random(seed))
+            put("%s %s seed %d" % (name, family, seed),
+                conjugation_action(basis, mobius_lift(manifold, family, matrix)))
+    manifold = load_bundled_manifold("c01")
+    chart = manifold.chart0
+    scale = PullbackData(
+        chart, chart, SuperFunction.coordinate(chart, 1),
+        [SuperFunction(chart, 1, {1: RationalFunction.constant(3)})],
+    )
+    put("c01 scale 3", conjugation_action(solve_global_fields(manifold), scale))
+    return "".join(chunks)
+
+
+def test_conjugation_matches_golden():
+    assert conjugation_text() == (GOLDEN / "conjugation.txt").read_text()
