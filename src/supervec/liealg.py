@@ -511,8 +511,11 @@ def _rational_roots(poly):
     all real rational).  With the coefficients cleared to integers ``c_e``,
     every rational root is ``y / c_deg`` for an integer root ``y`` of the
     monic ``Q(y) = c_deg^(deg-1) * P(y / c_deg)`` (coefficients divided by
-    their gcd first).  A linear ``Q`` has the root ``-Q(0)``.  Otherwise the
-    smallest ``|y|`` is at most the geometric mean of the roots,
+    their gcd first).  A linear ``Q`` has the root ``-Q(0)``.  A quadratic
+    ``y^2 + b y + c`` has integer roots ``(-b +- s) / 2`` exactly when its
+    discriminant ``b^2 - 4c`` is a square ``s^2``; the one of smaller
+    magnitude is taken (the positive one on a tie), as the search would.
+    Otherwise the smallest ``|y|`` is at most the geometric mean of the roots,
     ``|y|^deg <= |Q(0)|``, so the divisors of ``Q(0)`` are tried by increasing
     ``|y|`` up to that bound.  The root found is divided out and the search goes
     on from its magnitude.
@@ -539,6 +542,13 @@ def _rational_roots(poly):
         monic = [ints[e] // content * lead ** (deg - 1 - e) for e in range(deg)] + [1]
         bound = abs(monic[0])
         found = Fraction(-monic[0], lead) if deg == 1 else None
+        if deg == 2:
+            b, disc = monic[1], monic[1] ** 2 - 4 * monic[0]
+            s = math.isqrt(max(disc, 0))
+            if s * s != disc:
+                return None
+            y = min((-b + s) // 2, (-b - s) // 2, key=lambda y: (abs(y), -y))
+            found = Fraction(y, lead)
         k = max(1, -(-low.numerator * abs(lead) // low.denominator))
         while found is None and k**deg <= bound:
             if bound % k == 0:
@@ -678,7 +688,19 @@ def reduced_trivial_subspace(basis):
 
 
 def conjugation_action(basis, pullback):
-    """Matrix of X -> (p^-1)* o X o p* over the basis; NotGlobal / NotInSpan."""
+    """Matrix of X -> (p^-1)* o X o p* over the basis; NotGlobal / NotInSpan.
+
+    A pullback is an algebra homomorphism, so for X = sum_v X_v d_v (d_0 =
+    d/dz, d_{j+1} = d/dtheta_j) and a coordinate u,
+
+        (p^-1)*(X(p*u)) = sum_v (p^-1)*(X_v) * J[v][u],
+        J[v][u] = (p^-1)*(d_v p*u),
+
+    and (p^-1)*(X_v) is the linear combination, over X_v's slot terms
+    c z^e theta^nu, of c M[nu, e] with M[nu, e] = (p^-1)*(z)^e (p^-1)*(theta^nu).
+    Each nonzero J[v][u] is pulled back once per call, and each M[nu, e] formed
+    once per distinct monomial of the basis; every slot exponent e is >= 0.
+    """
     manifold = basis.manifold
     if morphism_check_global(manifold, pullback) != "global":
         raise NotGlobal("conjugation requires a global automorphism pullback")
@@ -687,10 +709,28 @@ def conjugation_action(basis, pullback):
     chart = manifold.chart0
     # p* sends the coordinates z, t_j to the pullback's images
     coord_images = (pullback.even_image,) + pullback.odd_images
+    # J[v][u], pulled back where d_v p*u is nonzero
+    jac = [[img.d_even() for img in coord_images]]
+    jac += [[img.d_odd(j) for img in coord_images] for j in range(n)]
+    jac = [[inverse.apply(f) if f else f for f in row] for row in jac]
+    # M[nu, e] by (nu, e), over the powers of (p^-1)*(z) built so far
+    zero = SuperFunction.zero(chart, n)
+    z_powers = [SuperFunction.one(chart, n)]
+    monomials = {}
     conjugated = []
-    for field in basis.fields:
-        der = field.chart0_der
-        images = [inverse.apply(der.apply(u)) for u in coord_images]
+    for terms in basis._terms:
+        coeffs = [zero] * (n + 1)
+        for (v, nu, e), c in terms.items():
+            image = monomials.get((nu, e))
+            if image is None:
+                while len(z_powers) <= e:
+                    z_powers.append(z_powers[-1] * inverse.even_image)
+                image = monomials[(nu, e)] = z_powers[e] * inverse.odd_product(nu)
+            coeffs[v] = coeffs[v] + image.scale(c)
+        images = [zero] * (n + 1)
+        for coeff, row in zip(coeffs, jac):
+            if coeff:
+                images = [out + coeff * j if j else out for out, j in zip(images, row)]
         conjugated.append(SuperDerivation(chart, n, images[0], images[1:]))
     columns = expand_in_basis(basis, conjugated)
     m = len(basis.fields)

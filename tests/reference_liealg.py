@@ -27,12 +27,35 @@ with the dense ``rref`` of ``reference_linalg``, so it shares no table
 reader and no elimination with the library.  The library must return the
 same weights, or raise the same error with the same message, on every table
 and ``h``.
+
+``reference_conjugation_action`` is the conjugation action that ``liealg``
+used before it pulled back each basis monomial and each coordinate partial
+once: one full ``inverse.apply(X(p*u))`` Taylor substitution per basis field
+X and coordinate u, kept verbatim.  The library must return the same matrix,
+or raise the same error class, on every basis and pullback.
+
+``searched_rational_roots`` is the ``_rational_roots`` that ``liealg`` used
+before it read a quadratic factor's roots in closed form, kept verbatim: it
+searches every factor of degree >= 2 by increasing magnitude.  The library
+must return the same roots in the same order, or None, on every polynomial.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from supervec import liealg
-from supervec.errors import NotClosed, NotDiagonalizable, NotInSpan, OddCartan
+from supervec.derivations import SuperDerivation, pullback_invert
+from supervec.errors import (
+    InexactRootDivision,
+    NotClosed,
+    NotDiagonalizable,
+    NotGlobal,
+    NotInSpan,
+    OddCartan,
+)
+from supervec.geometry import morphism_check_global
 from supervec.linalg import mat_mul
 from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial
 
@@ -214,3 +237,81 @@ def dense_weight_decomposition(structure, h):
             raise NotDiagonalizable("eigenvalue %s is defective" % value)
     ordered = sorted(counts.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
     return [(value, mult) for value, mult in ordered]
+
+
+def reference_conjugation_action(basis, pullback):
+    """Matrix of X -> (p^-1)* o X o p* over the basis; NotGlobal / NotInSpan."""
+    manifold = basis.manifold
+    if morphism_check_global(manifold, pullback) != "global":
+        raise NotGlobal("conjugation requires a global automorphism pullback")
+    inverse = pullback_invert(pullback)
+    n = manifold.odd_dim
+    chart = manifold.chart0
+    # p* sends the coordinates z, t_j to the pullback's images
+    coord_images = (pullback.even_image,) + pullback.odd_images
+    conjugated = []
+    for field in basis.fields:
+        der = field.chart0_der
+        images = [inverse.apply(der.apply(u)) for u in coord_images]
+        conjugated.append(SuperDerivation(chart, n, images[0], images[1:]))
+    columns = liealg.expand_in_basis(basis, conjugated)
+    m = len(basis.fields)
+    return [[columns[c][r] for c in range(m)] for r in range(m)]
+
+
+def searched_rational_roots(poly):
+    """All roots with multiplicity for a rational-coefficient polynomial.
+
+    Returns None when some root is irrational (or the coefficients are not
+    all real rational).  With the coefficients cleared to integers ``c_e``,
+    every rational root is ``y / c_deg`` for an integer root ``y`` of the
+    monic ``Q(y) = c_deg^(deg-1) * P(y / c_deg)`` (coefficients divided by
+    their gcd first).  A linear ``Q`` has the root ``-Q(0)``.  Otherwise the
+    smallest ``|y|`` is at most the geometric mean of the roots,
+    ``|y|^deg <= |Q(0)|``, so the divisors of ``Q(0)`` are tried by increasing
+    ``|y|`` up to that bound.  The root found is divided out and the search goes
+    on from its magnitude.
+    """
+    if any(c.b for c in poly.coeffs.values()):
+        return None
+    roots = []
+    p = poly
+    low = Fraction(0)  # every root below this magnitude is already found
+    while int(p.degree()) > 0:
+        const_exp = min(p.coeffs)
+        if const_exp > 0:
+            for _ in range(const_exp):
+                roots.append(GR_ZERO)
+            p = Polynomial({e - const_exp: c for e, c in p.coeffs.items()})
+            continue
+        deg = int(p.degree())
+        denom_lcm = math.lcm(*(c.d for c in p.coeffs.values()))
+        ints = [0] * (deg + 1)
+        for e, c in p.coeffs.items():
+            ints[e] = c.a * (denom_lcm // c.d)
+        content = math.gcd(*ints)
+        lead = ints[deg] // content
+        monic = [ints[e] // content * lead ** (deg - 1 - e) for e in range(deg)] + [1]
+        bound = abs(monic[0])
+        found = Fraction(-monic[0], lead) if deg == 1 else None
+        k = max(1, -(-low.numerator * abs(lead) // low.denominator))
+        while found is None and k**deg <= bound:
+            if bound % k == 0:
+                for y in (k, -k):
+                    value = 0
+                    for c in reversed(monic):
+                        value = value * y + c
+                    if not value:
+                        found = Fraction(y, lead)
+                        break
+            k += 1
+        if found is None:
+            return None
+        low = abs(found)
+        found = GaussianRational(found)
+        roots.append(found)
+        linear = Polynomial({1: GR_ONE, 0: -found})
+        p, rem = divmod(p, linear)
+        if not rem.is_zero():
+            raise InexactRootDivision("root %s left remainder %r" % (found, rem))
+    return roots

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from conftest import rand_sl2
+from conftest import bundled_manifold_names, rand_sl2
 import reference_liealg
 from test_solver_oracle import SYNTHETIC
 
@@ -34,7 +34,7 @@ from supervec.geometry import (
     mobius_lift,
     sl2_embedding,
 )
-from supervec.files import parse_manifold_text
+from supervec.files import load_bundled_manifold, parse_manifold_text
 from supervec.grassmann import PullbackData, SuperFunction, compose, idx_mul
 from supervec.liealg import (
     StructureConstants,
@@ -977,6 +977,50 @@ def test_rational_roots_match_reference(factors, repeats, extra, scale):
         assert Counter(got) == Counter(expected)
 
 
+def test_rational_roots_of_a_quadratic_with_large_roots_are_read_in_closed_form():
+    # (x - r)(x - r - 1): a search by increasing magnitude meets its smaller
+    # root only after r candidates (about 1 s at r = 10^7, linear in r)
+    r = 10**12
+    poly = Polynomial({1: 1, 0: -r}) * Polynomial({1: 1, 0: -r - 1})
+    assert liealg._rational_roots(poly) == [GaussianRational(r), GaussianRational(r + 1)]
+    # the same roots over a leading coefficient, and an irreducible neighbour
+    assert liealg._rational_roots(poly.scale(Fraction(-2, 3))) == liealg._rational_roots(poly)
+    assert liealg._rational_roots(poly + Polynomial({0: 1})) is None
+
+
+NONZERO_SMALL = st.one_of(st.integers(-12, -1), st.integers(1, 12))
+
+
+@st.composite
+def quadratics(draw):
+    """(a, b, c) of a x^2 + b x + c: small coefficients, or a (q x - p)(s x - r)
+    with small rational roots p/q and r/s."""
+    if draw(st.booleans()):
+        return draw(NONZERO_SMALL), draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+    a, q, s = draw(NONZERO_SMALL), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    p, r = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+    return a * q * s, -a * (p * s + q * r), a * p * r
+
+
+# split over Q (with distinct, repeated, opposite or zero roots), irreducible
+# with a positive non-square discriminant, or with a negative one; the search
+# and the closed form must agree in order too
+@example((1, -3, 2))
+@example((1, 0, -4))
+@example((1, -2, 1))
+@example((1, 0, -2))
+@example((1, 1, 1))
+@example((-6, 1, 2))
+@given(quadratics())
+def test_quadratic_roots_match_the_search(coeffs):
+    a, b, c = coeffs
+    poly = Polynomial({2: a, 1: b, 0: c})
+    disc = b * b - 4 * a * c
+    event("discriminant < 0" if disc < 0 else "square discriminant"
+          if math.isqrt(disc) ** 2 == disc else "non-square discriminant")
+    assert liealg._rational_roots(poly) == reference_liealg.searched_rational_roots(poly)
+
+
 def test_ad_is_a_representation_on_even_pairs(structure_cache):
     structure = structure_cache("k1")
     basis = structure.basis
@@ -1153,6 +1197,87 @@ def test_conjugation_preserves_brackets(basis_cache, structure_cache, manifolds)
                     for r in range(m):
                         rhs[r] = rhs[r] + d * c[r][k]
             assert lhs == rhs
+
+
+# the lift family of each bundled manifold that has one
+LIFT_FAMILIES = {
+    name: "nonsplit" if name == "nonsplit-2-2" else "diagonal"
+    for name in ("k-1", "k0", "k1", "k2", "k3", "k5", "split-2-2", "split-3-1", "nonsplit-2-2")
+}
+
+NONZERO_FRACTIONS = st.builds(
+    Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.sampled_from([1, 2, 3])
+)
+
+
+@st.composite
+def sl2_matrices(draw):
+    a, b, c = draw(NONZERO_FRACTIONS), draw(NONZERO_FRACTIONS), draw(NONZERO_FRACTIONS)
+    return ((a, b), (c, (1 + b * c) / a))
+
+
+def unipotent_odd_linear(c, k):
+    """t1 -> t1 + c z^k t2 on split-3-1: id + cX for the field X = z^k t2 d/dt1,
+    which is global for k <= 2 and squares to zero."""
+    field = SuperDerivation(
+        CHART0, 2, SuperFunction.zero(CHART0, 2), [sf(2, {2: zm(k)}), SuperFunction.zero(CHART0, 2)]
+    )
+    coords = [SuperFunction.coordinate(CHART0, 2)]
+    coords += [SuperFunction.odd_var(CHART0, 2, j) for j in range(2)]
+    images = [u + field.apply(u).scale(c) for u in coords]
+    return PullbackData(CHART0, CHART0, images[0], images[1:])
+
+
+@st.composite
+def conjugation_cases(draw):
+    """(kind, manifold name, pullback) for the conjugation oracle."""
+    kind = draw(st.sampled_from(
+        ["mobius", "unipotent", "unipotent-mobius", "identity", "not-global", "odd-dim"]
+    ))
+    if kind == "mobius":
+        name = draw(st.sampled_from(sorted(LIFT_FAMILIES)))
+        return kind, name, mobius_lift(load_bundled_manifold(name), LIFT_FAMILIES[name],
+                                       draw(sl2_matrices()))
+    if kind.startswith("unipotent"):
+        p = unipotent_odd_linear(draw(NONZERO_FRACTIONS), draw(st.sampled_from([0, 1, 2, 3])))
+        if kind == "unipotent-mobius":
+            lift = mobius_lift(load_bundled_manifold("split-3-1"), "diagonal", draw(sl2_matrices()))
+            p = compose(lift, p) if draw(st.booleans()) else compose(p, lift)
+        return kind, "split-3-1", p
+    name = draw(st.sampled_from(bundled_manifold_names()))
+    manifold = load_bundled_manifold(name)
+    n = manifold.odd_dim
+    if kind == "identity":
+        return kind, name, PullbackData.identity(manifold.chart0, n)
+    if kind == "odd-dim":
+        return kind, name, PullbackData.identity(manifold.chart0, n + draw(st.sampled_from([-1, 1])))
+    # a nonconstant odd scaling, global on no bundled manifold
+    odds = [sf(n, {1 << j: RationalFunction.z() + 1}, manifold.chart0) for j in range(n)]
+    return kind, name, PullbackData(
+        manifold.chart0, manifold.chart0, SuperFunction.coordinate(manifold.chart0, n), odds
+    )
+
+
+def conjugation_outcome(action, basis, pullback):
+    try:
+        return action(basis, pullback)
+    except MathDomainError as exc:
+        return type(exc).__name__
+
+
+@settings(deadline=None, max_examples=60)
+@example(("identity", "c01", PullbackData.identity("c01", 1)))
+@example(("unipotent", "split-3-1", unipotent_odd_linear(Fraction(2), 2)))
+@example(("unipotent", "split-3-1", unipotent_odd_linear(Fraction(-1, 2), 3)))
+@example(("odd-dim", "k2", PullbackData.identity(CHART0, 2)))
+@given(conjugation_cases())
+def test_conjugation_matches_reference(basis_cache, case):
+    kind, name, pullback = case
+    basis = basis_cache(name)
+    expected = conjugation_outcome(reference_liealg.reference_conjugation_action, basis, pullback)
+    got = conjugation_outcome(conjugation_action, basis, pullback)
+    event("%s: %s" % (kind, expected if isinstance(expected, str) else "matrix"))
+    assert got == expected
 
 
 def test_expand_rejects_outside_span(basis_cache):
