@@ -31,8 +31,9 @@ and ``h``.
 ``reference_conjugation_action`` is the conjugation action that ``liealg``
 used before it pulled back each basis monomial and each coordinate partial
 once: one full ``inverse.apply(X(p*u))`` Taylor substitution per basis field
-X and coordinate u, kept verbatim.  The library must return the same matrix,
-or raise the same error class, on every basis and pullback.
+X and coordinate u, kept verbatim (its ``expand_in_basis`` spelled as the
+library's, since this module has its own).  The library must return the same
+matrix, or raise the same error class, on every basis and pullback.
 
 ``searched_rational_roots`` is the ``_rational_roots`` that ``liealg`` used
 before it read a quadratic factor's roots in closed form, kept verbatim: it
