@@ -32,23 +32,34 @@ from .scalars import GaussianRational, mobius_inverse
 
 
 class SuperDerivation:
-    """Super vector field on a single chart."""
+    """Super vector field on a single chart.
 
-    __slots__ = ("chart", "odd_dim", "even_coeff", "odd_coeffs")
+    ``coeffs`` holds its values on the coordinates, indexed like them: 0 for
+    d/dz, j for d/dtheta_j.
+    """
+
+    __slots__ = ("chart", "odd_dim", "coeffs")
 
     def __init__(self, chart, odd_dim, even_coeff, odd_coeffs):
-        odd_coeffs = tuple(odd_coeffs)
+        coeffs = (even_coeff, *odd_coeffs)
         if even_coeff.chart != chart or even_coeff.odd_dim != odd_dim:
             raise ChartMismatch("even coefficient on wrong chart")
-        if len(odd_coeffs) != odd_dim:
+        if len(coeffs) != odd_dim + 1:
             raise ValueError("expected %d odd coefficients" % odd_dim)
-        for c in odd_coeffs:
+        for c in coeffs[1:]:
             if c.chart != chart or c.odd_dim != odd_dim:
                 raise ChartMismatch("odd coefficient on wrong chart")
         self.chart = chart
         self.odd_dim = odd_dim
-        self.even_coeff = even_coeff
-        self.odd_coeffs = odd_coeffs
+        self.coeffs = coeffs
+
+    @property
+    def even_coeff(self):
+        return self.coeffs[0]
+
+    @property
+    def odd_coeffs(self):
+        return self.coeffs[1:]
 
     # -- constructors -------------------------------------------------------
 
@@ -72,7 +83,7 @@ class SuperDerivation:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self):
-        return self.even_coeff.is_zero() and all(c.is_zero() for c in self.odd_coeffs)
+        return all(c.is_zero() for c in self.coeffs)
 
     def __bool__(self):
         return not self.is_zero()
@@ -80,20 +91,15 @@ class SuperDerivation:
     def __eq__(self, other):
         if not isinstance(other, SuperDerivation):
             return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.odd_dim == other.odd_dim
-            and self.even_coeff == other.even_coeff
-            and self.odd_coeffs == other.odd_coeffs
-        )
+        return (self.chart, self.odd_dim, self.coeffs) == (other.chart, other.odd_dim, other.coeffs)
 
     def __hash__(self):
-        return hash((self.chart, self.odd_dim, self.even_coeff, self.odd_coeffs))
+        return hash((self.chart, self.odd_dim, self.coeffs))
 
     def _shifts(self):
         """|nu| - (u > 0) for each term theta^nu d_u: the degree it raises by, and its
         parity, which is that of |nu| + (u > 0)."""
-        for u, c in enumerate((self.even_coeff,) + self.odd_coeffs):
+        for u, c in enumerate(self.coeffs):
             for idx in c.terms:
                 yield idx.bit_count() - (u > 0)
 
@@ -104,28 +110,19 @@ class SuperDerivation:
     def __add__(self, other):
         if not isinstance(other, SuperDerivation):
             return NotImplemented
-        return SuperDerivation(
-            self.chart,
-            self.odd_dim,
-            self.even_coeff + other.even_coeff,
-            [a + b for a, b in zip(self.odd_coeffs, other.odd_coeffs)],
-        )
+        even, *odds = (a + b for a, b in zip(self.coeffs, other.coeffs))
+        return SuperDerivation(self.chart, self.odd_dim, even, odds)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SuperDerivation(
-            self.chart, self.odd_dim, -self.even_coeff, [-c for c in self.odd_coeffs]
-        )
+        even, *odds = (-c for c in self.coeffs)
+        return SuperDerivation(self.chart, self.odd_dim, even, odds)
 
     def scale(self, c):
-        return SuperDerivation(
-            self.chart,
-            self.odd_dim,
-            self.even_coeff.scale(c),
-            [x.scale(c) for x in self.odd_coeffs],
-        )
+        even, *odds = (x.scale(c) for x in self.coeffs)
+        return SuperDerivation(self.chart, self.odd_dim, even, odds)
 
     # -- action -------------------------------------------------------------
 
@@ -133,13 +130,9 @@ class SuperDerivation:
         if f.chart != self.chart or f.odd_dim != self.odd_dim:
             raise ChartMismatch("function on %r, derivation on %r" % (f.chart, self.chart))
         out = SuperFunction.zero(self.chart, self.odd_dim)
-        if self.even_coeff:
-            d = f.d_even()
-            if d:
-                out = out + self.even_coeff * d
-        for j, c in enumerate(self.odd_coeffs):
+        for u, c in enumerate(self.coeffs):
             if c:
-                d = f.d_odd(j)
+                d = f.d_odd(u - 1) if u else f.d_even()
                 if d:
                     out = out + c * d
         return out
@@ -151,8 +144,8 @@ class SuperDerivation:
 
         A field is its values on the coordinates z, t_j, and those values are
         its coefficients, so the coefficients of [X, Y] are X(Y_u) - s Y(X_u)
-        for u the even coefficient and each odd one, with s = (-1)^{|X||Y|}:
-        a sum when both fields are odd, else a difference.
+        for each coordinate u, with s = (-1)^{|X||Y|}: a sum when both fields
+        are odd, else a difference.
         """
         if other.chart != self.chart or other.odd_dim != self.odd_dim:
             raise ChartMismatch("bracket of derivations on different charts")
@@ -161,10 +154,9 @@ class SuperDerivation:
         if px is None or py is None:
             raise MixedParity("bracket requires parity-homogeneous derivations")
         combine = add if (px and py) else sub
-        xs = (self.even_coeff,) + self.odd_coeffs
-        ys = (other.even_coeff,) + other.odd_coeffs
-        coeffs = [combine(self.apply(y), other.apply(x)) for x, y in zip(xs, ys)]
-        return SuperDerivation(self.chart, self.odd_dim, coeffs[0], coeffs[1:])
+        pairs = zip(self.coeffs, other.coeffs)
+        even, *odds = (combine(self.apply(y), other.apply(x)) for x, y in pairs)
+        return SuperDerivation(self.chart, self.odd_dim, even, odds)
 
     def filtration_level(self):
         """Largest k such that the field raises Grassmann degree by k.

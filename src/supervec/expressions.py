@@ -321,12 +321,11 @@ def superfunction_text(sf):
 
 def derivation_text(der):
     """Report form of a derivation: coefficient times direction, summed."""
-    parts = []
-    if der.even_coeff:
-        parts.append("(%s)*d/dz" % superfunction_text(der.even_coeff))
-    for j, c in enumerate(der.odd_coeffs):
-        if c:
-            parts.append("(%s)*d/dt%d" % (superfunction_text(c), j + 1))
+    parts = [
+        "(%s)*d/%s" % (superfunction_text(c), "dt%d" % u if u else "dz")
+        for u, c in enumerate(der.coeffs)
+        if c
+    ]
     return " + ".join(parts) if parts else "0"
 
 

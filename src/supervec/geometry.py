@@ -16,6 +16,8 @@ formulas for two families:
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import (
     BadDeterminant,
     BadReducedMap,
@@ -50,16 +52,10 @@ KIND_P1 = "p1"
 KIND_C01 = "c01"
 
 
-class SuperManifoldData:
+class SuperManifoldData(namedtuple("SuperManifoldData", "name odd_dim kind transition")):
     """Validated two-chart transition data (or the single-chart point)."""
 
-    __slots__ = ("name", "odd_dim", "kind", "transition")
-
-    def __init__(self, name, odd_dim, kind, transition):
-        self.name = name
-        self.odd_dim = odd_dim
-        self.kind = kind
-        self.transition = transition
+    __slots__ = ()
 
     @classmethod
     def from_transition(cls, name, odd_dim, transition):
@@ -99,19 +95,6 @@ class SuperManifoldData:
             return self
         return SuperManifoldData(self.name + "-gr", self.odd_dim, KIND_P1, truncated)
 
-    def __eq__(self, other):
-        if not isinstance(other, SuperManifoldData):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.odd_dim == other.odd_dim
-            and self.kind == other.kind
-            and self.transition == other.transition
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.odd_dim, self.kind, self.transition))
-
     def __repr__(self):
         return "SuperManifoldData(%r, odd_dim=%d, kind=%r)" % (
             self.name,
@@ -120,7 +103,7 @@ class SuperManifoldData:
         )
 
 
-class GlobalVectorField:
+class GlobalVectorField(namedtuple("GlobalVectorField", "manifold chart0_der chart1_der parity")):
     """A super vector field defined on the whole manifold.
 
     Stored as its restrictions to both charts; the constructor verifies the
@@ -128,37 +111,25 @@ class GlobalVectorField:
     the transition on every coordinate.
     """
 
-    __slots__ = ("manifold", "chart0_der", "chart1_der", "parity")
+    __slots__ = ()
+
+    def __new__(cls, manifold, chart0_der, chart1_der):
+        return super().__new__(cls, manifold, chart0_der, chart1_der, chart0_der.parity())
 
     def __init__(self, manifold, chart0_der, chart1_der):
-        parity = chart0_der.parity()
-        if parity is None:
+        if self.parity is None:
             raise NotGlobal("global fields must be parity-homogeneous")
         for der in (chart0_der, chart1_der):
-            for coeff in (der.even_coeff, *der.odd_coeffs):
+            for coeff in der.coeffs:
                 for rf in coeff.terms.values():
                     if not rf.is_polynomial():
                         raise NotGlobal("chart restrictions must have polynomial coefficients")
         if manifold.kind == KIND_P1:
             # a field's value on a coordinate is its coefficient there
             chi = manifold.transition
-            coeffs = (chart1_der.even_coeff, *chart1_der.odd_coeffs)
-            for c, image in zip(coeffs, (chi.even_image, *chi.odd_images)):
+            for c, image in zip(chart1_der.coeffs, (chi.even_image, *chi.odd_images)):
                 if chi.apply(c) != chart0_der.apply(image):
                     raise NotGlobal("chart restrictions disagree across the transition")
-        self.manifold = manifold
-        self.chart0_der = chart0_der
-        self.chart1_der = chart1_der
-        self.parity = parity
-
-    def __eq__(self, other):
-        if not isinstance(other, GlobalVectorField):
-            return NotImplemented
-        return (
-            self.manifold == other.manifold
-            and self.chart0_der == other.chart0_der
-            and self.chart1_der == other.chart1_der
-        )
 
     def __repr__(self):
         return "GlobalVectorField(%r, parity=%d)" % (self.manifold.name, self.parity)

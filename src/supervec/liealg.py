@@ -125,6 +125,10 @@ def default_cap(manifold):
 # (154 MB); the (1|9) split at its default cap has 143360 columns, 2.5 s.
 MAX_COLUMNS = 150_000
 
+# Largest |y| the rational-root search of ``weights`` tries.  Its time is linear
+# in the smallest root: on the same Xeon, 0.02 s near 10^5 and 0.22 s near 10^6.
+MAX_ROOT_SEARCH = 1_000_000
+
 
 def _column_count(n, cap):
     """Columns of ``_compatibility_rows(manifold, cap)`` for odd dimension ``n``."""
@@ -310,7 +314,7 @@ def _slot_terms(der):
     NotInSpan if a coefficient is not a polynomial.
     """
     terms = {}
-    for comp, coeff in enumerate((der.even_coeff, *der.odd_coeffs)):
+    for comp, coeff in enumerate(der.coeffs):
         for nu, rf in coeff.terms.items():
             if not rf.is_polynomial():
                 raise NotInSpan("derivation has non-polynomial coefficients")
@@ -517,8 +521,8 @@ def _rational_roots(poly):
     magnitude is taken (the positive one on a tie), as the search would.
     Otherwise the smallest ``|y|`` is at most the geometric mean of the roots,
     ``|y|^deg <= |Q(0)|``, so the divisors of ``Q(0)`` are tried by increasing
-    ``|y|`` up to that bound.  The root found is divided out and the search goes
-    on from its magnitude.
+    ``|y|`` up to that bound (SystemTooLarge past ``MAX_ROOT_SEARCH``).  The root
+    found is divided out and the search goes on from its magnitude.
     """
     if any(c.b for c in poly.coeffs.values()):
         return None
@@ -551,6 +555,11 @@ def _rational_roots(poly):
             found = Fraction(y, lead)
         k = max(1, -(-low.numerator * abs(lead) // low.denominator))
         while found is None and k**deg <= bound:
+            if k > MAX_ROOT_SEARCH:
+                raise SystemTooLarge(
+                    "rational-root search would run to |y| = 10^%.1f, above the limit of %d"
+                    % (math.log10(bound) / deg, MAX_ROOT_SEARCH)
+                )
             if bound % k == 0:
                 for y in (k, -k):
                     value = 0

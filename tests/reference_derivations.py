@@ -21,25 +21,45 @@ before both gradings were read off the terms theta^nu d_u, kept verbatim with
 the two ``SuperFunction`` methods they called: they combine each
 coefficient's parity and least Grassmann degree, flipping the parity and
 lowering the degree by one in the odd directions.
+
+``SuperDerivation`` is the library's class from before it stored its values
+on the coordinates as one tuple, kept verbatim: it holds ``even_coeff`` and
+``odd_coeffs`` apart and handles the two in separate branches.  Its methods
+must give equal coefficients, or raise the same error, on every input.  The
+factorisation oracles above build the library's derivations, as
+``derivations.SuperDerivation``, so that their parts compare with the
+library's.
 """
 
 from __future__ import annotations
 
+from operator import add, sub
+
+from supervec import derivations
 from supervec.derivations import (
     RothsteinParts,
-    SuperDerivation,
+    _exp_series,
     degree_zero_part,
     odd_linear_matrix,
     recombine,
 )
 from supervec.errors import (
+    ChartMismatch,
     MixedParity,
     NotInvertible,
+    NotNilpotent,
     RecombinationMismatch,
     ResidualNotCleared,
     UnsupportedReducedMap,
 )
-from supervec.grassmann import PullbackData, SuperFunction, compose, idx_sort_key, idx_weight
+from supervec.grassmann import (
+    PullbackData,
+    SuperFunction,
+    compose,
+    idx_sort_key,
+    idx_weight,
+    weights_parity,
+)
 from supervec.linalg import determinant, invert_matrix, solve_square
 from supervec.scalars import RationalFunction, mobius_inverse
 
@@ -71,7 +91,7 @@ def rothstein_decompose(p):
     if not determinant(mat, rf_zero, rf_one):
         raise NotInvertible("odd linear part is singular over the rational functions")
     target = p.target_chart
-    gen = SuperDerivation.zero(target, n)
+    gen = derivations.SuperDerivation.zero(target, n)
     if p == recombine(RothsteinParts(phi0, gen)):
         return RothsteinParts(phi0, gen)
     rho_inv = _reduced_inverse(p)
@@ -88,7 +108,7 @@ def rothstein_decompose(p):
         odd_adds = [
             _solve_degree_slice(phi0, delta_odds[j], d + 1, rho_inv) for j in range(n)
         ]
-        gen = gen + SuperDerivation(target, n, even_add, odd_adds)
+        gen = gen + derivations.SuperDerivation(target, n, even_add, odd_adds)
         cur = recombine(RothsteinParts(phi0, gen))
         residuals = [(p.even_image - cur.even_image, d)]
         residuals += [(p.odd_images[j] - cur.odd_images[j], d + 1) for j in range(n)]
@@ -214,3 +234,172 @@ def filtration_level(x):
         if cur < level:
             level = cur
     return min(level, top)
+
+
+class SuperDerivation:
+    """Super vector field on a single chart."""
+
+    __slots__ = ("chart", "odd_dim", "even_coeff", "odd_coeffs")
+
+    def __init__(self, chart, odd_dim, even_coeff, odd_coeffs):
+        odd_coeffs = tuple(odd_coeffs)
+        if even_coeff.chart != chart or even_coeff.odd_dim != odd_dim:
+            raise ChartMismatch("even coefficient on wrong chart")
+        if len(odd_coeffs) != odd_dim:
+            raise ValueError("expected %d odd coefficients" % odd_dim)
+        for c in odd_coeffs:
+            if c.chart != chart or c.odd_dim != odd_dim:
+                raise ChartMismatch("odd coefficient on wrong chart")
+        self.chart = chart
+        self.odd_dim = odd_dim
+        self.even_coeff = even_coeff
+        self.odd_coeffs = odd_coeffs
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def zero(cls, chart, odd_dim):
+        z = SuperFunction.zero(chart, odd_dim)
+        return cls(chart, odd_dim, z, [z] * odd_dim)
+
+    @classmethod
+    def d_even(cls, chart, odd_dim):
+        z = SuperFunction.zero(chart, odd_dim)
+        return cls(chart, odd_dim, SuperFunction.one(chart, odd_dim), [z] * odd_dim)
+
+    @classmethod
+    def d_odd(cls, chart, odd_dim, j):
+        z = SuperFunction.zero(chart, odd_dim)
+        coeffs = [z] * odd_dim
+        coeffs[j] = SuperFunction.one(chart, odd_dim)
+        return cls(chart, odd_dim, z, coeffs)
+
+    # -- structure ----------------------------------------------------------
+
+    def is_zero(self):
+        return self.even_coeff.is_zero() and all(c.is_zero() for c in self.odd_coeffs)
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        if not isinstance(other, SuperDerivation):
+            return NotImplemented
+        return (
+            self.chart == other.chart
+            and self.odd_dim == other.odd_dim
+            and self.even_coeff == other.even_coeff
+            and self.odd_coeffs == other.odd_coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.chart, self.odd_dim, self.even_coeff, self.odd_coeffs))
+
+    def _shifts(self):
+        """|nu| - (u > 0) for each term theta^nu d_u: the degree it raises by, and its
+        parity, which is that of |nu| + (u > 0)."""
+        for u, c in enumerate((self.even_coeff,) + self.odd_coeffs):
+            for idx in c.terms:
+                yield idx.bit_count() - (u > 0)
+
+    def parity(self):
+        """0 (even), 1 (odd), or None for mixed; the zero field counts as even."""
+        return weights_parity(self._shifts())
+
+    def __add__(self, other):
+        if not isinstance(other, SuperDerivation):
+            return NotImplemented
+        return SuperDerivation(
+            self.chart,
+            self.odd_dim,
+            self.even_coeff + other.even_coeff,
+            [a + b for a, b in zip(self.odd_coeffs, other.odd_coeffs)],
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return SuperDerivation(
+            self.chart, self.odd_dim, -self.even_coeff, [-c for c in self.odd_coeffs]
+        )
+
+    def scale(self, c):
+        return SuperDerivation(
+            self.chart,
+            self.odd_dim,
+            self.even_coeff.scale(c),
+            [x.scale(c) for x in self.odd_coeffs],
+        )
+
+    # -- action -------------------------------------------------------------
+
+    def apply(self, f):
+        if f.chart != self.chart or f.odd_dim != self.odd_dim:
+            raise ChartMismatch("function on %r, derivation on %r" % (f.chart, self.chart))
+        out = SuperFunction.zero(self.chart, self.odd_dim)
+        if self.even_coeff:
+            d = f.d_even()
+            if d:
+                out = out + self.even_coeff * d
+        for j, c in enumerate(self.odd_coeffs):
+            if c:
+                d = f.d_odd(j)
+                if d:
+                    out = out + c * d
+        return out
+
+    __call__ = apply
+
+    def bracket(self, other):
+        """Super bracket [X, Y] = X Y - (-1)^{|X||Y|} Y X.
+
+        A field is its values on the coordinates z, t_j, and those values are
+        its coefficients, so the coefficients of [X, Y] are X(Y_u) - s Y(X_u)
+        for u the even coefficient and each odd one, with s = (-1)^{|X||Y|}:
+        a sum when both fields are odd, else a difference.
+        """
+        if other.chart != self.chart or other.odd_dim != self.odd_dim:
+            raise ChartMismatch("bracket of derivations on different charts")
+        px = self.parity()
+        py = other.parity()
+        if px is None or py is None:
+            raise MixedParity("bracket requires parity-homogeneous derivations")
+        combine = add if (px and py) else sub
+        xs = (self.even_coeff,) + self.odd_coeffs
+        ys = (other.even_coeff,) + other.odd_coeffs
+        coeffs = [combine(self.apply(y), other.apply(x)) for x, y in zip(xs, ys)]
+        return SuperDerivation(self.chart, self.odd_dim, coeffs[0], coeffs[1:])
+
+    def filtration_level(self):
+        """Largest k such that the field raises Grassmann degree by k.
+
+        The even coefficient must have degree >= k and every odd coefficient
+        degree >= k + 1; the zero derivation sits at the top level n + 1.
+        """
+        if self.parity() is None:
+            raise MixedParity("filtration level requires parity-homogeneous derivations")
+        return min(self._shifts(), default=self.odd_dim + 1)
+
+    def exp_pullback(self, scale=1):
+        """Pullback of exp(scale * X) for a nilpotent even field X.
+
+        Requires filtration level >= 2, which makes every coordinate series
+        terminate after at most odd_dim // 2 + 1 terms of :func:`_exp_series`.
+        """
+        if self.parity() != 0:
+            raise NotNilpotent("exponential requires an even derivation")
+        if self and self.filtration_level() < 2:
+            raise NotNilpotent("exponential requires filtration level >= 2")
+        n = self.odd_dim
+        coords = [SuperFunction.coordinate(self.chart, n)]
+        coords += [SuperFunction.odd_var(self.chart, n, j) for j in range(n)]
+        images = [_exp_series(self, u, scale) for u in coords]
+        return PullbackData(self.chart, self.chart, images[0], images[1:])
+
+    def __repr__(self):
+        return "SuperDerivation(%r, even=%r, odd=%r)" % (
+            self.chart,
+            self.even_coeff,
+            list(self.odd_coeffs),
+        )

@@ -9,7 +9,7 @@ their solve, bracket and report bodies.  Whatever the input, ``main`` must
 return 0, 2 or 3 without raising; on a nonzero exit stdout stays empty and
 stderr holds one diagnostic line, ``error: <Code>: ...``; and a second run
 in the same process, through the cached parser, gives the same result.
-``weights`` is left out: its eigenvalue search has no bound on these inputs.
+``weights`` runs with ``--cartan 0``.
 """
 
 import io
@@ -82,13 +82,14 @@ def pullback_texts(draw):
 @FUZZ
 @given(
     text=manifold_texts(),
-    command=st.sampled_from(MANIFOLD_COMMANDS),
+    command=st.sampled_from(MANIFOLD_COMMANDS + ["weights"]),
     machine=st.booleans(),
 )
 def test_manifold_commands(tmp_path_factory, text, command, machine):
     path = tmp_path_factory.getbasetemp() / "fuzz.smf"
     path.write_text(text)
-    code = check([command, "--manifold", str(path)] + (["--machine"] if machine else []))
+    cartan = ["--cartan", "0"] if command == "weights" else []
+    code = check([command, "--manifold", str(path)] + cartan + (["--machine"] if machine else []))
     event("%s exit %d" % (command, code))
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from supervec import derivations
 from supervec.derivations import (
@@ -215,6 +215,103 @@ def test_gradings_match_parent_oracles(x):
         assert info.value.message == exc.message
     else:
         assert x.filtration_level() == expected
+
+
+@st.composite
+def derivation_args(draw, n, faulty=True):
+    """(chart, odd_dim, even, odds) for a constructor: a field whose
+    coefficients are zero, homogeneous for a drawn parity, drawn from any index,
+    or raising degree by 2 or more (an even nilpotent field when all are); and,
+    if ``faulty``, up to two faults: the even or an odd coefficient on the other
+    chart or of another odd dimension, or one odd coefficient too many or too
+    few."""
+    parity = draw(st.integers(0, 1))
+    coeffs = []
+    for u in range(n + 1):
+        kind = draw(st.sampled_from(["zero", "homogeneous", "any", "nilpotent"]))
+        pool = [i for i in range(1 << n)
+                if kind == "any"
+                or (kind == "homogeneous" and idx_parity(i) == (parity + (u > 0)) & 1)
+                or (kind == "nilpotent" and idx_weight(i) >= 2 + (u > 0)
+                    and idx_parity(i) == (u > 0))]
+        picked = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)) if pool else []
+        coeffs.append(sf(n, {i: draw(grading_values) for i in picked} if kind != "zero" else {}))
+    faults = draw(st.one_of(st.just(set()), st.sets(
+        st.sampled_from(["even chart", "odd chart", "odd dimension", "count"]), max_size=2)))
+    faults = faults if faulty else set()
+    if "even chart" in faults:
+        coeffs[0] = sf(n, coeffs[0].terms, chart=C1)
+    if "odd chart" in faults and n:
+        j = draw(st.integers(1, n))
+        coeffs[j] = sf(n, coeffs[j].terms, chart=C1)
+    if "odd dimension" in faults:
+        coeffs[draw(st.integers(0, n))] = SuperFunction.zero(C, n + 1)
+    if "count" in faults:
+        shorter = n and draw(st.booleans())
+        coeffs = coeffs[:-1] if shorter else coeffs + [SuperFunction.zero(C, n)]
+    return C, n, coeffs[0], coeffs[1:]
+
+
+DERIVATION_OPERATIONS = {
+    "==": lambda x, y, f, c: x == y,
+    "hash": lambda x, y, f, c: hash(x) == hash(y),
+    "bool": lambda x, y, f, c: bool(x),
+    "parity": lambda x, y, f, c: x.parity(),
+    "filtration_level": lambda x, y, f, c: x.filtration_level(),
+    "+": lambda x, y, f, c: x + y,
+    "-": lambda x, y, f, c: x - y,
+    "unary -": lambda x, y, f, c: -x,
+    "scale": lambda x, y, f, c: x.scale(c),
+    "apply": lambda x, y, f, c: x.apply(f),
+    "bracket": lambda x, y, f, c: x.bracket(y),
+    "exp_pullback": lambda x, y, f, c: x.exp_pullback(c),
+    "repr": lambda x, y, f, c: repr(x),
+}
+
+
+def derivation_outcome(operation, *args):
+    """("value", v) with a derivation as (chart, odd_dim, coefficient tuple),
+    or (error class, message)."""
+    try:
+        v = operation(*args)
+    except (MathDomainError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(v, SuperDerivation):
+        v = v.chart, v.odd_dim, v.coeffs
+    elif isinstance(v, reference.SuperDerivation):
+        v = v.chart, v.odd_dim, (v.even_coeff, *v.odd_coeffs)
+    return "value", v
+
+
+def outcome_tag(outcome):
+    return "value" if outcome[0] == "value" else outcome[0].__name__
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_superderivation_matches_parent_class(data):
+    """Each field is built by the library and by the parent class from the same
+    coefficients; every operation must give equal values, a derivation compared
+    by its coefficient tuple, or raise the same error.  The two classes hash
+    different tuples, so ``hash`` is compared by whether x and y hash alike."""
+    n = data.draw(st.integers(0, 4))
+    x_args = data.draw(derivation_args(n))
+    both = (SuperDerivation, reference.SuperDerivation)
+    built = [derivation_outcome(cls, *x_args) for cls in both]
+    assert built[0] == built[1]
+    event("constructor: %s" % outcome_tag(built[0]))
+    if built[0][0] != "value":
+        return
+    y_args = data.draw(st.one_of(
+        st.just(x_args), derivation_args(n, faulty=False), derivation_args(n + 1, faulty=False)))
+    f = sf(n, {i: data.draw(grading_values) for i in range(1 << n) if data.draw(st.booleans())})
+    f = data.draw(st.sampled_from([f, f, sf(n, f.terms, chart=C1)]))
+    c = data.draw(st.sampled_from([1, -1, Fraction(1, 2), GaussianRational(0, 1), 0]))
+    pairs = [(cls(*x_args), cls(*y_args)) for cls in both]
+    for name, operation in DERIVATION_OPERATIONS.items():
+        got, expected = [derivation_outcome(operation, x, y, f, c) for x, y in pairs]
+        assert got == expected, name
+        event("%s: %s" % (name, outcome_tag(got)))
 
 
 def test_filtration_is_a_lie_filtration():

@@ -668,3 +668,64 @@ def test_global_field_rejects_disagreeing_restrictions(manifolds, basis_cache):
         changed = SuperDerivation(CHART1, 2, c1.even_coeff, odds)
         with pytest.raises(NotGlobal, match="disagree"):
             GlobalVectorField(m, field.chart0_der, changed)
+
+
+def test_global_field_checks_parity_then_polynomials_then_the_transition(manifolds):
+    # each input also fails every later check
+    m = manifolds["k2"]
+    zero = SuperFunction.zero(CHART0, 1)
+    pole = SuperDerivation(CHART0, 1, sf(1, {0: zm(-5)}), [zero])
+    wrong = SuperDerivation.d_even(CHART1, 1)
+    cases = [
+        (pole + SuperDerivation.d_odd(CHART0, 1, 0), "global fields must be parity-homogeneous"),
+        (pole, "chart restrictions must have polynomial coefficients"),
+        (SuperDerivation.d_even(CHART0, 1), "chart restrictions disagree across the transition"),
+    ]
+    for chart0_der, message in cases:
+        with pytest.raises(NotGlobal) as info:
+            GlobalVectorField(m, chart0_der, wrong)
+        assert info.value.message == message
+
+
+def test_manifold_records_compare_by_their_fields(manifolds):
+    k2, k3 = manifolds["k2"], manifolds["k3"]
+    copy = SuperManifoldData(k2.name, k2.odd_dim, k2.kind, k2.transition)
+    assert copy == k2 and hash(copy) == hash(k2) and copy is not k2
+    variants = [
+        SuperManifoldData("other", k2.odd_dim, k2.kind, k2.transition),
+        SuperManifoldData(k2.name, 2, k2.kind, k2.transition),
+        SuperManifoldData(k2.name, k2.odd_dim, KIND_C01, k2.transition),
+        SuperManifoldData(k2.name, k2.odd_dim, k2.kind, k3.transition),
+    ]
+    assert all(v != k2 for v in variants)
+    assert len({k2, copy, *variants}) == 5
+    with pytest.raises(AttributeError):
+        k2.name = "other"
+    with pytest.raises(AttributeError):
+        k2.extra = 1
+
+
+def test_global_field_records_compare_by_their_fields():
+    # on the point every parity-homogeneous pair of polynomial fields is global
+    point = SuperManifoldData.point()
+    theta = SuperFunction.odd_var(POINT_CHART, 1, 0)
+    zero = SuperFunction.zero(POINT_CHART, 1)
+    even = SuperDerivation(POINT_CHART, 1, zero, [theta])
+    even2 = SuperDerivation(POINT_CHART, 1, zero, [theta.scale(2)])
+    odd = SuperDerivation(POINT_CHART, 1, zero, [SuperFunction.one(POINT_CHART, 1)])
+    field = GlobalVectorField(point, even, even)
+    copy = GlobalVectorField(SuperManifoldData.point(), even, even)
+    assert copy == field and hash(copy) == hash(field) and copy is not field
+    assert field.parity == 0 and GlobalVectorField(point, odd, even).parity == 1
+    variants = [
+        GlobalVectorField(SuperManifoldData.point("other"), even, even),
+        GlobalVectorField(point, even2, even),
+        GlobalVectorField(point, even, even2),
+        GlobalVectorField(point, odd, even),
+    ]
+    assert all(v != field for v in variants)
+    assert len({field, copy, *variants}) == 5
+    with pytest.raises(AttributeError):
+        field.parity = 1
+    with pytest.raises(AttributeError):
+        field.extra = 1

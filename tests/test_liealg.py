@@ -988,6 +988,24 @@ def test_rational_roots_of_a_quadratic_with_large_roots_are_read_in_closed_form(
     assert liealg._rational_roots(poly + Polynomial({0: 1})) is None
 
 
+def test_cubic_root_search_stops_at_its_limit():
+    # a cubic's smallest root is searched for by increasing magnitude: 10^12
+    # steps here, so the search stops at MAX_ROOT_SEARCH instead
+    r = 10**12
+    with pytest.raises(SystemTooLarge) as info:
+        weight_decomposition(operator_table(_companion([r, r + 1, r + 2])), [1])
+    assert info.value.message == (
+        "rational-root search would run to |y| = 10^12.0, above the limit of %d"
+        % liealg.MAX_ROOT_SEARCH
+    )
+
+
+def test_cubic_root_search_below_its_limit_finds_every_root():
+    r = 10**5
+    weights = weight_decomposition(operator_table(_companion([r, r + 1, r + 2])), [1])
+    assert weights == [(GaussianRational(w), 1) for w in (r + 2, r + 1, r)]
+
+
 NONZERO_SMALL = st.one_of(st.integers(-12, -1), st.integers(1, 12))
 
 
