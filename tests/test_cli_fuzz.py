@@ -9,7 +9,9 @@ their solve, bracket and report bodies.  Whatever the input, ``main`` must
 return 0, 2 or 3 without raising; on a nonzero exit stdout stays empty and
 stderr holds one diagnostic line, ``error: <Code>: ...``; and a second run
 in the same process, through the cached parser, gives the same result.
-``weights`` runs with ``--cartan 0``.
+``weights`` runs with ``--cartan 0``, and exits 0 on under 1% of fuzzed
+manifolds, so a pinned (1|1) manifold runs every manifold command, and
+``weights --cartan 1``, to exit 0 in both output forms on every run.
 """
 
 import io
@@ -93,12 +95,13 @@ def test_manifold_commands(tmp_path_factory, text, command, machine):
     event("%s exit %d" % (command, code))
 
 
-@pytest.mark.parametrize("command", MANIFOLD_COMMANDS)
+@pytest.mark.parametrize("command", MANIFOLD_COMMANDS + ["weights"])
 def test_pinned_manifold_reaches_every_command(tmp_path, command):
     path = tmp_path / "pinned.smf"
     path.write_text(manifold_text(1, "z^-1", ["z^-2*t1"]))
+    cartan = ["--cartan", "1"] if command == "weights" else []
     for machine in ([], ["--machine"]):
-        assert check([command, "--manifold", str(path)] + machine) == 0
+        assert check([command, "--manifold", str(path)] + cartan + machine) == 0
 
 
 @FUZZ

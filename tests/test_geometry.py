@@ -275,6 +275,24 @@ def test_diagonal_family_rejects_non_diagonal_shapes(odd_images):
         sl2_embedding(m, "diagonal", ((1, 0), (0, -1)))
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda m: mobius_lift(m, "nonsplit", ((1, 0), (0, 1)), s=1),
+         "parameter s applies to the diagonal family only"),
+        (lambda m: sl2_embedding(m, "nonsplit", ((1, 0), (0, -1)), scalar_part=1),
+         "scalar part applies to the diagonal family only"),
+        (lambda m: mobius_lift(m, "line", ((1, 0), (0, 1))), "unknown family 'line'"),
+        (lambda m: sl2_embedding(m, "line", ((1, 0), (0, -1))), "unknown family 'line'"),
+    ],
+)
+def test_family_parameters_and_names_outside_the_families(manifolds, build, message):
+    # on the non-split manifold, so only the parameter or the name is at fault
+    with pytest.raises(FamilyShapeMismatch) as info:
+        build(manifolds["nonsplit-2-2"])
+    assert info.value.message == message
+
+
 def test_diagonal_scaling_parameter_on_two_odd(manifolds):
     m = manifolds["split-2-2"]
     p = mobius_lift(m, "diagonal", ((1, 0), (0, 1)), s=3)
@@ -603,6 +621,82 @@ def test_morphism_check_global_matches_reference(case):
         event("point %s" % outcomes[0])
     else:
         event(_exit(m, p, outcomes[0]))
+
+
+SMALL_Q = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+GAUSSIAN = st.builds(GaussianRational, SMALL_Q, SMALL_Q)
+FAMILY_BUILDERS = {"lift": mobius_lift, "embedding": sl2_embedding}
+
+
+@st.composite
+def family_cases(draw):
+    """(builder, manifold name, family, matrix, extra parameter).
+
+    The matrix has small Q(i) entries and is unit-determinant for a lift, or
+    traceless for an embedding, in at least three draws of four; the manifold
+    is the non-split one in six draws of fifteen; the family is the
+    manifold's own in two draws of five, else ``diagonal``, ``nonsplit`` or
+    an unknown one; the extra parameter ``s`` or ``scalar_part`` is zero in
+    two draws of three, and may be zero in the third.
+    """
+    builder = draw(st.sampled_from(sorted(FAMILY_BUILDERS)))
+    kind = builder if draw(st.sampled_from([True, True, True, False])) else draw(
+        st.sampled_from(sorted(FAMILY_BUILDERS)))
+    a, b, c = draw(GAUSSIAN), draw(GAUSSIAN), draw(GAUSSIAN)
+    if kind == "lift":
+        a = a or GaussianRational(1)
+        d = (1 + b * c) / a
+    else:
+        d = -a
+    name = draw(st.sampled_from(sorted(BUNDLED) + ["nonsplit-2-2"] * 5))
+    own = "nonsplit" if name == "nonsplit-2-2" else "diagonal"
+    family = draw(st.sampled_from([own, own, "diagonal", "nonsplit", "line"]))
+    extra = draw(st.one_of(st.just(0), st.just(0), GAUSSIAN))
+    return builder, name, family, ((a, b), (c, d)), extra
+
+
+def _family_outcome(build, manifold, family, matrix, extra):
+    """The built value with the term order of each image, or the error and its message."""
+    try:
+        value = build(manifold, family, matrix, extra)
+    except Exception as e:
+        return type(e), getattr(e, "message", str(e))
+    images = value.coeffs if isinstance(value, SuperDerivation) else (
+        value.even_image, *value.odd_images)
+    return value, [list(img.terms) for img in images]
+
+
+H2, UNIPOTENT = ((1, 0), (0, -1)), ((1, 1), (0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=family_cases())
+@example(case=("lift", "nonsplit-2-2", "nonsplit", UNIPOTENT, 0))
+@example(case=("lift", "nonsplit-2-2", "nonsplit", ((1, 0), (0, 1)), 0))  # b = 0
+@example(case=("lift", "split-3-1", "diagonal", UNIPOTENT, 3))
+@example(case=("lift", "k2", "diagonal", H2, 0))  # BadDeterminant
+@example(case=("lift", "c01", "diagonal", UNIPOTENT, 0))  # not two-chart
+@example(case=("lift", "nonsplit-2-2", "diagonal", UNIPOTENT, 0))  # not split
+@example(case=("lift", "nonsplit-2-2", "nonsplit", UNIPOTENT, 1))  # s off the diagonal family
+@example(case=("lift", "k2", "nonsplit", UNIPOTENT, 0))  # not the non-split manifold
+@example(case=("lift", "k2", "line", UNIPOTENT, 0))  # unknown family
+@example(case=("embedding", "nonsplit-2-2", "nonsplit", ((1, 2), (3, -1)), 0))
+@example(case=("embedding", "k5", "diagonal", ((1, 2), (3, -1)), 2))
+@example(case=("embedding", "k2", "diagonal", UNIPOTENT, 0))  # NotTraceless
+@example(case=("embedding", "nonsplit-2-2", "nonsplit", H2, 1))  # scalar part off the diagonal family
+@example(case=("embedding", "c01", "nonsplit", H2, 0))  # not the non-split manifold
+@example(case=("embedding", "k2", "line", H2, 0))  # unknown family
+def test_families_match_reference(case):
+    builder, name, family, matrix, extra = case
+    m = BUNDLED[name]
+    got = _family_outcome(FAMILY_BUILDERS[builder], m, family, matrix, extra)
+    want = _family_outcome(getattr(reference, FAMILY_BUILDERS[builder].__name__),
+                           m, family, matrix, extra)
+    assert got == want
+    if isinstance(got[0], type):
+        event("%s %s: %s" % (builder, got[0].__name__, got[1]))
+    else:
+        event("%s %s" % (builder, family))
 
 
 def _chart1_restriction(manifold, chart0_der):

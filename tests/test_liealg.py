@@ -1082,6 +1082,13 @@ def test_derived_span_k1_is_everything(structure_cache):
     assert dim == len(structure.basis.even_basis)
 
 
+def test_derived_span_and_trivial_subspace_of_an_empty_part():
+    # hand-built, since every bundled manifold has both even and odd fields
+    no_odd = SimpleNamespace(even_basis=[None, None], odd_basis=[])
+    assert odd_derived_span(StructureConstants(no_odd, {})) == (0, [])
+    assert reduced_trivial_subspace(SimpleNamespace(even_basis=[])) == (0, [])
+
+
 @pytest.mark.parametrize("k,dim", [(0, 7), (1, 5), (2, 4), (3, 4)])
 def test_kernel_dimension_split_equal_degrees(k, dim):
     basis = solve_global_fields(split_manifold(k, k))
