@@ -11,7 +11,9 @@ embeddings, nilpotent flows) are data-driven copies of the displayed
 formulas for two families:
 
 * ``diagonal`` -- split (1|n), transition eta_j = z^-k_j * theta_j, any n
-* ``nonsplit`` -- the (1|2) manifold with w-image 1/z + z^-3 theta_1 theta_2
+* ``nonsplit`` -- the (1|2) manifold with w-image 1/z + z^-3 theta_1 theta_2;
+  each lift and embedding is the diagonal one at k = (2, 2), the embedding
+  taken at J A^T J with J = diag(1, -1), plus one theta_1 theta_2 term
 """
 
 from __future__ import annotations
@@ -116,6 +118,12 @@ class GlobalVectorField(namedtuple("GlobalVectorField", "manifold chart0_der cha
     def __new__(cls, manifold, chart0_der, chart1_der):
         return super().__new__(cls, manifold, chart0_der, chart1_der, chart0_der.parity())
 
+    @classmethod
+    def _make(cls, iterable):
+        # through the constructor, so ``_replace`` re-derives parity and re-checks
+        manifold, chart0_der, chart1_der, _ = iterable
+        return cls(manifold, chart0_der, chart1_der)
+
     def __init__(self, manifold, chart0_der, chart1_der):
         if self.parity is None:
             raise NotGlobal("global fields must be parity-homogeneous")
@@ -180,12 +188,9 @@ def morphism_check_global(manifold, p):
         return "chart0_only"
     chi = manifold.transition
     into1 = compose(chi, p)
-    if pole is None:
-        at_infinity = compose(into1, pullback_invert(chi))
-    elif _holomorphic_at(into1, pole):
-        at_infinity = compose(p, pullback_invert(chi))
-    else:
+    if pole is not None and not _holomorphic_at(into1, pole):
         return "chart0_only"
+    at_infinity = compose(into1 if pole is None else p, pullback_invert(chi))
     return "global" if _holomorphic_at(at_infinity, GR_ZERO) else "chart0_only"
 
 
@@ -234,9 +239,17 @@ def nonsplit_transition():
     return PullbackData(CHART0, CHART1, even, odds)
 
 
-def _require_nonsplit(manifold):
+def _family_degrees(manifold, family, extra, what):
+    """Odd degrees k_j of the family's closed forms: (2, 2) for ``nonsplit``."""
+    if family == FAMILY_DIAGONAL:
+        return _diagonal_degrees(manifold)
+    if extra:
+        raise FamilyShapeMismatch("%s applies to the diagonal family only" % what)
+    if family != FAMILY_NONSPLIT:
+        raise FamilyShapeMismatch("unknown family %r" % (family,))
     if manifold.kind != KIND_P1 or manifold.transition != nonsplit_transition():
         raise FamilyShapeMismatch("family needs the bundled non-split (1|2) manifold")
+    return [2, 2]
 
 
 def _mobius_rf(a, b, c, d):
@@ -255,87 +268,61 @@ def _base_power(a, b, k):
 def mobius_lift(manifold, family, matrix, s=0):
     """Automorphism pullback lifting a unit-determinant 2x2 matrix.
 
-    Pullbacks act on chart-0 coordinates by the displayed closed forms of
-    the family; ``s`` is the extra scaling parameter of the ``diagonal``
-    family (the image of every theta_j gains ``+ s * theta_j``).
+    On ``diagonal`` z -> (c + d z)/(a + b z) and theta_j -> (a + b z)^-k_j
+    theta_j, plus ``s * theta_j`` for the family's scaling parameter ``s``;
+    ``nonsplit`` is that lift at k = (2, 2) with -b (a + b z)^-3 theta_1
+    theta_2 added to the image of z.
     """
     a, b, c, d = _as_matrix2(matrix)
     if a * d - b * c != 1:
         raise BadDeterminant("lift requires determinant 1")
     if not isinstance(s, GaussianRational):
         s = GaussianRational(s)
-    if family == FAMILY_DIAGONAL:
-        ks = _diagonal_degrees(manifold)
-        n = len(ks)
-        even = SuperFunction.from_rf(CHART0, n, _mobius_rf(a, b, c, d))
-        shift = RationalFunction.constant(s)
-        odds = [
-            SuperFunction(CHART0, n, {1 << j: _base_power(a, b, k) + shift})
-            for j, k in enumerate(ks)
-        ]
-        return PullbackData(CHART0, CHART0, even, odds)
-    if s:
-        raise FamilyShapeMismatch("parameter s applies to the diagonal family only")
-    if family == FAMILY_NONSPLIT:
-        _require_nonsplit(manifold)
-        correction = _base_power(a, b, 3) * (-b)
-        even = SuperFunction(CHART0, 2, {0: _mobius_rf(a, b, c, d), 3: correction})
-        sq = _base_power(a, b, 2)
-        odds = [
-            SuperFunction(CHART0, 2, {1: sq}),
-            SuperFunction(CHART0, 2, {2: sq}),
-        ]
-        return PullbackData(CHART0, CHART0, even, odds)
-    raise FamilyShapeMismatch("unknown family %r" % (family,))
+    ks = _family_degrees(manifold, family, s, "parameter s")
+    n = len(ks)
+    top = {3: _base_power(a, b, 3) * (-b)} if family == FAMILY_NONSPLIT else {}
+    even = SuperFunction(CHART0, n, {0: _mobius_rf(a, b, c, d), **top})
+    shift = RationalFunction.constant(s)
+    odds = [
+        SuperFunction(CHART0, n, {1 << j: _base_power(a, b, k) + shift})
+        for j, k in enumerate(ks)
+    ]
+    return PullbackData(CHART0, CHART0, even, odds)
 
 
 def sl2_embedding(manifold, family, matrix, scalar_part=0):
-    """Chart-0 vector field attached to a traceless 2x2 matrix.
+    """Chart-0 vector field attached to a traceless 2x2 matrix A.
 
     For the ``diagonal`` family an extra scalar parameter extends the image
-    by the theta-scaling direction.  The map is linear; for ``diagonal`` it
-    sends matrix commutators to super brackets, for ``nonsplit`` (the exact
-    derivative of its lift action) it reverses their order.
+    by the theta-scaling direction, and the linear map sends commutators to
+    super brackets.  ``nonsplit`` (the exact derivative of its lift action)
+    is the diagonal field at k = (2, 2) of J A^T J, J = diag(1, -1), plus
+    -b theta_1 theta_2 d/dz; A -> J A^T J is an anti-automorphism of sl2, so
+    there the map reverses commutators.
     """
     a, b, c, d = _as_matrix2(matrix)
     if a + d != 0:
         raise NotTraceless("embedding requires a traceless matrix")
     if not isinstance(scalar_part, GaussianRational):
         scalar_part = GaussianRational(scalar_part)
-    if family == FAMILY_DIAGONAL:
-        ks = _diagonal_degrees(manifold)
-        n = len(ks)
-        even = SuperFunction.from_rf(
-            CHART0, n, RationalFunction(Polynomial({0: -b, 1: -2 * a, 2: c}))
-        )
-        odds = [
-            SuperFunction(
-                CHART0,
-                n,
-                {1 << j: RationalFunction(Polynomial({0: scalar_part - k * a, 1: k * c}))},
-            )
-            for j, k in enumerate(ks)
-        ]
-        return SuperDerivation(CHART0, n, even, odds)
-    if scalar_part:
-        raise FamilyShapeMismatch("scalar part applies to the diagonal family only")
+    ks = _family_degrees(manifold, family, scalar_part, "scalar part")
+    n = len(ks)
+    top = {}
     if family == FAMILY_NONSPLIT:
-        _require_nonsplit(manifold)
-        even = SuperFunction(
+        top = {3: RationalFunction.constant(-b)}
+        b, c = -c, -b  # J A^T J, J = diag(1, -1)
+    even = SuperFunction(
+        CHART0, n, {0: RationalFunction(Polynomial({0: -b, 1: -2 * a, 2: c})), **top}
+    )
+    odds = [
+        SuperFunction(
             CHART0,
-            2,
-            {
-                0: RationalFunction(Polynomial({0: c, 1: -2 * a, 2: -b})),
-                3: RationalFunction.constant(-b),
-            },
+            n,
+            {1 << j: RationalFunction(Polynomial({0: scalar_part - k * a, 1: k * c}))},
         )
-        scalefun = RationalFunction(Polynomial({0: -2 * a, 1: -2 * b}))
-        odds = [
-            SuperFunction(CHART0, 2, {1: scalefun}),
-            SuperFunction(CHART0, 2, {2: scalefun}),
-        ]
-        return SuperDerivation(CHART0, 2, even, odds)
-    raise FamilyShapeMismatch("unknown family %r" % (family,))
+        for j, k in enumerate(ks)
+    ]
+    return SuperDerivation(CHART0, n, even, odds)
 
 
 def nilpotent_flow(manifold, field, t):

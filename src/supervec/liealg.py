@@ -292,15 +292,15 @@ def _vector_key(vec):
     """Key of a sparse vector {column: entry} that sorts like its dense entry keys.
 
     Per nonzero column c, in order: (1, -c, key) if its entry key is above
-    zero's, else (-1, c, key), so a zero against a nonzero entry is decided by
-    the nonzero entry's sign, as in the dense tuple.  No terminator is needed
-    for kernel vectors: each is 1 at its own free column and 0 at every other,
-    so no vector's support is a prefix of another's.
+    zero's, (0, 0), else (-1, c, key), so a zero against a nonzero entry is
+    decided by the nonzero entry's sign, as in the dense tuple.  No terminator
+    is needed for kernel vectors: each is 1 at its own free column and 0 at
+    every other, so no vector's support is a prefix of another's.
     """
-    out, zero = [], GR_ZERO.sort_key()
+    out = []
     for c in sorted(vec):
         key = vec[c].sort_key()
-        out.append((1, -c, key) if key > zero else (-1, c, key))
+        out.append((1, -c, key) if key > (0, 0) else (-1, c, key))
     return tuple(out)
 
 
@@ -673,8 +673,6 @@ def odd_derived_span(structure):
         for s in range(r, n_odd):
             vec = structure.table[(n_even + r, n_even + s)]
             vectors.append(list(vec[:n_even]))
-    if not vectors:
-        return 0, []
     reduced, pivots = rref(vectors)
     span = [tuple(reduced[r]) for r in range(len(pivots))]
     return len(pivots), span
@@ -683,8 +681,6 @@ def odd_derived_span(structure):
 def reduced_trivial_subspace(basis):
     """Even fields whose reduced vector field vanishes (trivial underlying map)."""
     n_even = len(basis.even_basis)
-    if n_even == 0:
-        return 0, []
     rows = {}
     for c, field in enumerate(basis.even_basis):
         red = field.chart0_der.even_coeff.reduced_part()

@@ -40,10 +40,6 @@ from .errors import DivisionByZero, UndefinedComposition
 
 NEG_INF = -inf
 
-# the shared sort key of every zero: kernel vectors are sorted by keys that
-# are all alive at once, and most of their entries are zero
-_ZERO_KEY = (Fraction(0), Fraction(0))
-
 
 class GaussianRational:
     """Element of Q(i) stored as three integers: ``(a + b*i)/d``.
@@ -158,8 +154,6 @@ class GaussianRational:
 
     def sort_key(self):
         """Total order key (lexicographic on components), for determinism only."""
-        if not (self.a or self.b):
-            return _ZERO_KEY
         return (self.re, self.im)
 
     def __str__(self):

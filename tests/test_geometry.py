@@ -781,6 +781,21 @@ def test_global_field_checks_parity_then_polynomials_then_the_transition(manifol
         assert info.value.message == message
 
 
+def test_global_field_replace_reruns_the_checks(manifolds, basis_cache):
+    fields = basis_cache("k2").fields
+    d_w = SuperDerivation.d_even(CHART1, 1)
+    changed = [f for f in fields if f.chart1_der != d_w]
+    assert changed
+    for field in changed:
+        with pytest.raises(NotGlobal, match="disagree"):
+            field._replace(chart1_der=d_w)
+    # parity is read off chart0_der whatever the replaced or made record says
+    for field in fields:
+        flipped = field._replace(parity=1 - field.parity)
+        assert flipped == field and type(flipped) is GlobalVectorField
+        assert GlobalVectorField._make(tuple(field)) == field
+
+
 def test_manifold_records_compare_by_their_fields(manifolds):
     k2, k3 = manifolds["k2"], manifolds["k3"]
     copy = SuperManifoldData(k2.name, k2.odd_dim, k2.kind, k2.transition)
