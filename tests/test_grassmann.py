@@ -1,12 +1,14 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import event, example, given, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
+import reference_grassmann as reference
 from conftest import idx_parity
-from supervec.errors import ChartMismatch, MixedParity
+from supervec.errors import ChartMismatch, MathDomainError, MixedParity
 from supervec.expressions import superfunction_text
 from supervec.grassmann import (
     PullbackData,
@@ -379,3 +381,111 @@ def test_second_apply_multiplies_no_odd_images(monkeypatch):
     del calls[:]
     assert fresh.apply(f) == first
     assert any(calls)
+
+
+@st.composite
+def drawn_images(draw, n):
+    """Even and odd coordinate images on (1|n), drawn by parity; any may be zero."""
+    by_parity = [[idx for idx in range(1 << n) if idx_parity(idx) == parity] for parity in (0, 1)]
+    even, *odds = (
+        SuperFunction(C, n, draw(st.dictionaries(st.sampled_from(by_parity[u > 0]), taylor_coeffs,
+                                                 max_size=3)) if by_parity[u > 0] else {})
+        for u in range(n + 1)
+    )
+    return even, odds
+
+
+PULLBACK_FAULTS = ["even chart", "odd chart", "odd dimension", "mixed even", "mixed odd",
+                   "wrong parity even", "wrong parity odd", "zero odd", "count"]
+
+
+@st.composite
+def pullback_args(draw):
+    """Constructor arguments of a pullback from chart C to chart C on (1|n), with
+    images drawn here for n = 0..4 or taken from ``pullback_cases``, and up to
+    two injected faults, applied in ``PULLBACK_FAULTS`` order; a fault named
+    with "odd" hits one odd image, the others the even image or the count."""
+    if draw(st.booleans()):
+        p, _ = draw(pullback_cases())
+        n, even, odds = p.odd_dim, p.even_image, list(p.odd_images)
+    else:
+        n = draw(st.integers(0, 4))
+        even, odds = draw(drawn_images(n))
+    images = [even, *odds]
+    faults = draw(st.sets(st.sampled_from(PULLBACK_FAULTS), max_size=2))
+    one = RationalFunction.one()
+    for fault in PULLBACK_FAULTS:
+        # on (1|0) only the even image exists, and it has no odd terms
+        if fault not in faults or not n and fault not in ("even chart", "count"):
+            continue
+        u = draw(st.integers(1, n)) if "odd" in fault else 0
+        if fault == "count":
+            images = images[:-1] if n and draw(st.booleans()) else images + [SuperFunction.zero(C, n)]
+        elif "chart" in fault:
+            images[u] = SuperFunction("chart1", n, images[u].terms)
+        elif fault == "odd dimension":
+            images[u] = SuperFunction(C, n + 1, images[u].terms)
+        elif fault.startswith("mixed"):
+            images[u] = SuperFunction(C, n, {**images[u].terms, 0: one, 1: one})
+        elif fault.startswith("wrong parity"):
+            images[u] = SuperFunction(C, n, {0: one} if u else {1: one})
+        else:
+            images[u] = SuperFunction.zero(C, n)
+    return images[0], images[1:]
+
+
+def pullback_outcome(operation, *args):
+    """("value", v) with a pullback as (source, target, even image, odd images),
+    or (error class, message)."""
+    try:
+        v = operation(*args)
+    except (MathDomainError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(v, (PullbackData, reference.PullbackData)):
+        v = v.source_chart, v.target_chart, v.even_image, tuple(v.odd_images)
+    return "value", v
+
+
+def pullback_tag(outcome):
+    if outcome[0] == "value":
+        return "value"
+    return "%s: %s" % (outcome[0].__name__, re.sub(r"\b[0-9]+\b", "k", outcome[1]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_pullback_matches_parent_class(data):
+    """Each pullback is built by the library and by the parent class from the same
+    images; construction must give equal images or the same error class and
+    message, and every operation equal values.  Hashes are compared within each
+    class: equal pullbacks must hash alike."""
+    even, odds = data.draw(pullback_args())
+    classes = (PullbackData, reference.PullbackData)
+    built = [pullback_outcome(cls, C, C, even, odds) for cls in classes]
+    assert built[0] == built[1]
+    event("constructor: %s" % pullback_tag(built[0]))
+    if built[0][0] != "value":
+        return
+    if not all(odds):
+        event("zero odd image")
+    p, p_ref = (cls(C, C, even, odds) for cls in classes)
+    n = p.odd_dim
+    other_even, other_odds = data.draw(st.one_of(
+        st.just((even, odds)), drawn_images(n), drawn_images(n + 1)))
+    target = data.draw(st.sampled_from([C, C, "chart1"]))
+    q, q_ref = (cls(C, target, other_even, other_odds) for cls in classes)
+    assert (p == q) == (p_ref == q_ref)
+    if p == q:
+        assert hash(p) == hash(q) and hash(p_ref) == hash(q_ref)
+    event("==: %s" % (p == q))
+    for idx in range(1 << n):
+        assert p.odd_product(idx) == p_ref.odd_product(idx)
+    f = SuperFunction(C, n, data.draw(st.dictionaries(st.integers(0, (1 << n) - 1), taylor_coeffs)))
+    assert p.apply(f) == p_ref.apply(f)
+    for name, (outer, inner), (outer_ref, inner_ref) in [
+        ("compose(p, q)", (p, q), (p_ref, q_ref)),
+        ("compose(q, p)", (q, p), (q_ref, p_ref)),
+    ]:
+        got = pullback_outcome(compose, outer, inner)
+        assert got == pullback_outcome(reference.compose, outer_ref, inner_ref), name
+        event("%s: %s" % (name, pullback_tag(got)))
