@@ -178,11 +178,9 @@ class SuperDerivation:
             raise NotNilpotent("exponential requires an even derivation")
         if self and self.filtration_level() < 2:
             raise NotNilpotent("exponential requires filtration level >= 2")
-        n = self.odd_dim
-        coords = [SuperFunction.coordinate(self.chart, n)]
-        coords += [SuperFunction.odd_var(self.chart, n, j) for j in range(n)]
-        images = [_exp_series(self, u, scale) for u in coords]
-        return PullbackData(self.chart, self.chart, images[0], images[1:])
+        coords = PullbackData.identity(self.chart, self.odd_dim).images
+        even, *odds = (_exp_series(self, u, scale) for u in coords)
+        return PullbackData(self.chart, self.chart, even, odds)
 
     def __repr__(self):
         return "SuperDerivation(%r, even=%r, odd=%r)" % (
@@ -229,20 +227,13 @@ def recombine(parts):
 
 def degree_zero_part(p):
     """Truncate a pullback to its Grassmann-degree-preserving part."""
-    return PullbackData(
-        p.source_chart,
-        p.target_chart,
-        p.even_image.degree_component(0),
-        [img.degree_component(1) for img in p.odd_images],
-    )
+    even, *odds = (img.degree_component(u > 0) for u, img in enumerate(p.images))
+    return PullbackData(p.source_chart, p.target_chart, even, odds)
 
 
 def odd_linear_matrix(p):
     """Matrix m[j][k] with image(theta_j) = sum_k m[j][k] * theta_k + higher terms."""
-    n = p.odd_dim
-    return [
-        [p.odd_images[j].coefficient(1 << k) for k in range(n)] for j in range(n)
-    ]
+    return [[img.coefficient(1 << k) for k in range(p.odd_dim)] for img in p.odd_images]
 
 
 def _reduced_inverse(p):
@@ -252,11 +243,6 @@ def _reduced_inverse(p):
             "reduced map must be an invertible fractional-linear function"
         )
     return inv
-
-
-def _residuals(p, cur):
-    """p - cur on the even image and on each odd image."""
-    return [a - b for a, b in zip((p.even_image, *p.odd_images), (cur.even_image, *cur.odd_images))]
 
 
 def rothstein_decompose(p):
@@ -280,7 +266,7 @@ def rothstein_decompose(p):
     target = p.target_chart
     gen = SuperDerivation.zero(target, n)
     cur = recombine(RothsteinParts(phi0, gen))
-    residuals = _residuals(p, cur)
+    residuals = [a - b for a, b in zip(p.images, cur.images)]
     rho_inv = None
     for d in range(2, n + 1, 2):
         even_slice = residuals[0].degree_component(d)
@@ -293,7 +279,7 @@ def rothstein_decompose(p):
         odd_adds = _solve_degree_slices(phi0, odd_slices, d + 1, rho_inv)
         gen = gen + SuperDerivation(target, n, even_add, odd_adds)
         cur = recombine(RothsteinParts(phi0, gen))
-        residuals = _residuals(p, cur)
+        residuals = [a - b for a, b in zip(p.images, cur.images)]
         for residual, weight in zip(residuals, [d] + [d + 1] * n):
             if any(idx_weight(i) <= weight for i in residual.terms):
                 raise ResidualNotCleared("degree-%d residual survives stage %d" % (weight, d))
@@ -342,5 +328,5 @@ def pullback_invert(p):
     parts = rothstein_decompose(p)
     phi0_inv = invert_degree_zero(parts.degree_zero)
     neg = -parts.nilpotent_generator
-    images = [_exp_series(neg, f) for f in (phi0_inv.even_image, *phi0_inv.odd_images)]
-    return PullbackData(phi0_inv.source_chart, phi0_inv.target_chart, images[0], images[1:])
+    even, *odds = (_exp_series(neg, f) for f in phi0_inv.images)
+    return PullbackData(phi0_inv.source_chart, phi0_inv.target_chart, even, odds)

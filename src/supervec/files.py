@@ -55,10 +55,8 @@ def _images(section, keys, odd_dim, target, what):
 
 def image_pairs(pullback, even_name, odd_prefix):
     """``(name, text)`` of the even image, then of each odd image numbered from 1."""
-    pairs = [(even_name, superfunction_text(pullback.even_image))]
-    for j, img in enumerate(pullback.odd_images):
-        pairs.append(("%s%d" % (odd_prefix, j + 1), superfunction_text(img)))
-    return pairs
+    return [("%s%d" % (odd_prefix, u) if u else even_name, superfunction_text(img))
+            for u, img in enumerate(pullback.images)]
 
 
 def parse_manifold_text(text, path="<text>"):

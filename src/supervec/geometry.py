@@ -67,7 +67,7 @@ class SuperManifoldData(namedtuple("SuperManifoldData", "name odd_dim kind trans
             raise ChartMismatch("transition odd dimension does not match")
         if transition.even_image.reduced_part() != RationalFunction.monomial(-1):
             raise BadReducedMap("reduced even transition must be exactly 1/z")
-        for img in (transition.even_image, *transition.odd_images):
+        for img in transition.images:
             for rf in img.terms.values():
                 if rf.laurent() is None:
                     raise NotLaurent("transition coefficients may only have poles at z = 0")
@@ -124,6 +124,10 @@ class GlobalVectorField(namedtuple("GlobalVectorField", "manifold chart0_der cha
         manifold, chart0_der, chart1_der, _ = iterable
         return cls(manifold, chart0_der, chart1_der)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor too, so they re-run the checks
+        return type(self), self[:3]
+
     def __init__(self, manifold, chart0_der, chart1_der):
         if self.parity is None:
             raise NotGlobal("global fields must be parity-homogeneous")
@@ -135,7 +139,7 @@ class GlobalVectorField(namedtuple("GlobalVectorField", "manifold chart0_der cha
         if manifold.kind == KIND_P1:
             # a field's value on a coordinate is its coefficient there
             chi = manifold.transition
-            for c, image in zip(chart1_der.coeffs, (chi.even_image, *chi.odd_images)):
+            for c, image in zip(chart1_der.coeffs, chi.images):
                 if chi.apply(c) != chart0_der.apply(image):
                     raise NotGlobal("chart restrictions disagree across the transition")
 
@@ -148,7 +152,7 @@ class GlobalVectorField(namedtuple("GlobalVectorField", "manifold chart0_der cha
 
 
 def _coeffs_of(pullback):
-    for img in (pullback.even_image, *pullback.odd_images):
+    for img in pullback.images:
         yield from img.terms.values()
 
 

@@ -13,8 +13,9 @@ that order.  A function's terms carry no order: equality and hashing read
 them as a map, and printing (``expressions.superfunction_text``) sorts them
 by ``idx_sort_key``.
 
-``PullbackData`` holds the coordinate images of a morphism between charts and
-applies it to functions by finite Taylor expansion in the nilpotent part g of
+``PullbackData`` holds the coordinate images of a morphism between charts, as
+one tuple numbered like the coordinates (0 for z, j for theta_j), and applies
+it to functions by finite Taylor expansion in the nilpotent part g of
 the even image: each power g^k is kept with its 1/k!, and the series
 terminates because the powers of g eventually vanish.
 """
@@ -274,38 +275,44 @@ class PullbackData:
     A morphism from the ``source`` chart to the ``target`` chart pulls
     functions back the other way: ``apply`` takes a function written in
     target coordinates and returns its expression in source coordinates.
-    The data are the images of the target coordinates: one pure-even image
-    for the even coordinate and one pure-odd image per odd coordinate, all
-    living on the source chart.  The Taylor plan (``_products``, the odd
-    products by idx, and ``_taylor``, the reduced even image with the nilpotent
-    powers ``g_nil^k / k!``) is filled on first use and never read by ``==``
-    or ``hash``; the images never change after ``__init__``.
+    The data are the images of the target coordinates, all living on the
+    source chart, kept as one tuple ``images`` numbered like the coordinates:
+    0 for the even coordinate, whose image is pure even, and j for theta_j,
+    whose image is pure odd.  ``even_image`` and ``odd_images`` are read-only
+    views of it.  The Taylor plan (``_products``, the odd products by idx, and
+    ``_taylor``, the reduced even image with the nilpotent powers
+    ``g_nil^k / k!``) is filled on first use and never read by ``==`` or
+    ``hash``; the images never change after ``__init__``.
     """
 
-    __slots__ = ("source_chart", "target_chart", "odd_dim", "even_image", "odd_images",
-                 "_products", "_taylor")
+    __slots__ = ("source_chart", "target_chart", "odd_dim", "images", "_products", "_taylor")
 
     def __init__(self, source_chart, target_chart, even_image, odd_images):
-        odd_images = tuple(odd_images)
+        images = (even_image,) + tuple(odd_images)
         n = even_image.odd_dim
-        if len(odd_images) != n:
+        if len(images) != n + 1:
             raise ValueError("expected %d odd coordinate images" % n)
-        if even_image.chart != source_chart:
-            raise ChartMismatch("even image must live on the source chart")
-        if even_image.parity() != 0:
-            raise MixedParity("even coordinate image must be pure even")
-        for img in odd_images:
+        for u, img in enumerate(images):
             if img.chart != source_chart or img.odd_dim != n:
-                raise ChartMismatch("odd image on wrong chart")
-            if img and img.parity() != 1:
-                raise MixedParity("odd coordinate image must be pure odd")
+                raise ChartMismatch(
+                    "odd image on wrong chart" if u else "even image must live on the source chart")
+            if img and img.parity() != (u > 0):
+                kind = "odd" if u else "even"
+                raise MixedParity("%s coordinate image must be pure %s" % (kind, kind))
         self.source_chart = source_chart
         self.target_chart = target_chart
         self.odd_dim = n
-        self.even_image = even_image
-        self.odd_images = odd_images
+        self.images = images
         self._products = {0: SuperFunction.one(source_chart, n)}
         self._taylor = None
+
+    @property
+    def even_image(self):
+        return self.images[0]
+
+    @property
+    def odd_images(self):
+        return self.images[1:]
 
     @classmethod
     def identity(cls, chart, odd_dim):
@@ -319,17 +326,11 @@ class PullbackData:
     def __eq__(self, other):
         if not isinstance(other, PullbackData):
             return NotImplemented
-        return (
-            self.source_chart == other.source_chart
-            and self.target_chart == other.target_chart
-            and self.even_image == other.even_image
-            and self.odd_images == other.odd_images
-        )
+        return (self.source_chart, self.target_chart, self.images) == (
+            other.source_chart, other.target_chart, other.images)
 
     def __hash__(self):
-        return hash(
-            (self.source_chart, self.target_chart, self.even_image, self.odd_images)
-        )
+        return hash((self.source_chart, self.target_chart, self.images))
 
     def odd_product(self, idx):
         """Image of theta^idx: ordered product of the odd coordinate images, formed
@@ -339,7 +340,7 @@ class PullbackData:
             top = idx.bit_length() - 1
             out = self.odd_product(idx ^ (1 << top))
             if out:
-                out = out * self.odd_images[top]
+                out = out * self.images[top + 1]
             self._products[idx] = out
         return out
 
@@ -398,9 +399,5 @@ def compose(outer, inner):
             "cannot compose: outer source %r != inner target %r"
             % (outer.source_chart, inner.target_chart)
         )
-    return PullbackData(
-        inner.source_chart,
-        outer.target_chart,
-        inner.apply(outer.even_image),
-        [inner.apply(img) for img in outer.odd_images],
-    )
+    even, *odds = (inner.apply(img) for img in outer.images)
+    return PullbackData(inner.source_chart, outer.target_chart, even, odds)

@@ -227,9 +227,8 @@ def _compatibility_rows(manifold, cap):
 
     # chart 0: the unknown z^e theta^nu times the derivative of each
     # transition image, with z^e applied as a shift of the Laurent powers
-    coords = [chi.even_image] + list(chi.odd_images)
     for comp in range(n + 1):
-        targets = [img.d_odd(comp - 1) if comp else img.d_even() for img in coords]
+        targets = [img.d_odd(comp - 1) if comp else img.d_even() for img in chi.images]
         for nu in nus:
             mono = SuperFunction.monomial(CHART0, n, nu, RationalFunction.one())
             for eq, target in enumerate(targets):
@@ -712,11 +711,9 @@ def conjugation_action(basis, pullback):
     inverse = pullback_invert(pullback)
     n = manifold.odd_dim
     chart = manifold.chart0
-    # p* sends the coordinates z, t_j to the pullback's images
-    coord_images = (pullback.even_image,) + pullback.odd_images
-    # J[v][u], pulled back where d_v p*u is nonzero
-    jac = [[img.d_even() for img in coord_images]]
-    jac += [[img.d_odd(j) for img in coord_images] for j in range(n)]
+    # J[v][u], pulled back where d_v p*u is nonzero; p*u is the pullback's image u
+    jac = [[img.d_even() for img in pullback.images]]
+    jac += [[img.d_odd(j) for img in pullback.images] for j in range(n)]
     jac = [[inverse.apply(f) if f else f for f in row] for row in jac]
     # M[nu, e] by (nu, e), over the powers of (p^-1)*(z) built so far
     zero = SuperFunction.zero(chart, n)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -704,7 +706,7 @@ def _chart1_restriction(manifold, chart0_der):
     across the transition from the chart-0 field's value on its image."""
     chi = manifold.transition
     chi_inv = pullback_invert(chi)
-    coeffs = [chi_inv.apply(chart0_der.apply(img)) for img in (chi.even_image, *chi.odd_images)]
+    coeffs = [chi_inv.apply(chart0_der.apply(img)) for img in chi.images]
     return SuperDerivation(CHART1, manifold.odd_dim, coeffs[0], coeffs[1:])
 
 
@@ -794,6 +796,21 @@ def test_global_field_replace_reruns_the_checks(manifolds, basis_cache):
         flipped = field._replace(parity=1 - field.parity)
         assert flipped == field and type(flipped) is GlobalVectorField
         assert GlobalVectorField._make(tuple(field)) == field
+
+
+@pytest.mark.parametrize("name", ["k2", "c01"])
+def test_global_fields_copy_and_pickle_through_the_constructor(basis_cache, name):
+    fields = basis_cache(name).fields
+    for field in fields:
+        for twin in (copy.copy(field), copy.deepcopy(field), pickle.loads(pickle.dumps(field))):
+            assert type(twin) is GlobalVectorField
+            assert twin == field and hash(twin) == hash(field) and twin.parity == field.parity
+    # a copy is rebuilt from the three constructor arguments, through the checks
+    rebuild, (manifold, chart0_der, chart1_der) = fields[0].__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+    assert rebuild(manifold, chart0_der, chart1_der) == fields[0]
+    mixed = SuperDerivation.d_even(manifold.chart0, 1) + SuperDerivation.d_odd(manifold.chart0, 1, 0)
+    with pytest.raises(NotGlobal, match="parity"):
+        rebuild(manifold, mixed, chart1_der)
 
 
 def test_manifold_records_compare_by_their_fields(manifolds):

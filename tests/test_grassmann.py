@@ -470,6 +470,8 @@ def test_pullback_matches_parent_class(data):
         event("zero odd image")
     p, p_ref = (cls(C, C, even, odds) for cls in classes)
     n = p.odd_dim
+    assert p.images == (even, *odds)
+    assert (p.even_image, p.odd_images) == (p_ref.even_image, p_ref.odd_images)
     other_even, other_odds = data.draw(st.one_of(
         st.just((even, odds)), drawn_images(n), drawn_images(n + 1)))
     target = data.draw(st.sampled_from([C, C, "chart1"]))

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from conftest import bundled_manifold_names, rand_sl2
+from conftest import bundled_manifold_names, matmul2, rand_sl2
 import reference_liealg
 from test_solver_oracle import SYNTHETIC
 
@@ -1303,6 +1303,73 @@ def test_conjugation_matches_reference(basis_cache, case):
     got = conjugation_outcome(conjugation_action, basis, pullback)
     event("%s: %s" % (kind, expected if isinstance(expected, str) else "matrix"))
     assert got == expected
+
+
+GAUSSIAN_PARTS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+GAUSSIANS = st.builds(GaussianRational, GAUSSIAN_PARTS, GAUSSIAN_PARTS)
+
+
+def exp_ad(structure, field):
+    """exp(ad Y) in the basis, for a field Y whose ad is nilpotent: column j of
+    ad Y is sum_i y_i [b_i, b_j], read from the bracket table."""
+    [y] = expand_in_basis(structure.basis, [field])
+    m = len(y)
+    ad = [[GR_ZERO] * m for _ in range(m)]
+    for (i, j), bracket in structure.table.items():
+        if y[i]:
+            for k, d in enumerate(bracket):
+                ad[k][j] = ad[k][j] + y[i] * d
+    term = total = [[GR_ONE if r == c else GR_ZERO for c in range(m)] for r in range(m)]
+    for k in range(1, m + 1):
+        term = [[x / GaussianRational(k) for x in row] for row in mat_mul(ad, term, GR_ZERO)]
+        total = [[a + b for a, b in zip(r, s)] for r, s in zip(total, term)]
+    assert not any(map(any, mat_mul(ad, term, GR_ZERO))), "ad Y is not nilpotent"
+    return total
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(st.just("nonsplit-2-2"), st.sampled_from(sorted(LIFT_FAMILIES))),
+       st.lists(GAUSSIANS, min_size=6, max_size=6))
+def test_lift_conjugation_is_the_exponential_of_the_embedding(
+        manifolds, basis_cache, structure_cache, name, draws):
+    """The paper's identity between the automorphism group and its Lie
+    superalgebra of global fields, checked on closed forms.
+
+    For a nilpotent traceless 2x2 matrix A over Q(i), exp(A) = I + A, and
+    conjugation by ``mobius_lift(M, family, I + A)`` is exp(ad Y) with
+    Y = ``sl2_embedding(M, family, B)``.  In ``mobius_lift``'s convention,
+    where ((a, b), (c, d)) sends z to (c + d z)/(a + b z), B = -J A^T J on
+    ``diagonal``, with J = diag(1, -1), and B = -A on ``nonsplit``, whose
+    embedding takes J A^T J itself.  A is drawn as s [[-pq, p^2], [-q^2, pq]],
+    the general nilpotent traceless matrix.  A matrix with c != 0 factors as
+    U(x) L(y) U(z), x = (a - 1)/c, y = c, z = (d - 1)/c, with U and L the upper
+    and lower unipotent matrices; its conjugation matrix is the product of
+    the three exp(ad) matrices in that order.
+    """
+    manifold, family = manifolds[name], LIFT_FAMILIES[name]
+    basis, structure = basis_cache(name), structure_cache(name)
+    event("family: %s" % family)
+
+    def exp_ad_of(nilpotent):
+        (a, b), (c, d) = nilpotent
+        B = ((-a, c), (b, -d)) if family == "diagonal" else ((-a, -b), (-c, -d))
+        return exp_ad(structure, sl2_embedding(manifold, family, B))
+
+    def lift_of(nilpotent):
+        (a, b), (c, d) = nilpotent
+        return ((GR_ONE + a, b), (c, GR_ONE + d))
+
+    s, p, q, x, y, z = draws
+    zero, y = GR_ZERO, y or GR_ONE
+    nilpotent = ((-s * p * q, s * p * p), (-s * q * q, s * p * q))
+    expected = exp_ad_of(nilpotent)
+    assert conjugation_action(basis, mobius_lift(manifold, family, lift_of(nilpotent))) == expected
+    factors = [((zero, x), (zero, zero)), ((zero, zero), (y, zero)), ((zero, z), (zero, zero))]
+    upper, lower, upper2 = map(lift_of, factors)
+    lift = mobius_lift(manifold, family, matmul2(matmul2(upper, lower), upper2))
+    exps = [exp_ad_of(factor) for factor in factors]
+    expected = mat_mul(mat_mul(exps[0], exps[1], GR_ZERO), exps[2], GR_ZERO)
+    assert conjugation_action(basis, lift) == expected
 
 
 def test_expand_rejects_outside_span(basis_cache):

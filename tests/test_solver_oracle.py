@@ -7,11 +7,19 @@ over the whole system, and a second full solve at cap + 2.  Its
 oracle shares no elimination code with the solver.  The sparse solver
 must give the same basis field by field, the same cap and the same clearing
 exponent.
+
+``diagonal_dims`` shares no code with either solver: it counts the global
+fields of a split diagonal (1|n) manifold in closed form, so a fault in how
+the compatibility system is formed, which both solvers would share, shows
+as a wrong dimension.
 """
 
-import pytest
-from hypothesis import given, strategies as st
+import io
 
+import pytest
+from hypothesis import event, example, given, settings, strategies as st
+
+from supervec.cli import main
 from supervec.derivations import SuperDerivation
 from supervec.errors import CapNotSaturated, NotLaurentSystem
 from supervec.files import parse_manifold_text
@@ -250,3 +258,71 @@ def laurent_manifolds(draw):
 @given(laurent_manifolds())
 def test_default_cap_matches_pole_orders(manifold):
     assert default_cap(manifold) == reference_default_cap(manifold)
+
+
+def one_fewer(ks, nu):
+    """Whether theta^nu d/dz loses its constant field: k_nu = 2 and k_j != 0 for
+    some j not in nu."""
+    k_nu = sum(k for j, k in enumerate(ks) if nu >> j & 1)
+    return k_nu == 2 and any(k for j, k in enumerate(ks) if not nu >> j & 1)
+
+
+def diagonal_dims(ks):
+    """(even, odd) dimensions of the global fields of the split (1|n) manifold
+    with eta_j = z^(-k_j) theta_j, in closed form.
+
+    Write k_nu for the sum of the k_j over j in nu.  The field theta^nu f d/dz
+    reads -w^(2 - k_nu) f(1/w) eta^nu d/dw on chart 1, so f may have degree up
+    to 2 - k_nu: max(3 - k_nu, 0) fields of parity |nu|, since h0(O(d)) =
+    max(d + 1, 0) on P^1.  It also has, for each j not in nu, the term
+    -k_j w^(1 - k_nu) f(1/w) eta^nu eta_j d/deta_j, whose top coefficient must
+    cancel against a theta^(nu + j) d/dtheta_j coefficient of degree 1 - k_nu;
+    at k_nu = 2 there is none, so the constant f is not global when such a
+    k_j is nonzero: one field fewer.  Each theta^nu g d/dtheta_j reads
+    w^(k_j - k_nu) g(1/w) eta^nu d/deta_j: max(k_j - k_nu + 1, 0) fields of
+    parity |nu| + 1.
+    """
+    dims = [0, 0]
+    for nu in range(1 << len(ks)):
+        k_nu = sum(k for j, k in enumerate(ks) if nu >> j & 1)
+        dims[nu.bit_count() & 1] += max(3 - k_nu, 0) - one_fewer(ks, nu)
+        dims[(nu.bit_count() + 1) & 1] += sum(max(k - k_nu + 1, 0) for k in ks)
+    return tuple(dims)
+
+
+def diagonal_text(ks):
+    etas = "".join("eta%d = z^%d*t%d\n" % (j, -k, j) for j, k in enumerate(ks, 1))
+    return "[manifold]\nname = diagonal\nodd_dim = %d\n\n[transition]\nw = z^-1\n%s" % (
+        len(ks), etas)
+
+
+# the examples are split-2-2, s1111 and every k from -3 to 7 at n = 1
+@settings(deadline=None, max_examples=20)
+@given(st.lists(st.integers(-4, 6), min_size=1, max_size=4))
+@example([2, 2])
+@example([1, 1, 1, 1])
+@example([-3])
+@example([-2])
+@example([-1])
+@example([0])
+@example([1])
+@example([2])
+@example([3])
+@example([4])
+@example([5])
+@example([6])
+@example([7])
+def test_diagonal_dims_match_the_closed_form(tmp_path_factory, ks):
+    expected = diagonal_dims(ks)
+    text = diagonal_text(ks)
+    assert solve_global_fields(parse_manifold_text(text)).dims == expected
+    path = tmp_path_factory.getbasetemp() / "diagonal.smf"
+    path.write_text(text)
+    out = io.StringIO()
+    assert main(["vec", "--manifold", str(path), "--machine"], out, io.StringIO()) == 0
+    dim_lines = [line for line in out.getvalue().splitlines() if line.startswith("dim_")]
+    assert dim_lines == ["dim_even=%d" % expected[0], "dim_odd=%d" % expected[1]]
+    event("n = %d" % len(ks))
+    if any(one_fewer(ks, nu) for nu in range(1 << len(ks))):
+        event("one fewer field for some nu")
+
