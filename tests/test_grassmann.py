@@ -386,13 +386,12 @@ def test_second_apply_multiplies_no_odd_images(monkeypatch):
 @st.composite
 def drawn_images(draw, n):
     """Even and odd coordinate images on (1|n), drawn by parity; any may be zero."""
-    by_parity = [[idx for idx in range(1 << n) if idx_parity(idx) == parity] for parity in (0, 1)]
-    even, *odds = (
-        SuperFunction(C, n, draw(st.dictionaries(st.sampled_from(by_parity[u > 0]), taylor_coeffs,
-                                                 max_size=3)) if by_parity[u > 0] else {})
-        for u in range(n + 1)
-    )
-    return even, odds
+    images = []
+    for u in range(n + 1):
+        pool = [idx for idx in range(1 << n) if idx_parity(idx) == (u > 0)]
+        terms = draw(st.dictionaries(st.sampled_from(pool), taylor_coeffs, max_size=3)) if pool else {}
+        images.append(SuperFunction(C, n, terms))
+    return images[0], images[1:]
 
 
 PULLBACK_FAULTS = ["even chart", "odd chart", "odd dimension", "mixed even", "mixed odd",

@@ -1320,11 +1320,12 @@ def exp_ad(structure, field):
             for k, d in enumerate(bracket):
                 ad[k][j] = ad[k][j] + y[i] * d
     term = total = [[GR_ONE if r == c else GR_ZERO for c in range(m)] for r in range(m)]
-    for k in range(1, m + 1):
+    for k in range(1, m + 2):
         term = [[x / GaussianRational(k) for x in row] for row in mat_mul(ad, term, GR_ZERO)]
+        if not any(map(any, term)):
+            return total
         total = [[a + b for a, b in zip(r, s)] for r, s in zip(total, term)]
-    assert not any(map(any, mat_mul(ad, term, GR_ZERO))), "ad Y is not nilpotent"
-    return total
+    raise AssertionError("ad Y is not nilpotent")
 
 
 @settings(deadline=None, max_examples=40)
