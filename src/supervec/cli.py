@@ -269,10 +269,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_manifold_command(name, func, help_text, cartan=False):
+    def add_manifold_command(name, func, help_text, solves=True, cartan=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--manifold", required=True, help="manifold file path or bundled name")
-        p.add_argument("--cap", type=parse_integer, default=None, help="override the degree cap")
+        if solves:
+            p.add_argument("--cap", type=parse_integer, default=None, help="override the degree cap")
         p.add_argument("--machine", action="store_true", help="line-oriented key=value output")
         if cartan:
             p.add_argument("--cartan", type=parse_integer, required=True, help="even basis index")
@@ -283,7 +284,7 @@ def build_parser():
     add_manifold_command("brackets", cmd_brackets, "structure constants and Jacobi verdict")
     add_manifold_command("gr", cmd_gr, "split model file and dimension comparison")
     add_manifold_command("weights", cmd_weights, "adjoint eigenvalue table", cartan=True)
-    add_manifold_command("check", cmd_check, "validate a manifold file")
+    add_manifold_command("check", cmd_check, "validate a manifold file", solves=False)
     add_manifold_command("report", cmd_report, "full Harish-Chandra report")
 
     p = sub.add_parser("decompose", help="degree-zero part and nilpotent generator of a pullback")
@@ -320,15 +321,8 @@ def main(argv=None, out=None, err=None):
         lines = args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except InputError as exc:
+    except (InputError, MathDomainError) as exc:
         err.write("error: %s: %s\n" % (exc.code, exc.message))
-        return 2
-    except MathDomainError as exc:
-        err.write("error: %s: %s\n" % (exc.code, exc.message))
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
     out.write("\n".join(lines) + "\n")
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

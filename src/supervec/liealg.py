@@ -110,8 +110,6 @@ def default_cap(manifold):
     poles both at z = 0 and at infinity (so positive-degree images of
     negative bundle degrees are budgeted too).
     """
-    if manifold.kind == KIND_C01:
-        return 0
     budget = 0
     for img in manifold.transition.odd_images:
         exps = [k for _, k, _ in _laurent_terms(img)]

@@ -169,8 +169,6 @@ def invert_matrix(matrix, zero, one):
 def determinant(matrix, zero, one):
     """Exact determinant by fraction-producing Gaussian elimination."""
     n = len(matrix)
-    if n == 0:
-        return one
     rows = [list(r) for r in matrix]
     det = one
     for c in range(n):

@@ -283,8 +283,6 @@ class Polynomial:
         """Each output coefficient is summed as the integers ``(a + b*i)/d``
         of the term products, over a common ``d`` when the terms share it,
         and reduced once; exponents whose sum is zero are dropped."""
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            return self.scale(other)
         sums = {}
         for e1, c1 in self.coeffs.items():
             a1, b1, d1 = c1.a, c1.b, c1.d
@@ -299,8 +297,6 @@ class Polynomial:
                         a, b, d = sa * d + a * sd, sb * d + b * sd, sd * d
                 sums[e1 + e2] = a, b, d
         return _raw_poly({e: _reduced(a, b, d) for e, (a, b, d) in sums.items() if a or b})
-
-    __rmul__ = __mul__
 
     def scale(self, c):
         c = c if isinstance(c, GaussianRational) else GaussianRational(c)
@@ -441,13 +437,7 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if not isinstance(num, Polynomial):
-            num = Polynomial.constant(num)
-        if den is None:
-            den = _POLY_ONE
-        elif not isinstance(den, Polynomial):
-            den = Polynomial.constant(den)
+    def __init__(self, num, den=_POLY_ONE):
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
@@ -616,8 +606,6 @@ def _as_rf(value):
         return value
     if isinstance(value, (GaussianRational, int, Fraction)):
         return RationalFunction.constant(value)
-    if isinstance(value, Polynomial):
-        return RationalFunction(value)
     return None
 
 

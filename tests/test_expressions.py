@@ -299,6 +299,9 @@ def test_printer_matches_reference(sf, c):
 @example("1/(z + t1)")
 @example("(t2 + t3)*t1")
 @example("z^-3/(z - 1)*t1*t2")
+@example("t1*z")
+@example("t1*t2*z^-1")
+@example("t2*(1 + z)")
 def test_parser_matches_reference(text):
     got = _outcome(parse_superfunction, text)
     assert got == _outcome(reference.parse_superfunction, text)
@@ -306,6 +309,17 @@ def test_parser_matches_reference(text):
         event("value %s" % type(_Parser(text, None, "chart0").parse_expr()).__name__)
     else:
         event("error %s" % got[0].__name__)
+
+
+# an odd factor times an even one multiplies a SuperFunction by a scalar
+ODD_FIRST_PRODUCTS = [("t1*z", "z*t1"), ("t1*t2*z^-1", "z^-1*t1*t2"), ("t2*(1 + z)", "(z + 1)*t2")]
+
+
+@pytest.mark.parametrize("text,coefficient_first", ODD_FIRST_PRODUCTS)
+def test_odd_first_products_equal_their_coefficient_first_form(text, coefficient_first):
+    got = parse_superfunction(text)
+    assert got == parse_superfunction(coefficient_first)
+    assert superfunction_text(got) == coefficient_first
 
 
 def coded_expressions():

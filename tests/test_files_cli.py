@@ -145,6 +145,17 @@ def test_cli_negative_cap_exit_2():
             assert not out and "NegativeCap" in err
 
 
+def test_cli_cap_only_on_the_commands_that_solve():
+    code, out, err = run(["check", "--manifold", "k2", "--cap", "1"])
+    assert (code, out) == (2, "")
+    assert err.endswith("supervec: error: unrecognized arguments: --cap 1\n")
+    assert run(["vec", "--manifold", "k2", "--cap", "-1"]) == (
+        2, "", "error: NegativeCap: degree cap must be non-negative, got -1\n"
+    )
+    assert run(["check", "--manifold", "k2"]) == (0, "ok: k2 (odd_dim 1, kind p1)\n", "")
+    assert run(["check", "--manifold", "k2", "--machine"]) == (0, "name=k2\nvalid=true\n", "")
+
+
 def test_cli_huge_bundle_degree_exit_3(tmp_path):
     # the default cap of this transition is about 1e20: refused before any row
     huge = tmp_path / "huge.smf"

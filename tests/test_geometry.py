@@ -13,7 +13,9 @@ from supervec.derivations import SuperDerivation, bracket, pullback_invert
 from supervec.errors import (
     BadDeterminant,
     BadReducedMap,
+    ChartMismatch,
     DegenerateOddPart,
+    DivisionByZero,
     FamilyShapeMismatch,
     NotGlobal,
     NotLaurent,
@@ -72,6 +74,67 @@ def test_manifold_validation(manifolds):
                 [sf(2, {1: zm(-2)}), sf(2, {1: zm(-2)})],
             ),
         )
+
+
+def _zero_field(chart, n):
+    zero = SuperFunction.zero(chart, n)
+    return SuperDerivation(chart, n, zero, [zero] * n)
+
+
+# (call, error class, full message) of each coded check on library input
+CODED_INPUT_CHECKS = {
+    "transition-charts": (
+        lambda: SuperManifoldData.from_transition("x", 1, PullbackData.identity(CHART0, 1)),
+        ChartMismatch, "transition must map chart0 into chart1",
+    ),
+    "transition-odd-dim": (
+        lambda: SuperManifoldData.from_transition("x", 2, load_bundled_manifold("k2").transition),
+        ChartMismatch, "transition odd dimension does not match",
+    ),
+    "flow-chart": (
+        lambda: nilpotent_flow(load_bundled_manifold("k2"), _zero_field("a", 1), 1),
+        ChartMismatch, "field does not live on a chart of the manifold",
+    ),
+    "flow-odd-dim": (
+        lambda: nilpotent_flow(load_bundled_manifold("k2"), _zero_field(CHART0, 2), 1),
+        ChartMismatch, "field has the wrong odd dimension",
+    ),
+    "multi-index": (
+        lambda: SuperFunction(CHART0, 1, {2: RationalFunction.one()}),
+        ValueError, "multi-index out of range for odd dimension 1",
+    ),
+    "odd-index": (
+        lambda: SuperFunction.odd_var(CHART0, 1, 1), ValueError, "odd index out of range",
+    ),
+    "combine": (
+        lambda: SuperFunction.zero(CHART0, 1) + "x",
+        TypeError, "cannot combine SuperFunction with <class 'str'>",
+    ),
+    "apply-chart": (
+        lambda: PullbackData.identity(CHART0, 1).apply(SuperFunction.zero(CHART1, 1)),
+        ChartMismatch, "function lives on 'chart1', pullback expects 'chart0'",
+    ),
+    "negative-exponent": (
+        lambda: Polynomial.monomial(-1), ValueError, "polynomial exponents are non-negative",
+    ),
+    "polynomial-division": (
+        lambda: divmod(Polynomial.one(), Polynomial.zero()),
+        DivisionByZero, "polynomial division by zero",
+    ),
+    "zero-denominator": (
+        lambda: RationalFunction(Polynomial.one(), Polynomial.zero()),
+        DivisionByZero, "rational function with zero denominator",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CODED_INPUT_CHECKS))
+def test_coded_input_checks_raise_their_messages(case):
+    call, error, message = CODED_INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def is_split(manifold):
@@ -585,10 +648,11 @@ def _parsed(z, *odds):
         "t%d = %s\n" % (j + 1, text) for j, text in enumerate(odds)))
 
 
-def _point_case(odd_coeff):
+def _point_case(odd_coeff, even_scale=1):
     chart = POINT_CHART
     return "c01", PullbackData(
-        chart, chart, SuperFunction.coordinate(chart, 1), [SuperFunction(chart, 1, {1: odd_coeff})]
+        chart, chart, SuperFunction.coordinate(chart, 1).scale(even_scale),
+        [SuperFunction(chart, 1, {1: odd_coeff})],
     )
 
 
@@ -605,6 +669,7 @@ def _point_case(odd_coeff):
     "(z + 1)/(z + 2)", "t1/((z + 2)*(z + 2))", "t2/((z + 2)*(z + 2))")))
 @example(case=_point_case(RationalFunction.constant(3)))
 @example(case=_point_case(RationalFunction.z()))
+@example(case=_point_case(RationalFunction.constant(3), even_scale=2))  # moves the even coordinate
 @example(case=("c01", _parsed("z", "t1")))  # ChartMismatch
 @example(case=("k2", PullbackData.identity(CHART1, 1)))  # ChartMismatch
 def test_morphism_check_global_matches_reference(case):
