@@ -8,6 +8,9 @@ connected blocks with a union-find and reducing each block densely.  The
 reduced row echelon form is unique, so the library must reproduce every
 result here exactly.  ``mat_mul`` is the product that tested every entry of
 ``a`` once per output entry; the library's must give the same products.
+``determinant`` is the dense forward elimination with its own pivot search
+and row swaps that the library used before it read the pivots of its one
+sparse elimination; the determinant is unique, so the two must agree.
 """
 
 from __future__ import annotations
@@ -181,3 +184,29 @@ def mat_mul(a, b, zero):
             row.append(acc)
         out.append(row)
     return out
+
+
+def determinant(matrix, zero, one):
+    """Exact determinant by fraction-producing Gaussian elimination."""
+    n = len(matrix)
+    rows = [list(r) for r in matrix]
+    det = one
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            return zero
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = zero - det
+        pv = rows[c][c]
+        det = det * pv
+        inv = one / pv
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det

@@ -4,16 +4,20 @@ The files under ``tests/golden`` pin ``report`` (human and ``--machine``) and
 ``gr --machine`` on every bundled manifold, ``vec --machine`` on the
 synthetic manifolds of ``test_solver_oracle`` at their default cap and at
 cap + 2, and ``brackets --machine`` on the same synthetic manifolds at their
-default cap.  ``weights --machine`` is pinned on every bundled manifold at
-every even index and one past the last (``OddCartan``), and on ``s222`` and
-``s1111`` at the even indices the ``bracket-table`` benchmark uses, and on a
-(1|1) manifold whose weight is -10^7 at index 0; each of
+default cap.  The synthetic ``k2i``, whose answers have non-real
+coefficients, also has ``gr --machine`` and ``report`` in both forms pinned.
+``weights --machine`` is pinned on every bundled manifold at
+every even index and one past the last (``OddCartan``), on ``s222`` and
+``s1111`` at the even indices the ``bracket-table`` benchmark uses, on every
+even index of ``k2i``, and on a (1|1) manifold whose weight is -10^7 at
+index 0; each of
 those files concatenates, per index, a ``--cartan I: exit C`` line and that
 run's stdout and stderr, so an index that exits 3 (``NotDiagonalizable``)
 pins its exit code and its one-line error.  The pullback commands are pinned on the fixed ``.spb`` texts of
 ``PULLBACKS`` (n = 1 to 4, including Mobius lifts of ``k2`` and
 ``nonsplit-2-2``, a dense n = 3 case, a dense n = 4 case with cubic
-coefficients and an n = 1 case with a coefficient over 998244353):
+coefficients, an n = 1 case with a coefficient over 998244353 and an n = 2
+case with non-real coefficients):
 ``invert`` and ``decompose``
 (human and ``--machine``) on each, ``compose`` on one pair per odd
 dimension, and ``flow`` on two nilpotent fields with non-monomial
@@ -105,6 +109,15 @@ def test_brackets_on_synthetic_matches_golden(tmp_path, name):
     assert run_cli(["brackets", "--manifold", str(path), "--machine"]) == expected
 
 
+@pytest.mark.parametrize("argv", [["gr", "--machine"], ["report"], ["report", "--machine"]],
+                         ids=["gr", "report-human", "report-machine"])
+def test_gaussian_synthetic_matches_golden(tmp_path, argv):
+    _, path = write_synthetic(tmp_path, "k2i")
+    suffix = ".machine.txt" if "--machine" in argv else ".txt"
+    expected = (GOLDEN / (argv[0] + "-k2i" + suffix)).read_text()
+    assert run_cli([argv[0], "--manifold", str(path)] + argv[1:]) == expected
+
+
 def weights_text(manifold, indices):
     chunks = []
     for i in indices:
@@ -121,8 +134,9 @@ def test_weights_matches_golden(name):
     assert weights_text(name, range(n_even + 1)) == expected
 
 
-# the even indices whose adjoint action the bracket-table benchmark decomposes
-CARTANS = {"s1111": (1, 3, 8, 13, 18), "s222": (1, 3, 7, 11)}
+# the even indices whose adjoint action the bracket-table benchmark decomposes,
+# and every even index of k2i, whose index 0 has the non-real root -i
+CARTANS = {"s1111": (1, 3, 8, 13, 18), "s222": (1, 3, 7, 11), "k2i": (0, 1, 2)}
 
 
 @pytest.mark.parametrize("name", sorted(CARTANS))
@@ -216,6 +230,13 @@ PULLBACKS = {
     # a coefficient with denominator 998244353, the prime of Polynomial.gcd's
     # coprimality certificate, which it must decline
     "n1-mod-p": "[pullback]\nz = (2*z - 1)/(z + 3)\nt1 = (z^2 + 1/998244353)/(z + 3)*t1\n",
+    # non-real coefficients in every coordinate image and in the generator
+    "n2-gaussian": (
+        "[pullback]\n"
+        "z = (i*z + 1)/(z + i) + i*z*t1*t2\n"
+        "t1 = (1 + i*z)*t1 + z^2*t2\n"
+        "t2 = i*t2\n"
+    ),
 }
 
 COMPOSE_PAIRS = [("mobius-k2", "n1"), ("mobius-nonsplit-2-2", "n2"), ("n3", "n3")]
@@ -246,6 +267,16 @@ def test_decompose_matches_golden(tmp_path, name, machine):
     suffix = ".machine.txt" if machine else ".txt"
     expected = (GOLDEN / ("decompose-" + name + suffix)).read_text()
     assert run_cli(argv) == expected
+
+
+def test_gaussian_pullback_inverse_composes_to_identity(tmp_path):
+    path = write_pullback(tmp_path, "n2-gaussian")
+    inverse = tmp_path / "inverse.spb"
+    inverse.write_text(run_cli(["invert", "--pullback", path]))
+    identity = "[pullback]\nz = z\nt1 = t1\nt2 = t2\n"
+    assert run_cli(["compose", path, str(inverse)]) == identity
+    assert run_cli(["compose", str(inverse), path]) == identity
+    assert not run_cli(["decompose", "--pullback", path, "--machine"]).endswith("generator=0\n")
 
 
 @pytest.mark.parametrize("outer, inner", COMPOSE_PAIRS)

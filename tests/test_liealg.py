@@ -172,7 +172,7 @@ def test_column_estimate_covers_the_system(manifolds):
     tested = [m for m in manifolds.values() if m.kind != "c01"]
     tested += [k_family(50), k_family(100)]
     tested += [parse_manifold_text("[manifold]\nname = %s\n%s" % kv) for kv in synthetic.items()]
-    assert len(tested) == 14
+    assert len(tested) == 15
     for m in tested:
         cap = liealg.default_cap(m)
         columns, _ = liealg._compatibility_rows(m, cap)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from supervec.errors import NotInvertible
 from supervec.liealg import _vector_key
@@ -390,3 +390,69 @@ def test_determinant():
     one = RationalFunction.one()
     assert determinant([[z, one], [one, z]], RationalFunction.zero(), one) == z * z - one
     assert not determinant([[one, one], [one, one]], RationalFunction.zero(), one)
+
+
+@st.composite
+def square_matrices(draw):
+    """(kind, matrix): a square matrix over Q(i) of size 0 to 5.
+
+    Its rows are drawn freely, or one of them repeats another or is zero, or
+    they are the rows of a triangular matrix with a nonzero diagonal in a
+    drawn order, whose parity the kind names.
+    """
+    n = draw(st.integers(0, 5))
+    kinds = ["free", "triangular"] + ["zero row"] * (n > 0) + ["repeated row"] * (n > 1)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "triangular":
+        diagonal = entries.filter(bool)
+        rows = [[draw(diagonal) if c == r else draw(entries) if c > r else GR_ZERO for c in range(n)]
+                for r in range(n)]
+        order = draw(st.permutations(range(n)))
+        swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+        if n > 1 and draw(st.booleans()) != swaps % 2:
+            order[:2] = order[1], order[0]
+            swaps += 1
+        kind = "%s pivot permutation" % ("odd" if swaps % 2 else "even")
+        return kind, [rows[r] for r in order]
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if kind == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [GR_ZERO] * n
+    elif kind == "repeated row":
+        i = draw(st.integers(0, n - 1))
+        rows[(i + draw(st.integers(1, n - 1))) % n] = list(rows[i])
+    return kind, rows
+
+
+@given(square_matrices())
+def test_determinant_and_rank_match_reference(drawn):
+    kind, matrix = drawn
+    det = determinant(matrix, GR_ZERO, GR_ONE)
+    assert det == reference.determinant(matrix, GR_ZERO, GR_ONE)
+    assert rank(matrix) == reference.rank(matrix)
+    event(kind)
+    event("size %d, %s" % (len(matrix), "nonsingular" if det else "singular"))
+    if any(x.im for row in matrix for x in row):
+        event("a non-real entry")
+
+
+@st.composite
+def rf_square_matrices(draw):
+    """A square matrix of size 0 to 3 whose entries are c + z, c in Z[i],
+    its last row sometimes a repeat of its first."""
+    n = draw(st.integers(0, 3))
+    c = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-1, 1))
+    z = RationalFunction.z()
+    rows = [[z + RationalFunction.constant(draw(c)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(rf_square_matrices())
+def test_rational_function_determinant_and_rank_match_reference(matrix):
+    zero, one = RationalFunction.zero(), RationalFunction.one()
+    det = determinant(matrix, zero, one)
+    assert det == reference.determinant(matrix, zero, one)
+    assert rank(matrix) == reference.rank(matrix)
+    event("size %d, %s" % (len(matrix), "nonsingular" if det else "singular"))

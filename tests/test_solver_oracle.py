@@ -47,6 +47,9 @@ SYNTHETIC = {
     "ns33": "odd_dim = 2\n\n[transition]\nw = z^-1 + z^-4*t1*t2\neta1 = z^-3*t1\neta2 = z^-3*t2\n",
     "s222": "odd_dim = 3\n\n[transition]\nw = z^-1\n"
     "eta1 = z^-2*t1\neta2 = z^-2*t2\neta3 = z^-2*t3\n",
+    # a (1|1) manifold with a non-real transition coefficient, so its basis,
+    # brackets and weights are over Q(i) and not over Q
+    "k2i": "odd_dim = 1\n\n[transition]\nw = z^-1\neta1 = z^-2*t1 + i*z^-1*t1\n",
 }
 
 
