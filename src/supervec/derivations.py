@@ -137,8 +137,6 @@ class SuperDerivation:
                     out = out + c * d
         return out
 
-    __call__ = apply
-
     def bracket(self, other):
         """Super bracket [X, Y] = X Y - (-1)^{|X||Y|} Y X.
 

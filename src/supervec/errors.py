@@ -148,12 +148,8 @@ class ExprSyntaxError(InputError):
         self.position = position
 
 
-class RepeatedOddVariable(InputError):
+class RepeatedOddVariable(ExprSyntaxError):
     code = "RepeatedOddVariable"
-
-    def __init__(self, message, position):
-        super().__init__("%s (at position %d)" % (message, position))
-        self.position = position
 
 
 class OddDenominator(InputError):

@@ -5,12 +5,13 @@ All routines are generic over field elements supporting ``+ - * /`` (with
 used with both ``GaussianRational`` and ``RationalFunction`` entries.
 
 One elimination, ``_reduce``, of sparse rows to the reduced row echelon form
-serves ``rref``, ``rank``, ``kernel_basis``, ``sparse_kernel_basis`` and
-``span_factor``; ``coordinates`` reads a vector off a stored ``span_factor``,
-and ``solve_columns`` is that pair.  Determinism contract: the reduced form
-of a row space is unique, so every result is independent of the row order
-and of the order of elimination; kernel vectors are ordered by free column,
-sparse (dicts column -> nonzero entry) from ``sparse_kernel_basis``.
+serves ``rref``, ``kernel_basis``, ``sparse_kernel_basis`` and ``span_factor``;
+``rank`` and ``determinant`` read the pivots of its forward phase, ``_forward``.
+``coordinates`` reads a vector off a stored ``span_factor``, and
+``solve_columns`` is that pair.  Determinism contract: the reduced form of a
+row space is unique, so every result is independent of the row order and of
+the order of elimination; kernel vectors are ordered by free column, sparse
+(dicts column -> nonzero entry) from ``sparse_kernel_basis``.
 """
 
 from __future__ import annotations
@@ -19,16 +20,14 @@ from .errors import NotInvertible
 from .scalars import GR_ZERO
 
 
-def _reduce(rows):
-    """Reduced row echelon form of sparse rows, as {pivot column: row}.
+def _forward(rows):
+    """Forward phase of ``_reduce``: ({pivot column: row}, pivot entries).
 
-    Each row is an iterable of (column, entry) pairs; a reduced row is a dict
-    column -> nonzero entry with a 1 in its pivot column, its leading column.
-    Forward: each new row is cleared of stored pivots, leftmost first, and
-    pivots on its leading column.  Back: from the last pivot to the first,
-    each row is cleared of the later pivots, whose rows are reduced already.
+    Each new row is cleared of stored pivots, leftmost first, and pivots on
+    its leading column; its entry there, before the row is scaled to a 1, is
+    listed in the order in which the pivots are stored.
     """
-    reduced = {}
+    reduced, entries = {}, []
     for pairs in rows:
         row = {c: x for c, x in pairs if x}
         while row:
@@ -39,8 +38,21 @@ def _reduce(rows):
                     inv = 1 / pv
                     row = {c: x * inv for c, x in row.items()}
                 reduced[p] = row
+                entries.append(pv)
                 break
             _subtract(row, p, reduced[p])
+    return reduced, entries
+
+
+def _reduce(rows):
+    """Reduced row echelon form of sparse rows, as {pivot column: row}.
+
+    Each row is an iterable of (column, entry) pairs; a reduced row is a dict
+    column -> nonzero entry with a 1 in its pivot column, its leading column.
+    After ``_forward``, the back phase clears each row, from the last pivot to
+    the first, of the later pivots, whose rows are reduced already.
+    """
+    reduced = _forward(rows)[0]
     for p in sorted(reduced, reverse=True):
         row = reduced[p]
         for c in [c for c in row if c != p and c in reduced]:
@@ -76,7 +88,7 @@ def rref(matrix):
 
 
 def rank(matrix):
-    return len(_reduce(enumerate(row) for row in matrix))
+    return len(_forward(enumerate(row) for row in matrix)[0])
 
 
 def kernel_basis(matrix, ncols):
@@ -167,29 +179,17 @@ def invert_matrix(matrix, zero, one):
 
 
 def determinant(matrix, zero, one):
-    """Exact determinant by fraction-producing Gaussian elimination."""
-    n = len(matrix)
-    rows = [list(r) for r in matrix]
+    """Product of the forward phase's pivot entries, negated once for each
+    pair of rows whose pivot columns arrive out of order; zero if singular."""
+    reduced, entries = _forward(enumerate(row) for row in matrix)
+    if len(reduced) < len(matrix):
+        return zero
     det = one
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return zero
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = zero - det
-        pv = rows[c][c]
-        det = det * pv
-        inv = one / pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
+    for x in entries:
+        det = det * x
+    order = list(reduced)
+    swaps = sum(q > p for i, p in enumerate(order) for q in order[:i])
+    return zero - det if swaps % 2 else det
 
 
 def mat_mul(a, b, zero):

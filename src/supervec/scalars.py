@@ -349,10 +349,7 @@ class Polynomial:
         return divmod(self, other)[0]
 
     def monic(self):
-        if not self.coeffs:
-            return self
-        lead = self.leading_coeff()
-        return _raw_poly({e: c / lead for e, c in self.coeffs.items()})
+        return self.scale(GR_ONE / self.leading_coeff()) if self.coeffs else self
 
     def gcd(self, other):
         a, b = self, other

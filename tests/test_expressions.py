@@ -53,6 +53,15 @@ def test_parse_gaussian_coefficients():
     assert sf == SuperFunction("chart0", 1, {0: half_i * zm(1), 1: onetwo})
 
 
+def test_repeated_odd_variable_is_a_positioned_syntax_error():
+    with pytest.raises(RepeatedOddVariable) as e:
+        parse_superfunction("z + t1*t1")
+    assert isinstance(e.value, ExprSyntaxError)
+    assert (e.value.code, e.value.position, e.value.message) == (
+        "RepeatedOddVariable", 7, "odd variable t1 repeated (at position 7)"
+    )
+
+
 def test_parse_errors_with_positions():
     with pytest.raises(ExprSyntaxError) as e:
         parse_superfunction("t2*t1", 2)

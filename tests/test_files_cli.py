@@ -456,6 +456,15 @@ CODED_INPUT_ERRORS = {
         3, "NotInvertible", "reduced even map has vanishing differential",
     ),
     # integers are ASCII digits in files and options alike
+    # RepeatedOddVariable is an ExprSyntaxError with its own code, and the
+    # odd_dim reader, whose ExprSyntaxError becomes BadFile, cannot raise it
+    "repeated-odd-variable": (
+        "flow", "t1*t1", 2, "RepeatedOddVariable", "odd variable t1 repeated (at position 3)"
+    ),
+    "fractional-odd-dim": (
+        "check", SECTIONS.replace("= 1", "= 1/2") + "w = z^-1\neta1 = t1\n",
+        2, "BadFile", "odd_dim must be an integer",
+    ),
     "arabic-indic-odd-dim": (
         "check", SECTIONS.replace("= 1", "= \u0661") + "w = z^-1\neta1 = t1\n",
         2, "BadFile", "odd_dim must be an integer",
