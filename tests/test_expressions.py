@@ -53,15 +53,6 @@ def test_parse_gaussian_coefficients():
     assert sf == SuperFunction("chart0", 1, {0: half_i * zm(1), 1: onetwo})
 
 
-def test_repeated_odd_variable_is_a_positioned_syntax_error():
-    with pytest.raises(RepeatedOddVariable) as e:
-        parse_superfunction("z + t1*t1")
-    assert isinstance(e.value, ExprSyntaxError)
-    assert (e.value.code, e.value.position, e.value.message) == (
-        "RepeatedOddVariable", 7, "odd variable t1 repeated (at position 7)"
-    )
-
-
 def test_parse_errors_with_positions():
     with pytest.raises(ExprSyntaxError) as e:
         parse_superfunction("t2*t1", 2)
@@ -69,6 +60,13 @@ def test_parse_errors_with_positions():
     with pytest.raises(RepeatedOddVariable) as e:
         parse_superfunction("t1*t1", 2)
     assert e.value.position == 3
+    # a syntax error with its own code
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_superfunction("z + t1*t1")
+    assert type(e.value) is RepeatedOddVariable
+    assert (e.value.code, e.value.position, e.value.message) == (
+        "RepeatedOddVariable", 7, "odd variable t1 repeated (at position 7)"
+    )
     with pytest.raises(ExprSyntaxError):
         parse_superfunction("1.5", 1)
     with pytest.raises(OddDenominator):

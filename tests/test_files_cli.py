@@ -456,15 +456,6 @@ CODED_INPUT_ERRORS = {
         3, "NotInvertible", "reduced even map has vanishing differential",
     ),
     # integers are ASCII digits in files and options alike
-    # RepeatedOddVariable is an ExprSyntaxError with its own code, and the
-    # odd_dim reader, whose ExprSyntaxError becomes BadFile, cannot raise it
-    "repeated-odd-variable": (
-        "flow", "t1*t1", 2, "RepeatedOddVariable", "odd variable t1 repeated (at position 3)"
-    ),
-    "fractional-odd-dim": (
-        "check", SECTIONS.replace("= 1", "= 1/2") + "w = z^-1\neta1 = t1\n",
-        2, "BadFile", "odd_dim must be an integer",
-    ),
     "arabic-indic-odd-dim": (
         "check", SECTIONS.replace("= 1", "= \u0661") + "w = z^-1\neta1 = t1\n",
         2, "BadFile", "odd_dim must be an integer",
@@ -515,6 +506,19 @@ def test_cli_coded_input_errors(tmp_path, case):
     argv += options
     diagnostic = "error: %s: %s\n" % (code, message)
     assert run(argv) == (exit_code, "", diagnostic)
+
+
+def test_repeated_odd_variable_keeps_its_code(tmp_path):
+    # RepeatedOddVariable is an ExprSyntaxError with its own code, and the
+    # odd_dim reader, whose ExprSyntaxError becomes BadFile, cannot raise it
+    assert run(["flow", "--field", "t1*t1", "--time", "1"]) == (
+        2, "", "error: RepeatedOddVariable: odd variable t1 repeated (at position 3)\n"
+    )
+    path = tmp_path / "m.smf"
+    path.write_text(SECTIONS.replace("= 1", "= 1/2") + "w = z^-1\neta1 = t1\n")
+    assert run(["check", "--manifold", str(path)]) == (
+        2, "", "error: BadFile: odd_dim must be an integer\n"
+    )
 
 
 def test_cli_exponent_with_plus_sign_reads_like_unsigned(tmp_path):
