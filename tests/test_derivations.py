@@ -28,6 +28,8 @@ from supervec.scalars import GaussianRational, Polynomial, RationalFunction
 import reference_derivations as reference
 from conftest import idx_parity
 from test_golden import PULLBACKS
+from test_grassmann import coefficients
+from test_scalars import polys, rational_functions
 
 C = "chart0"
 C1 = "chart1"
@@ -215,6 +217,30 @@ def test_gradings_match_parent_oracles(x):
         assert info.value.message == exc.message
     else:
         assert x.filtration_level() == expected
+
+
+@st.composite
+def superfunctions(draw):
+    """Functions with n = 0..4 on either chart, some drawn coefficients zero."""
+    chart, n = draw(st.sampled_from([C, C1])), draw(st.integers(0, 4))
+    values = st.one_of(coefficients, rational_functions)
+    return sf(n, draw(st.dictionaries(st.integers(0, (1 << n) - 1), values, max_size=4)), chart)
+
+
+@given(st.one_of(
+    st.tuples(polys, st.just(Polynomial.zero())),
+    st.tuples(rational_functions, st.just(RationalFunction.zero())),
+    superfunctions().map(lambda f: (f, SuperFunction.zero(f.chart, f.odd_dim))),
+    graded_derivations().map(lambda x: (x, SuperDerivation.zero(x.chart, x.odd_dim))),
+))
+def test_truthiness_is_the_zero_test(case):
+    """Each value type is zero exactly when it is falsy: ``bool(x)`` is
+    ``x != zero`` for the zero of its type, chart and odd dimension, and
+    ``x - x`` is falsy."""
+    x, zero = case
+    event("%s %s" % (type(x).__name__, "nonzero" if x != zero else "zero"))
+    assert bool(x) == (x != zero)
+    assert not x - x
 
 
 @st.composite
