@@ -82,11 +82,8 @@ class SuperDerivation:
 
     # -- structure ----------------------------------------------------------
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, SuperDerivation):

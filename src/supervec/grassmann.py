@@ -128,9 +128,6 @@ class SuperFunction:
 
     # -- structure ----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -573,7 +573,7 @@ def _rational_roots(poly):
         roots.append(found)
         linear = Polynomial({1: GR_ONE, 0: -found})
         p, rem = divmod(p, linear)
-        if not rem.is_zero():
+        if rem:
             raise InexactRootDivision("root %s left remainder %r" % (found, rem))
     return roots
 

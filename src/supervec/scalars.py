@@ -241,9 +241,6 @@ class Polynomial:
             raise ValueError("polynomial exponents are non-negative")
         return cls({exp: coeff})
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -310,7 +307,7 @@ class Polynomial:
         return _power(self, exponent, _POLY_ONE)
 
     def __divmod__(self, other):
-        if other.is_zero():
+        if not other:
             raise DivisionByZero("polynomial division by zero")
         q = {}
         r = {e: (c.a, c.b, c.d) for e, c in self.coeffs.items()}
@@ -435,9 +432,9 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_POLY_ONE):
-        if den.is_zero():
+        if not den:
             raise DivisionByZero("rational function with zero denominator")
-        if num.is_zero():
+        if not num:
             self.num, self.den = _POLY_ZERO, _POLY_ONE
         else:
             self.num, self.den = _monic_den(*_cancel(num, den))
@@ -467,11 +464,8 @@ class RationalFunction:
             return cls(Polynomial.monomial(exp, coeff))
         return cls(Polynomial.constant(coeff), Polynomial.monomial(-exp))
 
-    def is_zero(self):
-        return self.num.is_zero()
-
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num)
 
     def is_polynomial(self):
         return self.den.degree() == 0
@@ -527,7 +521,7 @@ class RationalFunction:
         other = _as_rf(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
+        if not other:
             raise DivisionByZero("division by zero rational function")
         return self * _rf_reciprocal(other)
 
@@ -539,7 +533,7 @@ class RationalFunction:
 
     def __pow__(self, exponent):
         if exponent < 0:
-            if self.is_zero():
+            if not self:
                 raise DivisionByZero("negative power of zero")
             return _rf_reciprocal(self) ** -exponent
         return _rf_raw(self.num**exponent, self.den**exponent)
@@ -579,7 +573,7 @@ class RationalFunction:
                     _POLY_ZERO)
                 for p in (self.num, self.den)
             )
-        if den.is_zero():
+        if not den:
             raise UndefinedComposition("substitution lands in a pole")
         return RationalFunction(num, den)
 

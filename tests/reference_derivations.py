@@ -276,11 +276,8 @@ class SuperDerivation:
 
     # -- structure ----------------------------------------------------------
 
-    def is_zero(self):
-        return self.even_coeff.is_zero() and all(c.is_zero() for c in self.odd_coeffs)
-
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.even_coeff) or any(self.odd_coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, SuperDerivation):

@@ -44,14 +44,14 @@ from supervec.scalars import (
 
 
 def root_multiplicity(poly, point):
-    if poly.is_zero():
+    if not poly:
         raise ValueError("every point is a root of the zero polynomial")
     linear = Polynomial({1: GR_ONE, 0: -_as_gaussian(point)})
     mult = 0
     p = poly
     while True:
         q, r = divmod(p, linear)
-        if r.is_zero():
+        if not r:
             mult += 1
             p = q
         else:
@@ -60,7 +60,7 @@ def root_multiplicity(poly, point):
 
 def pole_order_at(rf, point):
     den_mult = root_multiplicity(rf.den, point)
-    if rf.num.is_zero():
+    if not rf.num:
         return 0
     num_mult = root_multiplicity(rf.num, point)
     return max(0, den_mult - num_mult)

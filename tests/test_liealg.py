@@ -116,7 +116,7 @@ def test_point_basis(basis_cache):
     odd = basis.odd_basis[0].chart0_der
     assert even.odd_coeffs[0] == SuperFunction.odd_var("c01", 1, 0)
     assert odd.odd_coeffs[0] == SuperFunction.one("c01", 1)
-    assert even.even_coeff.is_zero() and odd.even_coeff.is_zero()
+    assert not even.even_coeff and not odd.even_coeff
 
 
 def test_nonsplit_dimensions(basis_cache):
@@ -920,7 +920,7 @@ def reference_rational_roots(poly):
             return None
         roots.append(found)
         p, rem = divmod(p, Polynomial({1: GR_ONE, 0: -found}))
-        assert rem.is_zero()
+        assert not rem
     return roots
 
 
@@ -1156,7 +1156,7 @@ def test_hc_report_nonsplit_witnesses(manifolds, report_cache):
     for matrix in (((1, 0), (0, -1)), ((0, 1), (0, 0)), ((0, 0), (1, 0))):
         image = sl2_embedding(manifolds["nonsplit-2-2"], "nonsplit", matrix)
         for kernel_field in kernel_fields:
-            assert bracket(kernel_field, image).is_zero()
+            assert not bracket(kernel_field, image)
 
 
 # ---------------------------------------------------------------------------
@@ -1417,23 +1417,23 @@ def test_line_family_general_form(basis_cache, k):
         assert set(even.terms) <= {0}
         a = even.reduced_part()
         assert a.is_polynomial()
-        assert a.is_zero() or int(a.num.degree()) <= 2
+        assert not a or int(a.num.degree()) <= 2
         odd = der.odd_coeffs[0]
         assert set(odd.terms) <= {1}
         scaling = odd.coefficient(1)
         assert scaling.is_polynomial()
-        assert scaling.is_zero() or int(scaling.num.degree()) <= 1
+        assert not scaling or int(scaling.num.degree()) <= 1
         a2 = a.num.coeffs.get(2, GR_ZERO)
         assert scaling.num.coeffs.get(1, GR_ZERO) == GaussianRational(k) * a2
     for field in basis.odd_basis:
         der = field.chart0_der
         p = der.odd_coeffs[0].reduced_part()
         assert set(der.odd_coeffs[0].terms) <= {0}
-        assert p.is_zero() or int(p.num.degree()) <= k
+        assert not p or int(p.num.degree()) <= k
         q_part = der.even_coeff
         assert set(q_part.terms) <= {1}
         q = q_part.coefficient(1)
-        assert q.is_zero() or int(q.num.degree()) <= 2 - k
+        assert not q or int(q.num.degree()) <= 2 - k
 
 
 def test_split_unequal_degrees_kernel_is_upper_triangular(basis_cache):
@@ -1447,15 +1447,15 @@ def test_split_unequal_degrees_kernel_is_upper_triangular(basis_cache):
         for c, field in zip(vec, basis.even_basis):
             if c:
                 total = total + field.chart0_der.scale(c)
-        assert total.even_coeff.is_zero()
+        assert not total.even_coeff
         b11 = total.odd_coeffs[0].coefficient(1)
         b12 = total.odd_coeffs[0].coefficient(2)
         b21 = total.odd_coeffs[1].coefficient(1)
         b22 = total.odd_coeffs[1].coefficient(2)
-        assert b21.is_zero()
-        assert b11.is_zero() or b11.is_constant()
-        assert b22.is_zero() or b22.is_constant()
-        assert b12.is_zero() or int(b12.num.degree()) <= 2
+        assert not b21
+        assert not b11 or b11.is_constant()
+        assert not b22 or b22.is_constant()
+        assert not b12 or int(b12.num.degree()) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -59,14 +59,14 @@ def test_polynomial_divmod_and_gcd():
     for _ in range(50):
         a = rand_poly(rng)
         b = rand_poly(rng)
-        if b.is_zero():
+        if not b:
             continue
         q, r = divmod(a, b)
         assert q * b + r == a
-        assert r.is_zero() or r.degree() < b.degree()
+        assert not r or r.degree() < b.degree()
         g = a.gcd(b)
-        if not a.is_zero():
-            assert (a % g).is_zero() and (b % g).is_zero()
+        if a:
+            assert not a % g and not b % g
 
 
 def test_zero_polynomial_degree_sentinel():
@@ -197,7 +197,7 @@ def test_mobius_helpers():
 # The parent's Polynomial.__divmod__, verbatim: each step subtracts reduced
 # GaussianRational products from reduced remainder coefficients.
 def reference_divmod(self, other):
-    if other.is_zero():
+    if not other:
         raise DivisionByZero("polynomial division by zero")
     q = {}
     r = dict(self.coeffs)
@@ -224,7 +224,7 @@ def reference_divmod(self, other):
 # Euclid runs down to a zero remainder of the reference division, and compose
 # reduces at every Horner step and once more for num / den.
 def reference_gcd(a, b):
-    while not b.is_zero():
+    while b:
         r = reference_divmod(a, b)[1]
         a, b = b, r.monic()
     return a.monic()
@@ -232,7 +232,7 @@ def reference_gcd(a, b):
 
 def reference_eval_poly_at_rf(poly, inner):
     acc = RationalFunction.zero()
-    if poly.is_zero():
+    if not poly:
         return acc
     top = int(poly.degree())
     for e in range(top, -1, -1):
@@ -246,7 +246,7 @@ def reference_eval_poly_at_rf(poly, inner):
 def reference_compose(outer, inner):
     num = reference_eval_poly_at_rf(outer.num, inner)
     den = reference_eval_poly_at_rf(outer.den, inner)
-    if den.is_zero():
+    if not den:
         raise UndefinedComposition("substitution lands in a pole")
     return num / den
 
@@ -476,14 +476,14 @@ def reference_mul(x, y):
 
 
 def reference_truediv(x, y):
-    if y.is_zero():
+    if not y:
         raise DivisionByZero("division by zero rational function")
     return RationalFunction(x.num * y.den, x.den * y.num)
 
 
 def reference_pow(x, exponent):
     if exponent < 0:
-        if x.is_zero():
+        if not x:
             raise DivisionByZero("negative power of zero")
         return RationalFunction(x.den**-exponent, x.num**-exponent)
     return RationalFunction(x.num**exponent, x.den**exponent)
@@ -536,7 +536,7 @@ def sum_events(x, y):
             num = a * (d // g) + c * (b // g)
             event("sum: shared factor, gcd(num, g) nontrivial"
                   if reference_gcd(num, g).degree() > 0 else "sum: shared factor")
-    if (x + y).is_zero():
+    if not x + y:
         event("sum: zero result")
 
 
