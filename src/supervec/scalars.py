@@ -307,7 +307,7 @@ class Polynomial:
         return _power(self, exponent, _POLY_ONE)
 
     def __divmod__(self, other):
-        if not other:
+        if not other.coeffs:
             raise DivisionByZero("polynomial division by zero")
         q = {}
         r = {e: (c.a, c.b, c.d) for e, c in self.coeffs.items()}
@@ -432,9 +432,9 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_POLY_ONE):
-        if not den:
+        if not den.coeffs:
             raise DivisionByZero("rational function with zero denominator")
-        if not num:
+        if not num.coeffs:
             self.num, self.den = _POLY_ZERO, _POLY_ONE
         else:
             self.num, self.den = _monic_den(*_cancel(num, den))
@@ -465,7 +465,7 @@ class RationalFunction:
         return cls(Polynomial.constant(coeff), Polynomial.monomial(-exp))
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.num.coeffs)  # the dict: bool(self.num) adds a second Python call
 
     def is_polynomial(self):
         return self.den.degree() == 0
