@@ -114,6 +114,37 @@ CODED_INPUT_CHECKS = {
         lambda: PullbackData.identity(CHART0, 1).apply(SuperFunction.zero(CHART1, 1)),
         ChartMismatch, "function lives on 'chart1', pullback expects 'chart0'",
     ),
+    "apply-odd-dim": (
+        lambda: PullbackData.identity(CHART0, 1).apply(SuperFunction.zero(CHART0, 2)),
+        ChartMismatch, "function has odd dimension 2, pullback expects 1",
+    ),
+    "combine-odd-dim": (
+        lambda: SuperFunction.zero(CHART0, 1) + SuperFunction.zero(CHART0, 2),
+        ChartMismatch, "cannot combine functions of odd dimension 1 and 2",
+    ),
+    "multiply-odd-dim": (
+        lambda: SuperFunction.one(CHART0, 1) * SuperFunction.one(CHART0, 2),
+        ChartMismatch, "cannot combine functions of odd dimension 1 and 2",
+    ),
+    "derivation-apply-odd-dim": (
+        lambda: SuperDerivation.d_even(CHART0, 1).apply(SuperFunction.zero(CHART0, 2)),
+        ChartMismatch, "function of odd dimension 2, derivation of odd dimension 1",
+    ),
+    "bracket-odd-dim": (
+        lambda: SuperDerivation.d_even(CHART0, 1).bracket(SuperDerivation.d_even(CHART0, 2)),
+        ChartMismatch, "bracket of derivations of odd dimensions 1 and 2",
+    ),
+    "field-charts": (
+        lambda: GlobalVectorField(
+            SuperManifoldData.point(), _zero_field(CHART0, 1), _zero_field(CHART1, 1)),
+        ChartMismatch,
+        "restrictions live on 'chart0' and 'chart1', the manifold's charts are 'c01' and 'c01'",
+    ),
+    "field-odd-dim": (
+        lambda: GlobalVectorField(
+            load_bundled_manifold("k2"), _zero_field(CHART0, 1), _zero_field(CHART1, 2)),
+        ChartMismatch, "restrictions have odd dimensions 1 and 2, the manifold has 1",
+    ),
     "negative-exponent": (
         lambda: Polynomial.monomial(-1), ValueError, "polynomial exponents are non-negative",
     ),
@@ -846,6 +877,37 @@ def test_global_field_checks_parity_then_polynomials_then_the_transition(manifol
         with pytest.raises(NotGlobal) as info:
             GlobalVectorField(m, chart0_der, wrong)
         assert info.value.message == message
+
+
+def _z_dependent_k2_field(basis_cache):
+    return next(f for f in basis_cache("k2").fields
+                if any(rf.num.degree() > 0 for c in f.chart0_der.coeffs for rf in c.terms.values()))
+
+
+@pytest.mark.parametrize("case", ["c01 with a k2 field", "c01 of odd dimension 3",
+                                  "k2 with swapped charts", "k2 with a (1|2) chart-1 field"])
+def test_global_field_checks_the_charts_and_odd_dimensions(manifolds, basis_cache, case):
+    # each field is homogeneous with polynomial coefficients, so only the
+    # chart and odd-dimension guard can reject it; on the point nothing else would
+    field = _z_dependent_k2_field(basis_cache)
+    cube = SuperDerivation.d_odd(POINT_CHART, 3, 0)
+    name, chart0_der, chart1_der = {
+        "c01 with a k2 field": ("c01", field.chart0_der, field.chart1_der),
+        "c01 of odd dimension 3": ("c01", cube, cube),
+        "k2 with swapped charts": ("k2", field.chart1_der, field.chart0_der),
+        "k2 with a (1|2) chart-1 field": (
+            "k2", SuperDerivation.d_even(CHART0, 1), SuperDerivation.d_even(CHART1, 2)),
+    }[case]
+    with pytest.raises(ChartMismatch):
+        GlobalVectorField(manifolds[name], chart0_der, chart1_der)
+
+
+def test_global_field_checks_the_charts_before_parity(manifolds):
+    # a mixed-parity chart-0 field with a pole, given on the other chart
+    mixed = SuperDerivation(CHART1, 1, sf(1, {0: zm(-5)}, chart=CHART1),
+                            [SuperFunction.one(CHART1, 1)])
+    with pytest.raises(ChartMismatch, match="restrictions live on 'chart1' and 'chart1'"):
+        GlobalVectorField(manifolds["k2"], mixed, SuperDerivation.d_even(CHART1, 1))
 
 
 def test_global_field_replace_reruns_the_checks(manifolds, basis_cache):
