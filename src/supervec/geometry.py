@@ -6,6 +6,10 @@ reduced even part is exactly 1/z and whose coefficients are Laurent (poles
 only at z = 0).  A second supported kind is the single-chart (0|1) point
 with one odd coordinate, where there is no transition at all.
 
+A global field is checked on Laurent terms: both sides of the transition
+identity are maps {(nu, k): c} formed from the transition's Laurent plan
+(``PullbackData.laurent_plan``), which every field of the manifold shares.
+
 Closed-form morphism families (fractional-linear lifts, traceless-matrix
 embeddings, nilpotent flows) are data-driven copies of the displayed
 formulas for two families:
@@ -19,6 +23,7 @@ formulas for two families:
 from __future__ import annotations
 
 from collections import namedtuple
+from math import perm
 
 from .errors import (
     BadDeterminant,
@@ -36,7 +41,14 @@ from .derivations import (
     odd_linear_matrix,
     pullback_invert,
 )
-from .grassmann import PullbackData, SuperFunction, compose
+from .grassmann import (
+    PullbackData,
+    SuperFunction,
+    add_laurent_product,
+    compose,
+    laurent_product,
+    laurent_terms,
+)
 from .linalg import rank
 from .scalars import (
     GR_ZERO,
@@ -108,9 +120,11 @@ class SuperManifoldData(namedtuple("SuperManifoldData", "name odd_dim kind trans
 class GlobalVectorField(namedtuple("GlobalVectorField", "manifold chart0_der chart1_der parity")):
     """A super vector field defined on the whole manifold.
 
-    Stored as its restrictions to both charts; the constructor verifies the
-    coefficients are polynomial and that the two restrictions agree across
-    the transition on every coordinate.
+    Stored as its restrictions to both charts.  The constructor checks, in
+    order, that they live on the manifold's charts with its odd dimension
+    (ChartMismatch), that the field is parity-homogeneous, that every
+    coefficient is polynomial, and that the two restrictions agree across the
+    transition on every coordinate (NotGlobal), the last on Laurent terms.
     """
 
     __slots__ = ()
@@ -129,6 +143,12 @@ class GlobalVectorField(namedtuple("GlobalVectorField", "manifold chart0_der cha
         return type(self), self[:3]
 
     def __init__(self, manifold, chart0_der, chart1_der):
+        if (chart0_der.chart, chart1_der.chart) != (manifold.chart0, manifold.chart1):
+            raise ChartMismatch("restrictions live on %r and %r, the manifold's charts are %r and %r"
+                                % (chart0_der.chart, chart1_der.chart, manifold.chart0, manifold.chart1))
+        if chart0_der.odd_dim != manifold.odd_dim or chart1_der.odd_dim != manifold.odd_dim:
+            raise ChartMismatch("restrictions have odd dimensions %d and %d, the manifold has %d"
+                                % (chart0_der.odd_dim, chart1_der.odd_dim, manifold.odd_dim))
         if self.parity is None:
             raise NotGlobal("global fields must be parity-homogeneous")
         for der in (chart0_der, chart1_der):
@@ -137,14 +157,37 @@ class GlobalVectorField(namedtuple("GlobalVectorField", "manifold chart0_der cha
                     if not rf.is_polynomial():
                         raise NotGlobal("chart restrictions must have polynomial coefficients")
         if manifold.kind == KIND_P1:
-            # a field's value on a coordinate is its coefficient there
-            chi = manifold.transition
-            for c, image in zip(chart1_der.coeffs, chi.images):
-                if chi.apply(c) != chart0_der.apply(image):
-                    raise NotGlobal("chart restrictions disagree across the transition")
+            _check_transition(manifold.transition, chart0_der, chart1_der)
 
     def __repr__(self):
         return "GlobalVectorField(%r, parity=%d)" % (self.manifold.name, self.parity)
+
+
+def _check_transition(chi, chart0_der, chart1_der):
+    """NotGlobal unless chi*(D1 y_u) = D0(chi* y_u), as Laurent-term maps, on each
+    chart-1 coordinate y_u, where a field's value is its coefficient.  Each term
+    c w^e eta^nu of D1 y_u goes by the Taylor route g(rho + N) = sum_k
+    g^(k)(rho) N^k / k!, with g^(k)(rho) = c e!/(e - k)! rho^(e - k), times
+    chi*(eta^nu); the right side is sum_v (D0)_v d_v chi*(y_u)."""
+    partials, rho, nil, odd = chi.laurent_plan()
+    coeffs0 = [laurent_terms(c.terms) for c in chart0_der.coeffs]
+    for u, coeff in enumerate(chart1_der.coeffs):
+        left = {}
+        for (nu, e), c in laurent_terms(coeff.terms).items():
+            products = odd.get(nu)
+            if products is None:
+                image = laurent_terms(chi.odd_product(nu).terms)
+                products = odd[nu] = [laurent_product(p, image) for p in nil]
+            while len(rho) <= e:
+                rho.append(laurent_product(rho[-1], rho[1]))
+            for k, product in enumerate(products[:e + 1]):
+                add_laurent_product(left, rho[e - k], product, c * perm(e, k) if k else c)
+        right = {}
+        for a, partial in zip(coeffs0, partials[u]):
+            if a and partial:
+                add_laurent_product(right, a, partial)
+        if {key: x for key, x in left.items() if x} != {key: x for key, x in right.items() if x}:
+            raise NotGlobal("chart restrictions disagree across the transition")
 
 
 # ---------------------------------------------------------------------------

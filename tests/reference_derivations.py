@@ -332,8 +332,11 @@ class SuperDerivation:
     # -- action -------------------------------------------------------------
 
     def apply(self, f):
-        if f.chart != self.chart or f.odd_dim != self.odd_dim:
+        if f.chart != self.chart:
             raise ChartMismatch("function on %r, derivation on %r" % (f.chart, self.chart))
+        if f.odd_dim != self.odd_dim:
+            raise ChartMismatch("function of odd dimension %d, derivation of odd dimension %d"
+                                % (f.odd_dim, self.odd_dim))
         out = SuperFunction.zero(self.chart, self.odd_dim)
         if self.even_coeff:
             d = f.d_even()
@@ -356,8 +359,11 @@ class SuperDerivation:
         for u the even coefficient and each odd one, with s = (-1)^{|X||Y|}:
         a sum when both fields are odd, else a difference.
         """
-        if other.chart != self.chart or other.odd_dim != self.odd_dim:
+        if other.chart != self.chart:
             raise ChartMismatch("bracket of derivations on different charts")
+        if other.odd_dim != self.odd_dim:
+            raise ChartMismatch("bracket of derivations of odd dimensions %d and %d"
+                                % (self.odd_dim, other.odd_dim))
         px = self.parity()
         py = other.parity()
         if px is None or py is None:

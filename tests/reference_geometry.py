@@ -15,12 +15,27 @@ theta_1 theta_2 term, kept verbatim with the helpers they called: each family
 is written out in full, and ``_require_nonsplit`` checks the non-split
 manifold.  The library must give equal values, or raise the same error class
 with the same message, on every input.
+
+``check_global_field`` is the body of ``GlobalVectorField.__init__`` from
+before the transition check read Laurent terms, kept verbatim as a function of
+the constructor's arguments: it pulls each chart-1 coefficient back through
+``PullbackData.apply`` and applies the chart-0 field to each transition image
+with ``SuperDerivation.apply``.  The library must accept the same fields, and
+reject the others with the same error class and message; a ``ChartMismatch``
+is compared by class, since here it comes out of ``apply`` when a field's
+charts are wrong, where the library names the restrictions first.
 """
 
 from __future__ import annotations
 
 from supervec.derivations import SuperDerivation, pullback_invert
-from supervec.errors import BadDeterminant, ChartMismatch, FamilyShapeMismatch, NotTraceless
+from supervec.errors import (
+    BadDeterminant,
+    ChartMismatch,
+    FamilyShapeMismatch,
+    NotGlobal,
+    NotTraceless,
+)
 from supervec.geometry import (
     CHART0,
     FAMILY_DIAGONAL,
@@ -252,3 +267,19 @@ def sl2_embedding(manifold, family, matrix, scalar_part=0):
         ]
         return SuperDerivation(CHART0, 2, even, odds)
     raise FamilyShapeMismatch("unknown family %r" % (family,))
+
+
+def check_global_field(manifold, chart0_der, chart1_der):
+    if chart0_der.parity() is None:
+        raise NotGlobal("global fields must be parity-homogeneous")
+    for der in (chart0_der, chart1_der):
+        for coeff in der.coeffs:
+            for rf in coeff.terms.values():
+                if not rf.is_polynomial():
+                    raise NotGlobal("chart restrictions must have polynomial coefficients")
+    if manifold.kind == KIND_P1:
+        # a field's value on a coordinate is its coefficient there
+        chi = manifold.transition
+        for c, image in zip(chart1_der.coeffs, chi.images):
+            if chi.apply(c) != chart0_der.apply(image):
+                raise NotGlobal("chart restrictions disagree across the transition")

@@ -98,8 +98,10 @@ class PullbackData:
         Each coefficient is Taylor-expanded around the reduced part of the
         even image; the expansion in the nilpotent part is finite.
         """
-        if f.chart != self.target_chart or f.odd_dim != self.odd_dim:
+        if f.chart != self.target_chart:
             raise ChartMismatch("function lives on %r, pullback expects %r" % (f.chart, self.target_chart))
+        if f.odd_dim != self.odd_dim:
+            raise ChartMismatch("function has odd dimension %d, pullback expects %d" % (f.odd_dim, self.odd_dim))
         if self._taylor is None:
             g_nil = self.even_image.nilpotent_part()
             powers = [self._products[0]]

@@ -1,4 +1,5 @@
 import copy
+import functools
 import pickle
 import random
 from fractions import Fraction
@@ -21,12 +22,14 @@ from supervec.errors import (
     NotLaurent,
     NotNilpotent,
     NotTraceless,
+    ToolkitError,
 )
 from supervec.geometry import (
     CHART0,
     _coeffs_of,
     CHART1,
     KIND_C01,
+    KIND_P1,
     POINT_CHART,
     GlobalVectorField,
     SuperManifoldData,
@@ -40,6 +43,9 @@ from supervec.files import load_bundled_manifold, parse_manifold_text, parse_pul
 from supervec.liealg import expand_in_basis, solve_global_fields
 from supervec.linalg import kernel_basis
 from supervec.scalars import GaussianRational, Polynomial, RationalFunction, mobius_coefficients
+
+from test_liealg import S1111
+from test_solver_oracle import SYNTHETIC
 
 
 def zm(k):
@@ -908,6 +914,116 @@ def test_global_field_checks_the_charts_before_parity(manifolds):
                             [SuperFunction.one(CHART1, 1)])
     with pytest.raises(ChartMismatch, match="restrictions live on 'chart1' and 'chart1'"):
         GlobalVectorField(manifolds["k2"], mixed, SuperDerivation.d_even(CHART1, 1))
+
+
+def test_global_field_on_a_non_laurent_transition_raises_not_laurent():
+    # only a hand-built record can carry a pole off z = 0 in its transition;
+    # the check reads it even for the zero field, as from_transition would
+    chi = PullbackData(CHART0, CHART1, sf(1, {0: zm(-1)}),
+                       [sf(1, {1: RationalFunction.one() / (RationalFunction.z() - 1)})])
+    m = SuperManifoldData("hand-built", 1, KIND_P1, chi)
+    with pytest.raises(NotLaurent, match="poles at z = 0"):
+        GlobalVectorField(m, _zero_field(CHART0, 1), _zero_field(CHART1, 1))
+
+
+ORACLE_MANIFOLDS = P1_NAMES + ["ns33", "s222", "k2i", "s1111"]
+
+
+@functools.cache
+def _oracle_fields(name):
+    if name not in BUNDLED:
+        text = S1111 if name == "s1111" else SYNTHETIC[name]
+        return solve_global_fields(parse_manifold_text("[manifold]\nname = %s\n%s" % (name, text)))
+    return solve_global_fields(BUNDLED[name])
+
+
+GLOBALITY_EDITS = ["none", "swap", "sum", "drop", "edit", "edit", "edit", "edit"]
+
+
+@st.composite
+def global_field_cases(draw):
+    """(manifold name, field index, corruption) on a solved basis.  The
+    corruption is ("none",), ("swap",) the two restrictions, ("sum", j) with
+    field j of the same parity, ("drop", chart, v, nu), the term theta^nu of
+    component v, or ("edit", chart, v, nu, e, c), which adds c z^e theta^nu
+    there (w^e on chart 1); an edit keeps the field's parity in three draws of
+    four, and its exponent may be -1."""
+    name = draw(st.sampled_from(ORACLE_MANIFOLDS))
+    basis = _oracle_fields(name)
+    i = draw(st.integers(0, len(basis) - 1))
+    field, n = basis.fields[i], basis.manifold.odd_dim
+    kind = draw(st.sampled_from(GLOBALITY_EDITS))
+    if kind == "sum":
+        same = [j for j, f in enumerate(basis.fields) if f.parity == field.parity]
+        return name, i, (kind, draw(st.sampled_from(same)))
+    if kind not in ("drop", "edit"):
+        return name, i, (kind,)
+    chart, v = draw(st.integers(0, 1)), draw(st.integers(0, n))
+    if kind == "drop":
+        terms = (field.chart0_der, field.chart1_der)[chart].coeffs[v].terms
+        return (name, i, (kind, chart, v, draw(st.sampled_from(sorted(terms))))) if terms else (
+            name, i, ("none",))
+    parity = field.parity if draw(st.sampled_from([True, True, True, False])) else draw(
+        st.integers(0, 1))
+    pool = [nu for nu in range(1 << n) if (idx_parity(nu) + (v > 0)) & 1 == parity]
+    e = draw(st.integers(-1, 4))
+    c = draw(st.sampled_from([1, -1, 2, GaussianRational(0, 1), Fraction(1, 2)]))
+    return name, i, (kind, chart, v, draw(st.sampled_from(pool)), e, c)
+
+
+def _corrupted(basis, i, corruption):
+    """The restrictions (chart0_der, chart1_der) of field i after the corruption."""
+    field = basis.fields[i]
+    ders = [field.chart0_der, field.chart1_der]
+    kind, *args = corruption
+    if kind == "swap":
+        ders.reverse()
+    elif kind == "sum":
+        other = basis.fields[args[0]]
+        ders = [field.chart0_der + other.chart0_der, field.chart1_der + other.chart1_der]
+    elif kind in ("drop", "edit"):
+        chart, v, nu = args[:3]
+        der = ders[chart]
+        coeffs = list(der.coeffs)
+        terms = dict(coeffs[v].terms)
+        if kind == "drop":
+            del terms[nu]
+        else:
+            e, c = args[3:]
+            terms[nu] = terms.get(nu, RationalFunction.zero()) + RationalFunction.monomial(e, c)
+        coeffs[v] = SuperFunction(der.chart, der.odd_dim, terms)
+        ders[chart] = SuperDerivation(der.chart, der.odd_dim, coeffs[0], coeffs[1:])
+    return ders
+
+
+def _global_field_verdict(check, manifold, chart0_der, chart1_der):
+    try:
+        check(manifold, chart0_der, chart1_der)
+    except ChartMismatch:
+        return (ChartMismatch,)
+    except ToolkitError as exc:
+        return type(exc), exc.message
+    return ("accept",)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=global_field_cases())
+@example(case=("nonsplit-2-2", 0, ("none",)))  # w^2 d/dw: the Taylor k = 1 term
+@example(case=("nonsplit-2-2", 6, ("none",)))  # w^2 d/deta1: the Taylor k = 1 term
+@example(case=("nonsplit-2-2", 9, ("none",)))  # d/dt2 of z^-3 t1 t2 is -z^-3 t1
+@example(case=("s1111", 0, ("edit", 1, 0, 15, 0, 1)))  # chi*(eta1 eta2 eta3 eta4)
+@example(case=("k2", 0, ("edit", 1, 0, 0, 1, 1)))  # the d/dw coefficient
+@example(case=("k2", 1, ("swap",)))
+@example(case=("k5", 0, ("edit", 0, 0, 0, -1, 1)))  # a pole
+@example(case=("split-2-2", 0, ("edit", 1, 1, 0, 0, 1)))  # mixed parity
+def test_global_field_check_matches_reference(case):
+    name, i, corruption = case
+    basis = _oracle_fields(name)
+    ders = _corrupted(basis, i, corruption)
+    got, want = (_global_field_verdict(check, basis.manifold, *ders)
+                 for check in (GlobalVectorField, reference.check_global_field))
+    assert got == want
+    event(": ".join([corruption[0], getattr(got[0], "__name__", got[0]), *got[1:]]))
 
 
 def test_global_field_replace_reruns_the_checks(manifolds, basis_cache):
