@@ -7,8 +7,9 @@ only at z = 0).  A second supported kind is the single-chart (0|1) point
 with one odd coordinate, where there is no transition at all.
 
 A global field is checked on Laurent terms: both sides of the transition
-identity are maps {(nu, k): c} formed from the transition's Laurent plan
-(``PullbackData.laurent_plan``), which every field of the manifold shares.
+identity are maps {(nu, k): c}, the terms c z^k theta^nu, whose products
+normalise no rational function.  The transition's share is its Laurent plan,
+kept on the transition, so every field of the manifold shares it.
 
 Closed-form morphism families (fractional-linear lifts, traceless-matrix
 embeddings, nilpotent flows) are data-driven copies of the displayed
@@ -41,16 +42,10 @@ from .derivations import (
     odd_linear_matrix,
     pullback_invert,
 )
-from .grassmann import (
-    PullbackData,
-    SuperFunction,
-    add_laurent_product,
-    compose,
-    laurent_product,
-    laurent_terms,
-)
+from .grassmann import PullbackData, SuperFunction, compose, idx_mul
 from .linalg import rank
 from .scalars import (
+    GR_ONE,
     GR_ZERO,
     GaussianRational,
     Polynomial,
@@ -80,9 +75,7 @@ class SuperManifoldData(namedtuple("SuperManifoldData", "name odd_dim kind trans
         if transition.even_image.reduced_part() != RationalFunction.monomial(-1):
             raise BadReducedMap("reduced even transition must be exactly 1/z")
         for img in transition.images:
-            for rf in img.terms.values():
-                if rf.laurent() is None:
-                    raise NotLaurent("transition coefficients may only have poles at z = 0")
+            _laurent_terms(img.terms)  # NotLaurent at a pole off z = 0
         if rank(odd_linear_matrix(transition)) < odd_dim:
             raise DegenerateOddPart("degree-1 odd transition matrix is singular")
         return cls(name, odd_dim, KIND_P1, transition)
@@ -163,29 +156,91 @@ class GlobalVectorField(namedtuple("GlobalVectorField", "manifold chart0_der cha
         return "GlobalVectorField(%r, parity=%d)" % (self.manifold.name, self.parity)
 
 
+# ---------------------------------------------------------------------------
+# the transition check on Laurent-term maps {(nu, k): c}
+
+
+def _laurent_terms(terms):
+    """The Laurent-term map of a function's ``terms``; NotLaurent at a pole off z = 0."""
+    out = {}
+    for nu, rf in terms.items():
+        coeffs = rf.laurent()
+        if coeffs is None:
+            raise NotLaurent("transition coefficients may only have poles at z = 0")
+        for k, c in coeffs.items():
+            out[nu, k] = c
+    return out
+
+
+def _add_product(out, a, b, scale=None):
+    """Add ``scale * a * b`` (``a`` on the left) into the map ``out``; zeros may stay."""
+    for (ia, ka), ca in a.items():
+        if scale is not None:
+            ca = ca * scale
+        for (ib, kb), cb in b.items():
+            if ia & ib:
+                continue
+            sign, idx = idx_mul(ia, ib)
+            t = ca * cb if sign > 0 else -(ca * cb)
+            s = out.get((idx, ka + kb))
+            out[idx, ka + kb] = t if s is None else s + t
+    return out
+
+
+def _product(a, b):
+    return {key: c for key, c in _add_product({}, a, b).items() if c}
+
+
+def _partials(terms, n):
+    """[d/dz, d/dtheta_1, ..., d/dtheta_n] of a Laurent-term map, as ``d_odd``."""
+    out = [{(nu, k - 1): c * k for (nu, k), c in terms.items() if k}]
+    for j in range(n):
+        bit = 1 << j
+        out.append({(nu ^ bit, k): -c if (nu & (bit - 1)).bit_count() & 1 else c
+                    for (nu, k), c in terms.items() if nu & bit})
+    return out
+
+
+def _laurent_plan(chi):
+    """``[partials, rho, nil, odd]`` of a transition, formed on first use and kept
+    on it: d_v of image u as ``partials[u][v]`` (v = 0 for d/dz), the reduced
+    even image's m-th power as ``rho[m]``, g_nil^k / k! as ``nil[k]``, and
+    ``nil[k]`` times chi*(eta^nu) as ``odd[nu][k]``; ``rho`` and ``odd`` grow
+    as the check reads them."""
+    if chi._laurent is None:
+        images = [_laurent_terms(img.terms) for img in chi.images]
+        nil = [{(0, 0): GR_ONE}]
+        g_nil = {key: c for key, c in images[0].items() if key[0]}
+        while nxt := _product(nil[-1], g_nil):
+            nil.append({key: c / len(nil) for key, c in nxt.items()})
+        rho = [nil[0], {key: c for key, c in images[0].items() if not key[0]}]
+        chi._laurent = [[_partials(terms, chi.odd_dim) for terms in images], rho, nil, {}]
+    return chi._laurent
+
+
 def _check_transition(chi, chart0_der, chart1_der):
     """NotGlobal unless chi*(D1 y_u) = D0(chi* y_u), as Laurent-term maps, on each
     chart-1 coordinate y_u, where a field's value is its coefficient.  Each term
     c w^e eta^nu of D1 y_u goes by the Taylor route g(rho + N) = sum_k
     g^(k)(rho) N^k / k!, with g^(k)(rho) = c e!/(e - k)! rho^(e - k), times
     chi*(eta^nu); the right side is sum_v (D0)_v d_v chi*(y_u)."""
-    partials, rho, nil, odd = chi.laurent_plan()
-    coeffs0 = [laurent_terms(c.terms) for c in chart0_der.coeffs]
+    partials, rho, nil, odd = _laurent_plan(chi)
+    coeffs0 = [_laurent_terms(c.terms) for c in chart0_der.coeffs]
     for u, coeff in enumerate(chart1_der.coeffs):
         left = {}
-        for (nu, e), c in laurent_terms(coeff.terms).items():
+        for (nu, e), c in _laurent_terms(coeff.terms).items():
             products = odd.get(nu)
             if products is None:
-                image = laurent_terms(chi.odd_product(nu).terms)
-                products = odd[nu] = [laurent_product(p, image) for p in nil]
+                image = _laurent_terms(chi.odd_product(nu).terms)
+                products = odd[nu] = [_product(p, image) for p in nil]
             while len(rho) <= e:
-                rho.append(laurent_product(rho[-1], rho[1]))
+                rho.append(_product(rho[-1], rho[1]))
             for k, product in enumerate(products[:e + 1]):
-                add_laurent_product(left, rho[e - k], product, c * perm(e, k) if k else c)
+                _add_product(left, rho[e - k], product, c * perm(e, k) if k else c)
         right = {}
         for a, partial in zip(coeffs0, partials[u]):
             if a and partial:
-                add_laurent_product(right, a, partial)
+                _add_product(right, a, partial)
         if {key: x for key, x in left.items() if x} != {key: x for key, x in right.items() if x}:
             raise NotGlobal("chart restrictions disagree across the transition")
 

@@ -18,16 +18,12 @@ one tuple numbered like the coordinates (0 for z, j for theta_j), and applies
 it to functions by finite Taylor expansion in the nilpotent part g of
 the even image: each power g^k is kept with its 1/k!, and the series
 terminates because the powers of g eventually vanish.
-
-With Laurent coefficients (poles only at z = 0) a function also reads as the
-map ``{(nu, k): c}`` of its terms c z^k theta^nu, whose products normalise no
-rational function; a pullback keeps such a Laurent plan beside its Taylor plan.
 """
 
 from __future__ import annotations
 
-from .errors import ChartMismatch, MixedParity, NotLaurent
-from .scalars import GR_ONE, Fraction, GaussianRational, RationalFunction
+from .errors import ChartMismatch, MixedParity
+from .scalars import Fraction, GaussianRational, RationalFunction
 
 # ---------------------------------------------------------------------------
 # odd multi-indices as bitmasks
@@ -76,52 +72,6 @@ def idx_mul(a, b):
 def idx_sort_key(idx):
     """Print order of multi-indices: by weight, then by bitmask."""
     return (idx.bit_count(), idx)
-
-
-# ---------------------------------------------------------------------------
-# Laurent-term maps {(nu, k): c}
-
-
-def laurent_terms(terms):
-    """The Laurent-term map of a function's ``terms``; NotLaurent, worded for a
-    transition, the one non-polynomial input, at a pole off z = 0."""
-    out = {}
-    for nu, rf in terms.items():
-        coeffs = rf.laurent()
-        if coeffs is None:
-            raise NotLaurent("transition coefficients may only have poles at z = 0")
-        for k, c in coeffs.items():
-            out[nu, k] = c
-    return out
-
-
-def add_laurent_product(out, a, b, scale=None):
-    """Add ``scale * a * b`` (``a`` on the left) into the map ``out``; zeros may stay."""
-    for (ia, ka), ca in a.items():
-        if scale is not None:
-            ca = ca * scale
-        for (ib, kb), cb in b.items():
-            if ia & ib:
-                continue
-            sign, idx = idx_mul(ia, ib)
-            t = ca * cb if sign > 0 else -(ca * cb)
-            s = out.get((idx, ka + kb))
-            out[idx, ka + kb] = t if s is None else s + t
-    return out
-
-
-def laurent_product(a, b):
-    return {key: c for key, c in add_laurent_product({}, a, b).items() if c}
-
-
-def _laurent_partials(terms, n):
-    """[d/dz, d/dtheta_1, ..., d/dtheta_n] of a Laurent-term map, as ``d_odd``."""
-    out = [{(nu, k - 1): c * k for (nu, k), c in terms.items() if k}]
-    for j in range(n):
-        bit = 1 << j
-        out.append({(nu ^ bit, k): -c if (nu & (bit - 1)).bit_count() & 1 else c
-                    for (nu, k), c in terms.items() if nu & bit})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +282,8 @@ class PullbackData:
     views of it.  The Taylor plan (``_products``, the odd products by idx, and
     ``_taylor``, the reduced even image with the nilpotent powers
     ``g_nil^k / k!``) is filled on first use and never read by ``==`` or
-    ``hash``; the images never change after ``__init__``.  So is the Laurent
-    plan, ``laurent_plan()``.
+    ``hash``; the images never change after ``__init__``.  So is ``_laurent``,
+    where ``geometry`` keeps a transition's Laurent plan.
     """
 
     __slots__ = ("source_chart", "target_chart", "odd_dim", "images",
@@ -395,22 +345,6 @@ class PullbackData:
                 out = out * self.images[top + 1]
             self._products[idx] = out
         return out
-
-    def laurent_plan(self):
-        """``[partials, rho, nil, odd]``, formed on first use: d_v of image u
-        as ``partials[u][v]`` (v = 0 for d/dz), the reduced even image's m-th
-        power as ``rho[m]``, g_nil^k / k! as ``nil[k]`` and ``nil[k]`` times
-        ``odd_product(nu)`` as ``odd[nu][k]``; ``rho`` and ``odd`` grow as read."""
-        if self._laurent is None:
-            images = [laurent_terms(img.terms) for img in self.images]
-            nil = [{(0, 0): GR_ONE}]
-            g_nil = {key: c for key, c in images[0].items() if key[0]}
-            while nxt := laurent_product(nil[-1], g_nil):
-                nil.append({key: c / len(nil) for key, c in nxt.items()})
-            rho = [nil[0], {key: c for key, c in images[0].items() if not key[0]}]
-            partials = [_laurent_partials(terms, self.odd_dim) for terms in images]
-            self._laurent = [partials, rho, nil, {}]
-        return self._laurent
 
     def apply(self, f):
         """Pull a function on the target chart back to the source chart.

@@ -119,8 +119,9 @@ def default_cap(manifold):
 
 # Largest compatibility system solved, in columns.  vec is linear in the
 # columns: (1|1) with eta1 = z^-k*t1 has 8(k + 5) of them, and on a 2-core
-# Xeon under Python 3.11 k = 3000 solves in 1.1 s and k = 20000 in 7.4 s
-# (154 MB); the (1|9) split at its default cap has 143360 columns, 2.5 s.
+# Xeon under Python 3.11 CLI vec takes 0.45 s at k = 3000, and k = 20000 with
+# the limit lifted 3.0 s (156 MB); the (1|9) split at its default cap has
+# 143360 columns, 1.3 s.
 MAX_COLUMNS = 150_000
 
 # Largest |y| the rational-root search of ``weights`` tries.  Its time is linear
