@@ -23,8 +23,10 @@ coefficient's parity and least Grassmann degree, flipping the parity and
 lowering the degree by one in the odd directions.
 
 ``SuperDerivation`` is the library's class from before it stored its values
-on the coordinates as one tuple, kept verbatim: it holds ``even_coeff`` and
-``odd_coeffs`` apart and handles the two in separate branches.  Its methods
+on the coordinates as one tuple, kept verbatim but for its odd-dimension
+messages, which name the odd dimensions as the library's do: it holds
+``even_coeff`` and ``odd_coeffs`` apart and handles the two in separate
+branches.  Its methods
 must give equal coefficients, or raise the same error, on every input.  The
 factorisation oracles above build the library's derivations, as
 ``derivations.SuperDerivation``, so that their parts compare with the

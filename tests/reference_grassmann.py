@@ -2,10 +2,12 @@
 
 ``PullbackData`` and ``compose`` are the library's versions from before a
 pullback stored its coordinate images as one tuple numbered like the
-coordinates, kept verbatim: the class holds ``even_image`` and ``odd_images``
-apart, checks the even image and then each odd image in separate branches,
-and compares and hashes the two fields side by side; ``compose`` pulls the
-even image and the odd images back in separate expressions.  The library
+coordinates, kept verbatim but for the odd-dimension message of ``apply``,
+which names the odd dimensions as the library's does: the class holds
+``even_image`` and ``odd_images`` apart, checks the even image and then each
+odd image in separate branches, and compares and hashes the two fields side
+by side; ``compose`` pulls the even image and the odd images back in
+separate expressions.  The library
 must give equal values, or raise the same error class with the same message,
 on every input.
 """
