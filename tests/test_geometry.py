@@ -930,7 +930,7 @@ ORACLE_MANIFOLDS = P1_NAMES + ["ns33", "s222", "k2i", "s1111"]
 
 
 @functools.cache
-def _oracle_fields(name):
+def _oracle_basis(name):
     if name not in BUNDLED:
         text = S1111 if name == "s1111" else SYNTHETIC[name]
         return solve_global_fields(parse_manifold_text("[manifold]\nname = %s\n%s" % (name, text)))
@@ -949,7 +949,7 @@ def global_field_cases(draw):
     there (w^e on chart 1); an edit keeps the field's parity in three draws of
     four, and its exponent may be -1."""
     name = draw(st.sampled_from(ORACLE_MANIFOLDS))
-    basis = _oracle_fields(name)
+    basis = _oracle_basis(name)
     i = draw(st.integers(0, len(basis) - 1))
     field, n = basis.fields[i], basis.manifold.odd_dim
     kind = draw(st.sampled_from(GLOBALITY_EDITS))
@@ -1018,7 +1018,7 @@ def _global_field_verdict(check, manifold, chart0_der, chart1_der):
 @example(case=("split-2-2", 0, ("edit", 1, 1, 0, 0, 1)))  # mixed parity
 def test_global_field_check_matches_reference(case):
     name, i, corruption = case
-    basis = _oracle_fields(name)
+    basis = _oracle_basis(name)
     ders = _corrupted(basis, i, corruption)
     got, want = (_global_field_verdict(check, basis.manifold, *ders)
                  for check in (GlobalVectorField, reference.check_global_field))
