@@ -3,7 +3,7 @@
 The files under ``tests/golden`` pin ``report`` (human and ``--machine``) and
 ``gr --machine`` on every bundled manifold, ``vec --machine`` on the
 synthetic manifolds of ``test_solver_oracle`` at their default cap and at
-cap + 2, and ``brackets --machine`` on the same synthetic manifolds at their
+cap + 2 and on its ``ISO`` manifold, and ``brackets --machine`` on the same synthetic manifolds at their
 default cap.  The synthetic ``k2i``, whose answers have non-real
 coefficients, also has ``gr --machine`` and ``report`` in both forms pinned.
 ``weights --machine`` is pinned on every bundled manifold at
@@ -51,7 +51,7 @@ from supervec.grassmann import PullbackData, SuperFunction
 from supervec.liealg import conjugation_action, default_cap, solve_global_fields
 from supervec.scalars import RationalFunction
 from test_liealg import S1111
-from test_solver_oracle import SYNTHETIC
+from test_solver_oracle import ISO, SYNTHETIC
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +100,13 @@ def test_vec_on_synthetic_matches_golden(tmp_path, name, extra):
         stem += "-cap%d" % cap
     expected = (GOLDEN / (stem + ".machine.txt")).read_text()
     assert run_cli(argv) == expected
+
+
+def test_vec_on_iso_matches_golden(tmp_path):
+    path = tmp_path / "iso.smf"
+    path.write_text(ISO)
+    expected = (GOLDEN / "vec-iso.machine.txt").read_text()
+    assert run_cli(["vec", "--manifold", str(path), "--machine"]) == expected
 
 
 @pytest.mark.parametrize("name", sorted(SYNTHETIC))

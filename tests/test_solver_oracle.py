@@ -52,6 +52,30 @@ SYNTHETIC = {
     "k2i": "odd_dim = 1\n\n[transition]\nw = z^-1\neta1 = z^-2*t1 + i*z^-1*t1\n",
 }
 
+# An isomorphic copy of the split diagonal manifold k = (4, 4, -2), with mixed
+# odd parts and nilpotent even terms: dims (22, 27) at cap 20, and rows whose
+# elimination in the order they are built fills in.  Kept out of SYNTHETIC,
+# whose every entry the dense oracle solves.
+ISO = (
+    "[manifold]\nname = iso\nodd_dim = 3\n\n[transition]\n"
+    "w = z^-1 - (2*z^6 - 4*z^5 + 3*z^4 + z^3 - 7*z^2 + 3*z + 2)/z^4*t1*t2"
+    " + (z - 2)/z^4*t1*t3 + (z^4 - 3*z^3 + 7*z^2 - 3*z - 2)/z^4*t2*t3\n"
+    "eta1 = z^-4*t1 - (2*z - 2)/z^3*t2 + (4*z^2 - 4*z + 8)/z^5*t1*t2*t3\n"
+    "eta2 = z^-4*t2\n"
+    "eta3 = (2*z^4 - 2*z^3 - z^2)*t1 - (4*z^12 - 8*z^11 + 2*z^10 + 2*z^9 + 2*z^2 - z + 2)/z^6*t2"
+    " + z^2*t3 - (z^2 - 6*z + 8)/z^9*t1*t2*t3\n"
+)
+
+# An isomorphic copy of the diagonal k = (1, 2), dims (7, 7), whose even image
+# carries z^-5 in its nilpotent part, which the default cap's budget does not count.
+ISO_CAP = (
+    "[manifold]\nname = iso-cap\nodd_dim = 2\n\n[transition]\n"
+    "w = z^-1 - (z^2 + 2)/z^5*t1*t2\n"
+    "eta1 = -1*(6*z^7 - z^6 + z^5 - z^4 - 13*z^3 - z^2 - 3*z + 1)/z^4*t1"
+    " + (2*z^5 - z^4 - 4*z + 1)/z^4*t2\n"
+    "eta2 = -1*(3*z^2 + z + 1)/z^2*t1 + z^-2*t2\n"
+)
+
 
 def dense_solve(manifold, cap=None):
     if manifold.kind == KIND_C01:
@@ -210,6 +234,17 @@ def test_saturation_payload_matches_dense(manifolds):
             solve(manifolds["k5"], cap=3)
         payloads.append((info.value.cap, info.value.dims, info.value.dims_next, info.value.message))
     assert payloads[0] == payloads[1]
+
+
+def test_default_cap_rises_until_it_saturates(tmp_path):
+    path = tmp_path / "iso-cap.smf"
+    path.write_text(ISO_CAP)
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["vec", "--manifold", str(path), "--machine"], out, err) == 0
+    lines = out.getvalue().splitlines()
+    assert "cap=9" in lines
+    assert [line for line in lines if line.startswith("dim_")] == ["dim_even=7", "dim_odd=7"]
+    assert err.getvalue() == ""
 
 
 def test_non_laurent_coefficient_is_a_coded_error():
