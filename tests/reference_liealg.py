@@ -39,6 +39,17 @@ matrix, or raise the same error class, on every basis and pullback.
 before it read a quadratic factor's roots in closed form, kept verbatim: it
 searches every factor of degree >= 2 by increasing magnitude.  The library
 must return the same roots in the same order, or None, on every polynomial.
+
+``compatibility_rows`` is the ``_compatibility_rows`` that ``liealg`` used
+before it read the transition's Laurent plan, kept verbatim with its Laurent
+reader ``laurent_terms``: each chart-1 image w^e eta^nu is a product of
+``SuperFunction`` powers of the transition's even image and its odd
+products, and each chart-0 term -theta^nu d_v chi*(y_u) a ``SuperFunction``
+product, every coefficient read by ``RationalFunction.laurent()``.  Only
+``SuperFunction.monomial(chart, n, nu, rf)`` is spelled as the constructor
+call it returned, and a non-Laurent coefficient raises ``NotLaurent``.  It
+shares neither the plan nor the term-map products with the library, which
+must return the same columns and the same rows.
 """
 
 from __future__ import annotations
@@ -54,11 +65,13 @@ from supervec.errors import (
     NotDiagonalizable,
     NotGlobal,
     NotInSpan,
+    NotLaurent,
     OddCartan,
 )
-from supervec.geometry import morphism_check_global
+from supervec.geometry import CHART0, morphism_check_global
+from supervec.grassmann import SuperFunction, idx_sort_key
 from supervec.linalg import mat_mul
-from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial
+from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial, RationalFunction
 
 from reference_linalg import rank, solve_columns
 
@@ -316,3 +329,79 @@ def searched_rational_roots(poly):
         if rem:
             raise InexactRootDivision("root %s left remainder %r" % (found, rem))
     return roots
+
+
+def laurent_terms(f):
+    """(mu, z-power, coefficient) for every Laurent coefficient of ``f``."""
+    out = []
+    for mu, rf in f.terms.items():
+        coeffs = rf.laurent()
+        if coeffs is None:
+            raise NotLaurent("compatibility coefficient %r is not Laurent" % (rf,))
+        out.extend((mu, k, c) for k, c in coeffs.items())
+    return out
+
+
+def compatibility_rows(manifold, cap):
+    """Columns and sparse rows of the compatibility equations.
+
+    A column is an unknown (chart, component, multi-index, z-power e <= cap + 2);
+    components are numbered like the coordinates: component 0 is the
+    even-direction coefficient, j the direction of theta_j.  The columns with
+    e <= cap come first.  A row is one Laurent coefficient (eq, mu, z-power)
+    of equation eq, the equation of coordinate eq, stored as a dict
+    column -> nonzero coefficient.  No row or column mixes the two parities,
+    so the system is two blocks that the sparse elimination keeps apart.
+    """
+    top = cap + 2
+    n = manifold.odd_dim
+    chi = manifold.transition
+    nus = sorted(range(1 << n), key=idx_sort_key)
+    columns = sorted(
+        (
+            (chart, comp, nu, e)
+            for chart in (0, 1)
+            for comp in range(n + 1)
+            for nu in nus
+            for e in range(top + 1)
+        ),
+        key=lambda key: key[3] > cap,
+    )
+    col_index = {key: c for c, key in enumerate(columns)}
+    rows = {}
+
+    def put(eq, terms, col, shift=0):
+        for mu, p, c in terms:
+            row = rows.setdefault((eq, mu, p + shift), {})
+            row[col] = row[col] + c if col in row else c
+
+    # chart 0: the unknown z^e theta^nu times the derivative of each
+    # transition image, with z^e applied as a shift of the Laurent powers
+    for comp in range(n + 1):
+        targets = [img.d_odd(comp - 1) if comp else img.d_even() for img in chi.images]
+        for nu in nus:
+            mono = SuperFunction(CHART0, n, {nu: RationalFunction.one()})
+            for eq, target in enumerate(targets):
+                if not target:
+                    continue
+                terms = laurent_terms(-(mono * target))
+                for e in range(top + 1):
+                    put(eq, terms, col_index[(0, comp, nu, e)], e)
+
+    # chart 1: the transition image w^e eta^nu of the unknown's monomial
+    w_powers = [SuperFunction.one(CHART0, n)]
+    for _ in range(top):
+        w_powers.append(w_powers[-1] * chi.even_image)
+    for nu in nus:
+        odd_product = chi.odd_product(nu)
+        for e in range(top + 1):
+            terms = laurent_terms(w_powers[e] * odd_product)
+            for comp in range(n + 1):
+                put(comp, terms, col_index[(1, comp, nu, e)])
+
+    sparse = {}
+    for key, row in rows.items():
+        nonzero = {c: x for c, x in row.items() if x}
+        if nonzero:
+            sparse[key] = nonzero
+    return columns, sparse

@@ -12,6 +12,10 @@ exponent.
 fields of a split diagonal (1|n) manifold in closed form, so a fault in how
 the compatibility system is formed, which both solvers would share, shows
 as a wrong dimension.
+
+``test_compatibility_rows_match_reference`` compares the rows themselves
+with the parent's ``compatibility_rows`` of ``reference_liealg``, on drawn
+Laurent transitions with mixed odd parts and nilpotent even terms.
 """
 
 import io
@@ -22,7 +26,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from supervec.cli import main
 from supervec.derivations import SuperDerivation
 from supervec.errors import CapNotSaturated, NotLaurentSystem
-from supervec.files import parse_manifold_text
+from supervec.files import load_bundled_manifold, parse_manifold_text
 from supervec.geometry import (
     CHART0,
     CHART1,
@@ -34,6 +38,7 @@ from supervec.geometry import (
 from supervec.grassmann import PullbackData, SuperFunction, idx_sort_key, idx_weight
 from supervec.liealg import (
     SuperalgebraBasis,
+    _compatibility_rows,
     _laurent_terms,
     default_cap,
     solve_global_fields,
@@ -41,6 +46,7 @@ from supervec.liealg import (
 from supervec.scalars import GR_ZERO, Polynomial, RationalFunction
 
 from reference_geometry import pole_order_at
+from reference_liealg import compatibility_rows
 from reference_linalg import kernel_basis
 
 SYNTHETIC = {
@@ -289,7 +295,11 @@ def laurent_manifolds(draw):
         if n == 3 and draw(st.booleans()):
             terms[7] = draw(laurent_sums)
         odds.append(SuperFunction(CHART0, n, terms))
-    even = SuperFunction(CHART0, n, {0: RationalFunction.monomial(-1)})
+    even = {0: RationalFunction.monomial(-1)}
+    if n >= 2 and draw(st.booleans()):
+        # a nilpotent even term, so w^e has Taylor terms past the first
+        even[3] = draw(laurent_sums)
+    even = SuperFunction(CHART0, n, even)
     return SuperManifoldData.from_transition("t", n, PullbackData(CHART0, CHART1, even, odds))
 
 
@@ -364,3 +374,30 @@ def test_diagonal_dims_match_the_closed_form(tmp_path_factory, ks):
     if any(one_fewer(ks, nu) for nu in range(1 << len(ks))):
         event("one fewer field for some nu")
 
+
+def _at_default_caps(test):
+    """Add nonsplit-2-2, ns33, s1111, k2i and iso at their default caps as examples."""
+    for manifold in (
+        load_bundled_manifold("nonsplit-2-2"),
+        parse_manifold_text("[manifold]\nname = ns33\n" + SYNTHETIC["ns33"]),
+        parse_manifold_text(diagonal_text([1, 1, 1, 1])),
+        parse_manifold_text("[manifold]\nname = k2i\n" + SYNTHETIC["k2i"]),
+        parse_manifold_text(ISO),
+    ):
+        test = example(manifold, default_cap(manifold))(test)
+    return test
+
+
+@settings(deadline=None)
+@given(laurent_manifolds(), st.integers(0, 3))
+@_at_default_caps
+def test_compatibility_rows_match_reference(manifold, cap):
+    """The library's rows are the reference's ``SuperFunction`` rows, column
+    for column and row for row."""
+    assert _compatibility_rows(manifold, cap) == compatibility_rows(manifold, cap)
+    chi = manifold.transition
+    event("n = %d" % manifold.odd_dim)
+    if chi.even_image.nilpotent_part():
+        event("nilpotent even term")
+    if any(len(img.terms) > 1 for img in chi.odd_images):
+        event("mixed odd image")
