@@ -104,10 +104,6 @@ class SystemTooLarge(MathDomainError):
     code = "SystemTooLarge"
 
 
-class NotLaurentSystem(MathDomainError):
-    code = "NotLaurentSystem"
-
-
 class GrInequalityViolated(MathDomainError):
     code = "GrInequalityViolated"
 

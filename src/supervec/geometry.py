@@ -6,10 +6,12 @@ reduced even part is exactly 1/z and whose coefficients are Laurent (poles
 only at z = 0).  A second supported kind is the single-chart (0|1) point
 with one odd coordinate, where there is no transition at all.
 
-A global field is checked on Laurent terms: both sides of the transition
-identity are maps {(nu, k): c}, the terms c z^k theta^nu, whose products
-normalise no rational function.  The transition's share is its Laurent plan,
-kept on the transition, so every field of the manifold shares it.
+The transition identity chi*(D1 y_u) = D0(chi* y_u) is read on Laurent-term
+maps {(nu, k): c}, the terms c z^k theta^nu, by this module alone, off the
+Laurent plan kept on the transition: the check of a global field calls
+``add_image`` once per chart-1 term of the field, and ``liealg``'s
+compatibility rows once per unknown chart-1 monomial, beside the plan's
+partials for chart 0.
 
 Closed-form morphism families (fractional-linear lifts, traceless-matrix
 embeddings, nilpotent flows) are data-driven copies of the displayed
@@ -75,7 +77,7 @@ class SuperManifoldData(namedtuple("SuperManifoldData", "name odd_dim kind trans
         if transition.even_image.reduced_part() != RationalFunction.monomial(-1):
             raise BadReducedMap("reduced even transition must be exactly 1/z")
         for img in transition.images:
-            _laurent_terms(img.terms)  # NotLaurent at a pole off z = 0
+            laurent_terms(img.terms)  # NotLaurent at a pole off z = 0
         if rank(odd_linear_matrix(transition)) < odd_dim:
             raise DegenerateOddPart("degree-1 odd transition matrix is singular")
         return cls(name, odd_dim, KIND_P1, transition)
@@ -157,10 +159,10 @@ class GlobalVectorField(namedtuple("GlobalVectorField", "manifold chart0_der cha
 
 
 # ---------------------------------------------------------------------------
-# the transition check on Laurent-term maps {(nu, k): c}
+# the transition identity on Laurent-term maps {(nu, k): c}
 
 
-def _laurent_terms(terms):
+def laurent_terms(terms):
     """The Laurent-term map of a function's ``terms``; NotLaurent at a pole off z = 0."""
     out = {}
     for nu, rf in terms.items():
@@ -187,7 +189,7 @@ def _add_product(out, a, b, scale=None):
     return out
 
 
-def _product(a, b):
+def term_product(a, b):
     return {key: c for key, c in _add_product({}, a, b).items() if c}
 
 
@@ -201,42 +203,50 @@ def _partials(terms, n):
     return out
 
 
-def _laurent_plan(chi):
+def laurent_plan(chi):
     """``[partials, rho, nil, odd]`` of a transition, formed on first use and kept
     on it: d_v of image u as ``partials[u][v]`` (v = 0 for d/dz), the reduced
     even image's m-th power as ``rho[m]``, g_nil^k / k! as ``nil[k]``, and
     ``nil[k]`` times chi*(eta^nu) as ``odd[nu][k]``; ``rho`` and ``odd`` grow
-    as the check reads them."""
+    as ``add_image`` reads them."""
     if chi._laurent is None:
-        images = [_laurent_terms(img.terms) for img in chi.images]
+        images = [laurent_terms(img.terms) for img in chi.images]
         nil = [{(0, 0): GR_ONE}]
         g_nil = {key: c for key, c in images[0].items() if key[0]}
-        while nxt := _product(nil[-1], g_nil):
+        while nxt := term_product(nil[-1], g_nil):
             nil.append({key: c / len(nil) for key, c in nxt.items()})
         rho = [nil[0], {key: c for key, c in images[0].items() if not key[0]}]
         chi._laurent = [[_partials(terms, chi.odd_dim) for terms in images], rho, nil, {}]
     return chi._laurent
 
 
+def add_image(out, chi, nu, e, c):
+    """Add c chi*(w^e eta^nu) into the map ``out``, by the Taylor route
+    g(rho + N) = sum_k g^(k)(rho) N^k / k! with g^(k)(rho) = c e!/(e - k)!
+    rho^(e - k), times chi*(eta^nu); zeros may stay."""
+    _, rho, nil, odd = laurent_plan(chi)
+    products = odd.get(nu)
+    if products is None:
+        image = laurent_terms(chi.odd_product(nu).terms)
+        products = odd[nu] = [term_product(p, image) for p in nil]
+    while len(rho) <= e:
+        rho.append(term_product(rho[-1], rho[1]))
+    for k, product in enumerate(products[:e + 1]):
+        _add_product(out, rho[e - k], product, c * perm(e, k) if k else c)
+    return out
+
+
 def _check_transition(chi, chart0_der, chart1_der):
     """NotGlobal unless chi*(D1 y_u) = D0(chi* y_u), as Laurent-term maps, on each
-    chart-1 coordinate y_u, where a field's value is its coefficient.  Each term
-    c w^e eta^nu of D1 y_u goes by the Taylor route g(rho + N) = sum_k
-    g^(k)(rho) N^k / k!, with g^(k)(rho) = c e!/(e - k)! rho^(e - k), times
-    chi*(eta^nu); the right side is sum_v (D0)_v d_v chi*(y_u)."""
-    partials, rho, nil, odd = _laurent_plan(chi)
-    coeffs0 = [_laurent_terms(c.terms) for c in chart0_der.coeffs]
+    chart-1 coordinate y_u, where a field's value is its coefficient.  The left
+    side is ``add_image`` of each term c w^e eta^nu of D1 y_u; the right side
+    is sum_v (D0)_v d_v chi*(y_u)."""
+    partials = laurent_plan(chi)[0]
+    coeffs0 = [laurent_terms(c.terms) for c in chart0_der.coeffs]
     for u, coeff in enumerate(chart1_der.coeffs):
         left = {}
-        for (nu, e), c in _laurent_terms(coeff.terms).items():
-            products = odd.get(nu)
-            if products is None:
-                image = _laurent_terms(chi.odd_product(nu).terms)
-                products = odd[nu] = [_product(p, image) for p in nil]
-            while len(rho) <= e:
-                rho.append(_product(rho[-1], rho[1]))
-            for k, product in enumerate(products[:e + 1]):
-                _add_product(left, rho[e - k], product, c * perm(e, k) if k else c)
+        for (nu, e), c in laurent_terms(coeff.terms).items():
+            add_image(left, chi, nu, e, c)
         right = {}
         for a, partial in zip(coeffs0, partials[u]):
             if a and partial:

@@ -122,10 +122,6 @@ class SuperFunction:
             raise ValueError("odd index out of range")
         return cls(chart, odd_dim, {1 << j: RationalFunction.one()})
 
-    @classmethod
-    def monomial(cls, chart, odd_dim, idx, rf):
-        return cls(chart, odd_dim, {idx: rf})
-
     # -- structure ----------------------------------------------------------
 
     def __bool__(self):
@@ -283,7 +279,8 @@ class PullbackData:
     ``_taylor``, the reduced even image with the nilpotent powers
     ``g_nil^k / k!``) is filled on first use and never read by ``==`` or
     ``hash``; the images never change after ``__init__``.  So is ``_laurent``,
-    where ``geometry`` keeps a transition's Laurent plan.
+    where ``geometry`` keeps a transition's Laurent plan, read by both the
+    compatibility rows and the globality check.
     """
 
     __slots__ = ("source_chart", "target_chart", "odd_dim", "images",

@@ -2,13 +2,17 @@
 
 The solver parametrizes unknown polynomial-coefficient derivations on both
 charts up to a degree cap and imposes the transition-compatibility equations
-one Laurent coefficient at a time.  The rows of both parities are built once,
-sparse, at cap + 2, with the columns of z-power <= cap first, and eliminated
-once to the reduced row echelon form; its kernel vectors stay sparse and each
-has one parity (``sparse_kernel_basis``).  The basis is read off the kernel
-vectors that vanish on the later columns, which are exactly the kernel at
-cap; the kernel dimensions at cap + 2 are the saturation check that turns
-the cap heuristic into a checked result.
+one Laurent coefficient at a time.  The rows are the identity that the
+globality check evaluates on one field, read per unknown monomial off the
+transition's Laurent plan in ``geometry``; this module reads no Laurent
+terms of its own.  The rows of both parities are built once, sparse, at
+cap + 2, with the columns of z-power <= cap first, and eliminated once,
+sparsest first, to the reduced row echelon form; its kernel vectors stay
+sparse and each has one parity (``sparse_kernel_basis``).  The basis is
+read off the kernel vectors that vanish on the later columns, which are
+exactly the kernel at cap; the kernel dimensions at cap + 2 are the
+saturation check that turns the cap heuristic into a checked result, and
+the default cap rises until it passes.
 
 On top of the basis, reduced once when it is built (``span_factor``) and read
 by every expansion of a bracket or conjugated field (``coordinates``): exact
@@ -38,7 +42,6 @@ from .errors import (
     NotDiagonalizable,
     NotGlobal,
     NotInSpan,
-    NotLaurentSystem,
     OddCartan,
     SystemTooLarge,
 )
@@ -48,7 +51,11 @@ from .geometry import (
     CHART1,
     KIND_C01,
     GlobalVectorField,
+    add_image,
+    laurent_plan,
+    laurent_terms,
     morphism_check_global,
+    term_product,
 )
 from .grassmann import PullbackData, SuperFunction, idx_mul, idx_sort_key, idx_weight
 from .linalg import coordinates, kernel_basis, mat_mul, rref, span_factor, sparse_kernel_basis
@@ -112,7 +119,7 @@ def default_cap(manifold):
     """
     budget = 0
     for img in manifold.transition.odd_images:
-        exps = [k for _, k, _ in _laurent_terms(img)]
+        exps = [k for _, k in laurent_terms(img.terms)]
         budget += max(0, -min(exps, default=0), max(exps, default=0))
     return 2 + budget
 
@@ -150,45 +157,40 @@ def solve_global_fields(manifold, cap=None):
     The reduced form pivots on each row's leading column, so its block of
     columns with e <= cap is the reduced cap system.  The clearing exponent
     is the power of z that clears every denominator of the rows touching a
-    column with e <= cap.
+    column with e <= cap.  Without ``cap`` the default cap is tried, then
+    each next one until the dimensions saturate; they never fall as the cap
+    grows and never pass the true ones, so the retries end.
     """
     if cap is not None and cap < 0:
         # below -2 both kernels are empty, so the saturation check would pass
         raise NegativeCap("degree cap must be non-negative, got %d" % cap)
     if manifold.kind == KIND_C01:
         return _point_basis(manifold)
-    if cap is None:
+    retry = cap is None
+    if retry:
         cap = default_cap(manifold)
-    estimate = _column_count(manifold.odd_dim, cap)
-    if estimate > MAX_COLUMNS:
-        raise SystemTooLarge(
-            "compatibility system at cap %d would have %d columns, above the limit of %d"
-            % (cap, estimate, MAX_COLUMNS)
-        )
-    columns, rows = _compatibility_rows(manifold, cap)
-    low = sum(1 for key in columns if key[3] <= cap)
-    clearing = max([0] + [-p for (_, _, p), row in rows.items() if min(row) < low])
-    kernel = sparse_kernel_basis(list(rows.values()), len(columns))
-    by_parity, dims_next = ([], []), [0, 0]
-    for vec, field in _kernel_fields(manifold, columns, kernel):
-        dims_next[field.parity] += 1
-        if max(vec) < low:
-            by_parity[field.parity].append(field)
-    dims, dims_next = tuple(map(len, by_parity)), tuple(dims_next)
-    if dims != dims_next:
-        raise CapNotSaturated(cap, dims, dims_next)
-    return SuperalgebraBasis(manifold, *by_parity, cap, clearing)
-
-
-def _laurent_terms(f):
-    """(mu, z-power, coefficient) for every Laurent coefficient of ``f``."""
-    out = []
-    for mu, rf in f.terms.items():
-        coeffs = rf.laurent()
-        if coeffs is None:
-            raise NotLaurentSystem("compatibility coefficient %r is not Laurent" % (rf,))
-        out.extend((mu, k, c) for k, c in coeffs.items())
-    return out
+    while True:
+        if (estimate := _column_count(manifold.odd_dim, cap)) > MAX_COLUMNS:
+            raise SystemTooLarge(
+                "compatibility system at cap %d would have %d columns, above the limit of %d"
+                % (cap, estimate, MAX_COLUMNS)
+            )
+        columns, rows = _compatibility_rows(manifold, cap)
+        low = sum(1 for key in columns if key[3] <= cap)
+        clearing = max([0] + [-p for (_, _, p), row in rows.items() if min(row) < low])
+        # sparsest rows first, for little fill; the reduced form is the same in any row order
+        kernel = sparse_kernel_basis(sorted(rows.values(), key=len), len(columns))
+        by_parity, dims_next = ([], []), [0, 0]
+        for vec, field in _kernel_fields(manifold, columns, kernel):
+            dims_next[field.parity] += 1
+            if max(vec) < low:
+                by_parity[field.parity].append(field)
+        dims, dims_next = tuple(map(len, by_parity)), tuple(dims_next)
+        if dims == dims_next:
+            return SuperalgebraBasis(manifold, *by_parity, cap, clearing)
+        if not retry:
+            raise CapNotSaturated(cap, dims, dims_next)
+        cap += 1
 
 
 def _compatibility_rows(manifold, cap):
@@ -201,10 +203,13 @@ def _compatibility_rows(manifold, cap):
     of equation eq, the equation of coordinate eq, stored as a dict
     column -> nonzero coefficient.  No row or column mixes the two parities,
     so the system is two blocks that the sparse elimination keeps apart.
+    Every coefficient is read off the transition's Laurent plan in
+    ``geometry``, the one the globality check of each field reads.
     """
     top = cap + 2
     n = manifold.odd_dim
     chi = manifold.transition
+    partials = laurent_plan(chi)[0]
     nus = sorted(range(1 << n), key=idx_sort_key)
     columns = sorted(
         (
@@ -220,40 +225,28 @@ def _compatibility_rows(manifold, cap):
     rows = {}
 
     def put(eq, terms, col, shift=0):
-        for mu, p, c in terms:
+        for (mu, p), c in terms.items():
             row = rows.setdefault((eq, mu, p + shift), {})
             row[col] = row[col] + c if col in row else c
 
-    # chart 0: the unknown z^e theta^nu times the derivative of each
-    # transition image, with z^e applied as a shift of the Laurent powers
+    # chart 0: -theta^nu d_comp chi*(y_eq) for the unknown z^e theta^nu, with
+    # z^e applied as a shift of the Laurent powers
     for comp in range(n + 1):
-        targets = [img.d_odd(comp - 1) if comp else img.d_even() for img in chi.images]
         for nu in nus:
-            mono = SuperFunction.monomial(CHART0, n, nu, RationalFunction.one())
-            for eq, target in enumerate(targets):
-                if not target:
-                    continue
-                terms = _laurent_terms(-(mono * target))
+            for eq, partial in enumerate(partials):
+                terms = term_product({(nu, 0): -GR_ONE}, partial[comp])
                 for e in range(top + 1):
                     put(eq, terms, col_index[(0, comp, nu, e)], e)
 
-    # chart 1: the transition image w^e eta^nu of the unknown's monomial
-    w_powers = [SuperFunction.one(CHART0, n)]
-    for _ in range(top):
-        w_powers.append(w_powers[-1] * chi.even_image)
+    # chart 1: the transition image chi*(w^e eta^nu) of the unknown's monomial
     for nu in nus:
-        odd_product = chi.odd_product(nu)
         for e in range(top + 1):
-            terms = _laurent_terms(w_powers[e] * odd_product)
+            terms = add_image({}, chi, nu, e, GR_ONE)
             for comp in range(n + 1):
                 put(comp, terms, col_index[(1, comp, nu, e)])
 
-    sparse = {}
-    for key, row in rows.items():
-        nonzero = {c: x for c, x in row.items() if x}
-        if nonzero:
-            sparse[key] = nonzero
-    return columns, sparse
+    nonzero = ({c: x for c, x in row.items() if x} for row in rows.values())
+    return columns, {key: row for key, row in zip(rows, nonzero) if row}
 
 
 def _kernel_fields(manifold, columns, kernel):

@@ -243,7 +243,7 @@ def test_term_order_is_not_part_of_the_value(case):
     expected = SuperFunction(C, n, dict(ordered))
     summed = SuperFunction.zero(C, n)
     for idx, rf in shuffled:
-        summed = summed + SuperFunction.monomial(C, n, idx, rf)
+        summed = summed + SuperFunction(C, n, {idx: rf})
     for f in (SuperFunction(C, n, dict(shuffled)), summed):
         assert f == expected
         assert hash(f) == hash(expected)

@@ -23,9 +23,10 @@ import io
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+from supervec import liealg
 from supervec.cli import main
 from supervec.derivations import SuperDerivation
-from supervec.errors import CapNotSaturated, NotLaurentSystem
+from supervec.errors import CapNotSaturated, NotLaurent, SystemTooLarge
 from supervec.files import load_bundled_manifold, parse_manifold_text
 from supervec.geometry import (
     CHART0,
@@ -34,12 +35,12 @@ from supervec.geometry import (
     KIND_P1,
     GlobalVectorField,
     SuperManifoldData,
+    laurent_terms,
 )
 from supervec.grassmann import PullbackData, SuperFunction, idx_sort_key, idx_weight
 from supervec.liealg import (
     SuperalgebraBasis,
     _compatibility_rows,
-    _laurent_terms,
     default_cap,
     solve_global_fields,
 )
@@ -137,7 +138,7 @@ def _dense_solve_parity(manifold, cap, parity):
             eq = 0 if comp == -1 else comp + 1
             put(eq, image, col)
         else:
-            mono = SuperFunction.monomial(CHART0, n, nu, RationalFunction.monomial(e))
+            mono = SuperFunction(CHART0, n, {nu: RationalFunction.monomial(e)})
             for eq in range(n + 1):
                 target = d_even[eq] if comp == -1 else d_odd[eq][comp]
                 if target:
@@ -253,15 +254,28 @@ def test_default_cap_rises_until_it_saturates(tmp_path):
     assert err.getvalue() == ""
 
 
+def test_default_cap_retry_checks_the_column_limit_first(monkeypatch):
+    """The cap-9 retry on iso-cap is refused before its rows are built."""
+    manifold = parse_manifold_text(ISO_CAP)
+    caps = []
+    rows = liealg._compatibility_rows
+    monkeypatch.setattr(liealg, "_compatibility_rows", lambda m, cap: caps.append(cap) or rows(m, cap))
+    monkeypatch.setattr(liealg, "MAX_COLUMNS", liealg._column_count(2, 8))
+    with pytest.raises(SystemTooLarge) as info:
+        solve_global_fields(manifold)
+    assert caps == [8]
+    assert info.value.message.startswith("compatibility system at cap 9 would have 288 columns")
+
+
 def test_non_laurent_coefficient_is_a_coded_error():
     rf = RationalFunction(Polynomial.one(), Polynomial({0: 1, 1: 1}))
-    with pytest.raises(NotLaurentSystem):
-        _laurent_terms(SuperFunction.from_rf(CHART0, 1, rf))
+    with pytest.raises(NotLaurent):
+        laurent_terms(SuperFunction.from_rf(CHART0, 1, rf).terms)
     # built without from_transition's checks, so the default cap meets it first
     even = SuperFunction.from_rf(CHART0, 1, RationalFunction.monomial(-1))
     odds = [SuperFunction(CHART0, 1, {1: rf})]
     manifold = SuperManifoldData("x", 1, KIND_P1, PullbackData(CHART0, CHART1, even, odds))
-    with pytest.raises(NotLaurentSystem):
+    with pytest.raises(NotLaurent):
         solve_global_fields(manifold)
 
 
