@@ -33,10 +33,13 @@ from supervec.geometry import (
     POINT_CHART,
     GlobalVectorField,
     SuperManifoldData,
+    _partials,
+    laurent_terms,
     mobius_lift,
     morphism_check_global,
     nilpotent_flow,
     sl2_embedding,
+    term_product,
 )
 from supervec.grassmann import PullbackData, SuperFunction, compose
 from supervec.files import load_bundled_manifold, parse_manifold_text, parse_pullback_text
@@ -45,7 +48,7 @@ from supervec.linalg import kernel_basis
 from supervec.scalars import GaussianRational, Polynomial, RationalFunction, mobius_coefficients
 
 from test_liealg import S1111
-from test_solver_oracle import SYNTHETIC
+from test_solver_oracle import SYNTHETIC, laurent_sums
 
 
 def zm(k):
@@ -1024,6 +1027,36 @@ def test_global_field_check_matches_reference(case):
                  for check in (GlobalVectorField, reference.check_global_field))
     assert got == want
     event(": ".join([corruption[0], getattr(got[0], "__name__", got[0]), *got[1:]]))
+
+
+@st.composite
+def laurent_functions(draw, n):
+    """A chart-0 function on (1|n) with one to four Laurent-sum coefficients,
+    asked to be even, odd or mixed in a third of the draws each (an odd one
+    on (1|0) is zero)."""
+    parity = draw(st.sampled_from([0, 1, None]))
+    pool = [nu for nu in range(1 << n) if parity is None or idx_parity(nu) == parity]
+    nus = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=4)) if pool else []
+    return SuperFunction(CHART0, n, {nu: draw(laurent_sums) for nu in nus})
+
+
+def _parity_name(f):
+    return {0: "even", 1: "odd", None: "mixed"}[f.parity()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_term_algebra_matches_superfunction(n, data):
+    """The Laurent-term product and partials are ``SuperFunction``'s product,
+    ``d_even`` and ``d_odd``, read as Laurent-term maps."""
+    f, g = data.draw(laurent_functions(n)), data.draw(laurent_functions(n))
+    a, b = laurent_terms(f.terms), laurent_terms(g.terms)
+    product = term_product(a, b)
+    assert product == laurent_terms((f * g).terms)
+    derivatives = [f.d_even(), *(f.d_odd(j) for j in range(n))]
+    assert _partials(a, n) == [laurent_terms(d.terms) for d in derivatives]
+    event("product %s" % ("nonzero" if product else "zero"))
+    event("%s times %s" % (_parity_name(f), _parity_name(g)))
 
 
 def test_global_field_replace_reruns_the_checks(manifolds, basis_cache):
