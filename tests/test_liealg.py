@@ -11,7 +11,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import bundled_manifold_names, matmul2, rand_sl2
 import reference_liealg
-from test_solver_oracle import SYNTHETIC
+from test_solver_oracle import ISO, SYNTHETIC
 
 from supervec.derivations import SuperDerivation, bracket
 from supervec import liealg, linalg
@@ -373,6 +373,22 @@ def test_slot_bracket_matches_superderivation_bracket(n, px, py, same, data):
     got = liealg._slot_bracket(*terms, both_odd, products)
     assert got == liealg._slot_terms(x.bracket(y))
     event("parities %d%d, %s" % (x.parity(), y.parity(), "nonzero" if got else "vanishes"))
+
+
+def test_slot_bracket_matches_superderivation_bracket_on_dense_fields():
+    """Every ordered pair of the five iso basis fields with the most slot terms,
+    where a coefficient has many more terms than ``chart0_fields`` draws."""
+    basis = solve_global_fields(parse_manifold_text(ISO))
+    n = basis.manifold.odd_dim
+    products = [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
+    dense = sorted(range(len(basis)), key=lambda i: -len(basis._terms[i]))[:5]
+    assert min(len(basis._terms[i]) for i in dense) > 50
+    for i in dense:
+        for j in dense:
+            x, y = (basis.fields[k] for k in (i, j))
+            terms = [liealg._field_terms(basis._terms[k], n) for k in (i, j)]
+            got = liealg._slot_bracket(*terms, x.parity and y.parity, products)
+            assert got == liealg._slot_terms(x.chart0_der.bracket(y.chart0_der))
 
 
 def test_structure_constants_match_reference(manifolds, basis_cache):
