@@ -11,7 +11,8 @@ maps {(nu, k): c}, the terms c z^k theta^nu, by this module alone, off the
 Laurent plan kept on the transition: the check of a global field calls
 ``add_image`` once per chart-1 term of the field, and ``liealg``'s
 compatibility rows once per unknown chart-1 monomial, beside the plan's
-partials for chart 0.
+partials for chart 0.  The maps' product ``add_product``, over one
+``idx_products`` table, and ``partials`` serve ``liealg``'s brackets too.
 
 Closed-form morphism families (fractional-linear lifts, traceless-matrix
 embeddings, nilpotent flows) are data-driven copies of the displayed
@@ -44,7 +45,7 @@ from .derivations import (
     odd_linear_matrix,
     pullback_invert,
 )
-from .grassmann import PullbackData, SuperFunction, compose, idx_mul
+from .grassmann import PullbackData, SuperFunction, compose, idx_products
 from .linalg import rank
 from .scalars import (
     GR_ONE,
@@ -174,26 +175,30 @@ def laurent_terms(terms):
     return out
 
 
-def _add_product(out, a, b, scale=None):
-    """Add ``scale * a * b`` (``a`` on the left) into the map ``out``; zeros may stay."""
+def add_product(out, a, b, products, scale=None):
+    """Add ``scale * a * b`` (``a`` on the left) into the map ``out``, where
+    ``products`` is ``idx_products`` of the odd dimension; zeros may stay."""
     for (ia, ka), ca in a.items():
         if scale is not None:
             ca = ca * scale
+        row = products[ia]
         for (ib, kb), cb in b.items():
-            if ia & ib:
-                continue
-            sign, idx = idx_mul(ia, ib)
-            t = ca * cb if sign > 0 else -(ca * cb)
-            s = out.get((idx, ka + kb))
-            out[idx, ka + kb] = t if s is None else s + t
+            sign, idx = row[ib]
+            if sign:
+                key, t = (idx, ka + kb), ca * cb
+                s = out.get(key)
+                if s is None:
+                    out[key] = t if sign > 0 else -t
+                else:
+                    out[key] = s + t if sign > 0 else s - t
     return out
 
 
-def term_product(a, b):
-    return {key: c for key, c in _add_product({}, a, b).items() if c}
+def term_product(a, b, products):
+    return {key: c for key, c in add_product({}, a, b, products).items() if c}
 
 
-def _partials(terms, n):
+def partials(terms, n):
     """[d/dz, d/dtheta_1, ..., d/dtheta_n] of a Laurent-term map, as ``d_odd``."""
     out = [{(nu, k - 1): c * k for (nu, k), c in terms.items() if k}]
     for j in range(n):
@@ -204,19 +209,20 @@ def _partials(terms, n):
 
 
 def laurent_plan(chi):
-    """``[partials, rho, nil, odd]`` of a transition, formed on first use and kept
-    on it: d_v of image u as ``partials[u][v]`` (v = 0 for d/dz), the reduced
-    even image's m-th power as ``rho[m]``, g_nil^k / k! as ``nil[k]``, and
-    ``nil[k]`` times chi*(eta^nu) as ``odd[nu][k]``; ``rho`` and ``odd`` grow
-    as ``add_image`` reads them."""
+    """``[partials, rho, nil, odd, products]`` of a transition, formed on first
+    use and kept on it: d_v of image u as ``partials[u][v]`` (v = 0 for d/dz),
+    the reduced even image's m-th power as ``rho[m]``, g_nil^k / k! as
+    ``nil[k]``, ``nil[k]`` times chi*(eta^nu) as ``odd[nu][k]``, and the
+    ``idx_products`` table; ``rho`` and ``odd`` grow as ``add_image`` reads them."""
     if chi._laurent is None:
         images = [laurent_terms(img.terms) for img in chi.images]
+        products = idx_products(chi.odd_dim)
         nil = [{(0, 0): GR_ONE}]
         g_nil = {key: c for key, c in images[0].items() if key[0]}
-        while nxt := term_product(nil[-1], g_nil):
+        while nxt := term_product(nil[-1], g_nil, products):
             nil.append({key: c / len(nil) for key, c in nxt.items()})
         rho = [nil[0], {key: c for key, c in images[0].items() if not key[0]}]
-        chi._laurent = [[_partials(terms, chi.odd_dim) for terms in images], rho, nil, {}]
+        chi._laurent = [[partials(terms, chi.odd_dim) for terms in images], rho, nil, {}, products]
     return chi._laurent
 
 
@@ -224,15 +230,15 @@ def add_image(out, chi, nu, e, c):
     """Add c chi*(w^e eta^nu) into the map ``out``, by the Taylor route
     g(rho + N) = sum_k g^(k)(rho) N^k / k! with g^(k)(rho) = c e!/(e - k)!
     rho^(e - k), times chi*(eta^nu); zeros may stay."""
-    _, rho, nil, odd = laurent_plan(chi)
-    products = odd.get(nu)
-    if products is None:
+    _, rho, nil, odd, products = laurent_plan(chi)
+    odd_nu = odd.get(nu)
+    if odd_nu is None:
         image = laurent_terms(chi.odd_product(nu).terms)
-        products = odd[nu] = [term_product(p, image) for p in nil]
+        odd_nu = odd[nu] = [term_product(p, image, products) for p in nil]
     while len(rho) <= e:
-        rho.append(term_product(rho[-1], rho[1]))
-    for k, product in enumerate(products[:e + 1]):
-        _add_product(out, rho[e - k], product, c * perm(e, k) if k else c)
+        rho.append(term_product(rho[-1], rho[1], products))
+    for k, term in enumerate(odd_nu[:e + 1]):
+        add_product(out, rho[e - k], term, products, c * perm(e, k) if k else c)
     return out
 
 
@@ -241,16 +247,16 @@ def _check_transition(chi, chart0_der, chart1_der):
     chart-1 coordinate y_u, where a field's value is its coefficient.  The left
     side is ``add_image`` of each term c w^e eta^nu of D1 y_u; the right side
     is sum_v (D0)_v d_v chi*(y_u)."""
-    partials = laurent_plan(chi)[0]
+    derivatives, *_, products = laurent_plan(chi)
     coeffs0 = [laurent_terms(c.terms) for c in chart0_der.coeffs]
     for u, coeff in enumerate(chart1_der.coeffs):
         left = {}
         for (nu, e), c in laurent_terms(coeff.terms).items():
             add_image(left, chi, nu, e, c)
         right = {}
-        for a, partial in zip(coeffs0, partials[u]):
+        for a, partial in zip(coeffs0, derivatives[u]):
             if a and partial:
-                _add_product(right, a, partial)
+                add_product(right, a, partial, products)
         if {key: x for key, x in left.items() if x} != {key: x for key, x in right.items() if x}:
             raise NotGlobal("chart restrictions disagree across the transition")
 

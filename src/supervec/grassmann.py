@@ -69,6 +69,11 @@ def idx_mul(a, b):
     return (-1 if inversions & 1 else 1), a | b
 
 
+def idx_products(n):
+    """The table ``[a][b] == idx_mul(a, b)`` over the multi-indices a, b < 2^n."""
+    return [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
+
+
 def idx_sort_key(idx):
     """Print order of multi-indices: by weight, then by bitmask."""
     return (idx.bit_count(), idx)

@@ -22,9 +22,10 @@ and the conjugation action of global automorphism pullbacks.
 
 The basis reads each field's chart-0 slot terms (component, multi-index,
 z-power, coefficient) once, when it is built; the structure constants
-bracket the fields directly on those terms, never through ``SuperFunction``
-values.  The Jacobi check reads the table once and forms only its nonzero
-products, each added into one sorted triple.
+bracket the fields on those terms with ``geometry``'s ``add_product`` and
+``partials``, so this module forms no Grassmann product of its own.  The
+Jacobi check reads the table once and forms only its nonzero products,
+each added into one sorted triple.
 """
 
 from __future__ import annotations
@@ -52,12 +53,14 @@ from .geometry import (
     KIND_C01,
     GlobalVectorField,
     add_image,
+    add_product,
     laurent_plan,
     laurent_terms,
     morphism_check_global,
+    partials,
     term_product,
 )
-from .grassmann import PullbackData, SuperFunction, idx_mul, idx_sort_key, idx_weight
+from .grassmann import PullbackData, SuperFunction, idx_products, idx_sort_key, idx_weight
 from .linalg import coordinates, kernel_basis, mat_mul, rref, span_factor, sparse_kernel_basis
 from .scalars import (
     GR_ONE,
@@ -209,7 +212,7 @@ def _compatibility_rows(manifold, cap):
     top = cap + 2
     n = manifold.odd_dim
     chi = manifold.transition
-    partials = laurent_plan(chi)[0]
+    derivatives, *_, products = laurent_plan(chi)
     nus = sorted(range(1 << n), key=idx_sort_key)
     columns = sorted(
         (
@@ -233,8 +236,8 @@ def _compatibility_rows(manifold, cap):
     # z^e applied as a shift of the Laurent powers
     for comp in range(n + 1):
         for nu in nus:
-            for eq, partial in enumerate(partials):
-                terms = term_product({(nu, 0): -GR_ONE}, partial[comp])
+            for eq, partial in enumerate(derivatives):
+                terms = term_product({(nu, 0): -GR_ONE}, partial[comp], products)
                 for e in range(top + 1):
                     put(eq, terms, col_index[(0, comp, nu, e)], e)
 
@@ -331,52 +334,37 @@ def expand_in_basis(basis, ders):
 
 
 def _field_terms(terms, n):
-    """A field's slot terms and their nonzero partial derivatives.
+    """A field's coefficients as Laurent-term maps, negated, and differentiated.
 
-    ``terms`` is the field's ``_slot_terms``.  Returns (coeffs, partials):
-    ``coeffs[u]`` lists the (multi-index, z-power, c) terms of coefficient u,
-    and ``partials`` the nonzero (u, d, terms of the d-th partial of
-    coefficient u), where d = 0 is d/dz, which multiplies by e and lowers e
-    by one, and d = j + 1 is d/dtheta_j, which drops bit j with the sign of
-    ``SuperFunction.d_odd``.
+    ``terms`` is the field's ``_slot_terms``.  Returns (coeffs, negated,
+    derivatives): ``coeffs[u]`` maps (multi-index, z-power) to c in
+    coefficient u, ``negated[u]`` is that map negated, and ``derivatives``
+    lists the nonzero (u, d, ``partials(coeffs[u], n)[d]``), d = 0 for d/dz
+    and j + 1 for d/dtheta_j.
     """
-    coeffs = [[] for _ in range(n + 1)]
+    coeffs = [{} for _ in range(n + 1)]
     for (comp, nu, e), c in terms.items():
-        coeffs[comp].append((nu, e, c))
-    partials = []
-    for u, terms in enumerate(coeffs):
-        partials.append((u, 0, [(nu, e - 1, c * e) for nu, e, c in terms if e]))
-        for j in range(n):
-            bit, low = 1 << j, (1 << j) - 1
-            partials.append(
-                (u, j + 1, [(nu ^ bit, e, -c if (nu & low).bit_count() & 1 else c)
-                            for nu, e, c in terms if nu & bit])
-            )
-    return coeffs, [entry for entry in partials if entry[2]]
+        coeffs[comp][nu, e] = c
+    negated = [{key: -c for key, c in coeff.items()} for coeff in coeffs]
+    return coeffs, negated, [(u, d, partial) for u, coeff in enumerate(coeffs)
+                             for d, partial in enumerate(partials(coeff, n)) if partial]
 
 
 def _slot_bracket(x, y, both_odd, products):
     """Nonzero slot terms {(u, nu, e): c} of [X, Y] = X(Y_u) - s Y(X_u).
 
-    ``x`` and ``y`` are ``_field_terms`` pairs and ``products[a][b]`` is
-    ``idx_mul(a, b)``.  X(Y_u) is the sum over d of X_d times the d-th
-    partial of Y_u, its odd factors merged by ``idx_mul``; s = (-1)^{|X||Y|},
-    so Y(X_u) is added when both fields are odd and subtracted otherwise, as
-    in ``SuperDerivation.bracket``.
+    ``x`` and ``y`` are ``_field_terms`` triples and ``products`` is
+    ``idx_products`` of the odd dimension.  X(Y_u) is the sum over d of X_d
+    times the d-th partial of Y_u, one ``add_product`` each; s =
+    (-1)^{|X||Y|}, so Y(X_u) is read off Y's coefficients when both fields
+    are odd and off Y's negated ones otherwise, as in ``SuperDerivation.bracket``.
     """
     acc = {}
-    for (coeffs, _), (_, partials), negate in ((x, y, False), (y, x, not both_odd)):
-        for u, d, dy in partials:
-            for nu_x, e_x, c_x in coeffs[d]:
-                merged = products[nu_x]
-                for nu_y, e_y, c_y in dy:
-                    sign, nu = merged[nu_y]
-                    if sign:
-                        key = (u, nu, e_x + e_y)
-                        p = c_x * c_y
-                        cur = acc.get(key, GR_ZERO)
-                        acc[key] = cur - p if (sign < 0) != negate else cur + p
-    return {key: c for key, c in acc.items() if c}
+    for coeffs, (_, _, derivatives) in ((x[0], y), (y[0] if both_odd else y[1], x)):
+        for u, d, dy in derivatives:
+            if coeffs[d]:
+                add_product(acc.setdefault(u, {}), coeffs[d], dy, products)
+    return {(u, nu, e): c for u, terms in acc.items() for (nu, e), c in terms.items() if c}
 
 
 def structure_constants(basis):
@@ -390,7 +378,7 @@ def structure_constants(basis):
     parity |nu| + (u > 0)); on homogeneous fields that is the coordinates' verdict.
     """
     n = basis.manifold.odd_dim
-    products = [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
+    products = idx_products(n)
     terms = [_field_terms(t, n) for t in basis._terms]
     parities = [f.parity for f in basis.fields]
     m = len(parities)

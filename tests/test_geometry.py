@@ -33,15 +33,15 @@ from supervec.geometry import (
     POINT_CHART,
     GlobalVectorField,
     SuperManifoldData,
-    _partials,
     laurent_terms,
     mobius_lift,
     morphism_check_global,
     nilpotent_flow,
+    partials,
     sl2_embedding,
     term_product,
 )
-from supervec.grassmann import PullbackData, SuperFunction, compose
+from supervec.grassmann import PullbackData, SuperFunction, compose, idx_mul, idx_products
 from supervec.files import load_bundled_manifold, parse_manifold_text, parse_pullback_text
 from supervec.liealg import expand_in_basis, solve_global_fields
 from supervec.linalg import kernel_basis
@@ -1051,10 +1051,12 @@ def test_term_algebra_matches_superfunction(n, data):
     ``d_even`` and ``d_odd``, read as Laurent-term maps."""
     f, g = data.draw(laurent_functions(n)), data.draw(laurent_functions(n))
     a, b = laurent_terms(f.terms), laurent_terms(g.terms)
-    product = term_product(a, b)
+    products = idx_products(n)
+    assert products == [[idx_mul(i, j) for j in range(1 << n)] for i in range(1 << n)]
+    product = term_product(a, b, products)
     assert product == laurent_terms((f * g).terms)
     derivatives = [f.d_even(), *(f.d_odd(j) for j in range(n))]
-    assert _partials(a, n) == [laurent_terms(d.terms) for d in derivatives]
+    assert partials(a, n) == [laurent_terms(d.terms) for d in derivatives]
     event("product %s" % ("nonzero" if product else "zero"))
     event("%s times %s" % (_parity_name(f), _parity_name(g)))
 

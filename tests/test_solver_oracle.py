@@ -24,6 +24,7 @@ closed form, while its fields have many terms.
 """
 
 import io
+from importlib import resources
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -422,7 +423,8 @@ def test_compatibility_rows_match_reference(manifold, cap):
         event("mixed odd image")
 
 
-NONSPLIT = "[manifold]\nname = nonsplit-2-2\nodd_dim = 2\n\n[transition]\nw = z^-1 + z^-3*t1*t2\neta1 = z^-2*t1\neta2 = z^-2*t2\n"
+NONSPLIT = resources.files("supervec").joinpath("manifolds").joinpath(
+    "nonsplit-2-2.smf").read_text()
 
 
 def elementary_pullback(chart, n, step):
