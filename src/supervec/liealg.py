@@ -346,7 +346,7 @@ def _field_terms(terms, n):
     for (comp, nu, e), c in terms.items():
         coeffs[comp][nu, e] = c
     negated = [{key: -c for key, c in coeff.items()} for coeff in coeffs]
-    return coeffs, negated, [(u, d, partial) for u, coeff in enumerate(coeffs)
+    return coeffs, negated, [(u, d, partial) for u, coeff in enumerate(coeffs) if coeff
                              for d, partial in enumerate(partials(coeff, n)) if partial]
 
 
