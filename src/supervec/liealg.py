@@ -21,11 +21,10 @@ decompositions, the span of odd-odd brackets, the split-model comparison,
 and the conjugation action of global automorphism pullbacks.
 
 The basis reads each field's chart-0 slot terms (component, multi-index,
-z-power, coefficient) once, when it is built; the structure constants
-bracket the fields on those terms with ``geometry``'s ``add_product`` and
-``partials``, so this module forms no Grassmann product of its own.  The
-Jacobi check reads the table once and forms only its nonzero products,
-each added into one sorted triple.
+z-power, coefficient) once, when it is built; the structure constants bracket
+them with ``geometry``'s ``add_product`` and ``partials``, so this module
+forms no Grassmann product of its own.  The Jacobi check reads the table
+once and forms only its nonzero products, each added into one sorted triple.
 """
 
 from __future__ import annotations
@@ -364,7 +363,8 @@ def _slot_bracket(x, y, both_odd, products):
         for u, d, dy in derivatives:
             if coeffs[d]:
                 add_product(acc.setdefault(u, {}), coeffs[d], dy, products)
-    return {(u, nu, e): c for u, terms in acc.items() for (nu, e), c in terms.items() if c}
+    return {(u, nu, e): c for u, terms in acc.items()
+            for (nu, e), c in terms.items() if c} if acc else {}
 
 
 def structure_constants(basis):

@@ -383,11 +383,11 @@ def test_slot_bracket_matches_superderivation_bracket_on_dense_fields():
     products = [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
     dense = sorted(range(len(basis)), key=lambda i: -len(basis._terms[i]))[:5]
     assert min(len(basis._terms[i]) for i in dense) > 50
+    terms = {i: liealg._field_terms(basis._terms[i], n) for i in dense}
     for i in dense:
         for j in dense:
-            x, y = (basis.fields[k] for k in (i, j))
-            terms = [liealg._field_terms(basis._terms[k], n) for k in (i, j)]
-            got = liealg._slot_bracket(*terms, x.parity and y.parity, products)
+            x, y = basis.fields[i], basis.fields[j]
+            got = liealg._slot_bracket(terms[i], terms[j], x.parity and y.parity, products)
             assert got == liealg._slot_terms(x.chart0_der.bracket(y.chart0_der))
 
 
