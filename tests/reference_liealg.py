@@ -50,6 +50,14 @@ product, every coefficient read by ``RationalFunction.laurent()``.  Only
 call it returned, and a non-Laurent coefficient raises ``NotLaurent``.  It
 shares neither the plan nor the term-map products with the library, which
 must return the same columns and the same rows.
+
+``kernel_fields`` is the ``_kernel_fields`` that ``liealg`` used before it
+built each field's coefficients raw from the canonical kernel entries, kept
+verbatim with its sort key ``vector_key``: every coefficient goes through
+``RationalFunction(Polynomial(p))`` and every function through
+``SuperFunction``'s checks, and every entry's key is its ``sort_key()``
+pair of ``Fraction``s.  The library must return the same (kernel vector,
+field) pairs in the same order.
 """
 
 from __future__ import annotations
@@ -68,8 +76,8 @@ from supervec.errors import (
     NotLaurent,
     OddCartan,
 )
-from supervec.geometry import CHART0, morphism_check_global
-from supervec.grassmann import SuperFunction, idx_sort_key
+from supervec.geometry import CHART0, CHART1, GlobalVectorField, morphism_check_global
+from supervec.grassmann import SuperFunction, idx_sort_key, idx_weight
 from supervec.linalg import mat_mul
 from supervec.scalars import GR_ONE, GR_ZERO, GaussianRational, Polynomial, RationalFunction
 
@@ -405,3 +413,49 @@ def compatibility_rows(manifold, cap):
         if nonzero:
             sparse[key] = nonzero
     return columns, sparse
+
+
+def kernel_fields(manifold, columns, kernel):
+    """(kernel vector, global field) pairs, by top weight, then ``vector_key``."""
+    n = manifold.odd_dim
+    fields = []
+    for vec in kernel:
+        polys = [[{} for _ in range(n + 1)] for _ in (0, 1)]  # chart -> component -> nu -> {e: c}
+        for c, x in vec.items():
+            chart, comp, nu, e = columns[c]
+            polys[chart][comp].setdefault(nu, {})[e] = x
+        ders = []
+        for chart_id, by_comp in zip((CHART0, CHART1), polys):
+            even, *odds = (
+                SuperFunction(
+                    chart_id, n, {nu: RationalFunction(Polynomial(p)) for nu, p in by_nu.items()}
+                )
+                for by_nu in by_comp
+            )
+            ders.append(SuperDerivation(chart_id, n, even, odds))
+        fields.append((vec, GlobalVectorField(manifold, *ders)))
+
+    def sort_key(item):
+        vec, field = item
+        even_coeff = field.chart0_der.even_coeff
+        top_weight = max((idx_weight(i) for i in even_coeff.terms), default=0)
+        return (top_weight, vector_key(vec))
+
+    fields.sort(key=sort_key)
+    return fields
+
+
+def vector_key(vec):
+    """Key of a sparse vector {column: entry} that sorts like its dense entry keys.
+
+    Per nonzero column c, in order: (1, -c, key) if its entry key is above
+    zero's, (0, 0), else (-1, c, key), so a zero against a nonzero entry is
+    decided by the nonzero entry's sign, as in the dense tuple.  No terminator
+    is needed for kernel vectors: each is 1 at its own free column and 0 at
+    every other, so no vector's support is a prefix of another's.
+    """
+    out = []
+    for c in sorted(vec):
+        key = vec[c].sort_key()
+        out.append((1, -c, key) if key > (0, 0) else (-1, c, key))
+    return tuple(out)

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -262,7 +263,17 @@ def test_tokenizer_matches_reference(text):
 RATIONALS = st.one_of(
     st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=3)
 )
-GAUSSIANS = st.builds(GaussianRational, RATIONALS, RATIONALS)
+# one part shares a factor p with the common denominator d and the other does
+# not, as (2 + 3i)/4 does, so the two parts reduce to different denominators
+SHARED_FACTOR = st.builds(
+    lambda pd, k, j, swap: GaussianRational(
+        *(Fraction(pd[0] * k, pd[1]), Fraction(j, pd[1]))[:: -1 if swap else 1]),
+    st.sampled_from([(2, 4), (2, 6), (3, 6), (3, 9)]),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    st.sampled_from([-7, -5, -1, 1, 5, 7]),
+    st.booleans(),
+)
+GAUSSIANS = st.one_of(st.builds(GaussianRational, RATIONALS, RATIONALS), SHARED_FACTOR)
 POLYS = st.dictionaries(st.integers(0, 3), GAUSSIANS, max_size=3).map(Polynomial)
 DENOMINATORS = st.one_of(
     st.just(Polynomial.one()),
@@ -291,6 +302,8 @@ def test_printer_matches_reference(sf, c):
         if any(a.re and a.im for a in rf.num.coeffs.values()):
             event("mixed numerator coefficient")
     event("scalar %s" % ("mixed" if c.re and c.im else "zero" if not c else "one part"))
+    if c.a and c.b and (math.gcd(c.a, c.d) > 1) != (math.gcd(c.b, c.d) > 1):
+        event("scalar with one part sharing a factor with d")
 
 
 @ORACLE

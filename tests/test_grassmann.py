@@ -16,6 +16,7 @@ from supervec.grassmann import (
     compose,
     idx_mul,
     idx_positions,
+    idx_products,
     idx_sort_key,
     idx_weight,
 )
@@ -54,6 +55,13 @@ def test_index_algebra():
     sign, idx = idx_mul(0b01, 0b10)
     assert sign == 1 and idx == 0b11
     assert idx_mul(0b01, 0b01)[0] == 0
+
+
+def test_product_table_is_idx_mul_on_every_pair():
+    """The table merges only the pairs with disjoint bits, yet every entry is
+    ``idx_mul``'s, the colliding ones (0, 0) included."""
+    for n in range(7):
+        assert idx_products(n) == [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
 
 
 def test_mul_examples():

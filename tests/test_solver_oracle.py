@@ -17,10 +17,18 @@ as a wrong dimension.
 with the parent's ``compatibility_rows`` of ``reference_liealg``, on drawn
 Laurent transitions with mixed odd parts and nilpotent even terms.
 
+``test_kernel_fields_match_reference`` compares the (kernel vector, field)
+pairs of one solve with the parent's ``kernel_fields`` of
+``reference_liealg``, which builds every coefficient through the
+normalising constructors and sorts on ``Fraction`` keys.
+
 ``test_isomorphic_copies_keep_their_dimensions`` reads no solver code
 either: it glues a diagonal manifold or nonsplit-2-2 again through drawn
 chart automorphisms, so the copy's dimensions are the start's, known in
-closed form, while its fields have many terms.
+closed form, while its fields have many terms.  Two invariants of the
+algebra must match the start's too: the dimension of the even fields with
+a trivial reduced field, and, on the smaller copies, that of the span of
+the odd-odd brackets.
 """
 
 import io
@@ -48,12 +56,16 @@ from supervec.liealg import (
     SuperalgebraBasis,
     _compatibility_rows,
     default_cap,
+    odd_derived_span,
+    reduced_trivial_subspace,
     solve_global_fields,
+    structure_constants,
 )
+from supervec.linalg import sparse_kernel_basis
 from supervec.scalars import GR_ZERO, Polynomial, RationalFunction
 
 from reference_geometry import pole_order_at
-from reference_liealg import compatibility_rows
+from reference_liealg import compatibility_rows, kernel_fields
 from reference_linalg import kernel_basis
 
 SYNTHETIC = {
@@ -423,6 +435,33 @@ def test_compatibility_rows_match_reference(manifold, cap):
         event("mixed odd image")
 
 
+K100 = parse_manifold_text(diagonal_text([100]))
+S222 = parse_manifold_text("[manifold]\nname = s222\n" + SYNTHETIC["s222"])
+
+
+@settings(deadline=None)
+@given(laurent_manifolds(), st.integers(0, 3))
+@example(K100, default_cap(K100))
+@example(S222, default_cap(S222))
+@_at_default_caps
+def test_kernel_fields_match_reference(manifold, cap):
+    """The library's (kernel vector, field) pairs are the reference's, in the
+    same order, with equal fields whose coefficients are polynomials with no
+    zero term."""
+    columns, rows = _compatibility_rows(manifold, cap)
+    kernel = sparse_kernel_basis(sorted(rows.values(), key=len), len(columns))
+    pairs = liealg._kernel_fields(manifold, columns, kernel)
+    assert pairs == kernel_fields(manifold, columns, kernel)
+    for _, field in pairs:
+        for der in (field.chart0_der, field.chart1_der):
+            for rf in (rf for coeff in der.coeffs for rf in coeff.terms.values()):
+                assert rf.den == Polynomial.one()
+                assert rf.num.coeffs and all(rf.num.coeffs.values())
+    event("n = %d" % manifold.odd_dim)
+    if any(x.d != 1 for vec in kernel for x in vec.values()):
+        event("non-integer kernel entry")
+
+
 NONSPLIT = resources.files("supervec").joinpath("manifolds").joinpath(
     "nonsplit-2-2.smf").read_text()
 
@@ -478,7 +517,9 @@ def isomorphic_copies(draw):
 def test_isomorphic_copies_keep_their_dimensions(case):
     """Each round is chi -> q1 o chi o p0 for a chart-0 step p0 and a chart-1
     step q1: the same manifold in new coordinates, so the default cap must
-    find its known dimensions."""
+    find its known dimensions.  The steps fix the reduced coordinate, so the
+    even fields with a trivial reduced field keep their dimension, and the
+    odd-odd brackets span as much as the start's (checked for m <= 20)."""
     text, dims, rounds = case
     start = parse_manifold_text(text)
     n, chi = start.odd_dim, start.transition
@@ -491,3 +532,11 @@ def test_isomorphic_copies_keep_their_dimensions(case):
     assert basis.dims == dims
     if basis.cap_used > default_cap(manifold):
         event("cap retry")
+    start_basis = solve_global_fields(start)
+    trivial = reduced_trivial_subspace(basis)[0]
+    assert trivial == reduced_trivial_subspace(start_basis)[0]
+    event("trivial reduced part: %s" % ("none" if not trivial else "some"))
+    if sum(dims) <= 20:
+        derived = odd_derived_span(structure_constants(basis))[0]
+        assert derived == odd_derived_span(structure_constants(start_basis))[0]
+        event("odd-odd span compared, %s" % ("zero" if not derived else "nonzero"))
