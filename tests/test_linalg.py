@@ -134,14 +134,20 @@ def test_sparse_kernel_matches_dense_kernel(system):
 
 
 integer_entries = st.builds(GaussianRational, st.sampled_from([-3, -1, 1, 2]), st.sampled_from([0, 1]))
-fractional_entries = st.builds(
-    GaussianRational, st.sampled_from([Fraction(-3, 2), Fraction(1, 2), Fraction(2, 3)]),
-    st.sampled_from([0, 1, Fraction(-1, 2)]))
+# a non-integer part, real or imaginary: 1 + i/2 against 1 + i shows whether
+# an integer entry's imaginary part is read
+fractional_entries = st.one_of(
+    st.builds(GaussianRational, st.sampled_from([Fraction(-3, 2), Fraction(1, 2), Fraction(2, 3)]),
+              st.sampled_from([0, 1, Fraction(-1, 2)])),
+    st.builds(GaussianRational, st.sampled_from([-1, 1, 2]),
+              st.sampled_from([Fraction(1, 2), Fraction(-1, 2)])),
+)
 
 
 @given(sparse_systems(), st.tuples(integer_entries, fractional_entries).flatmap(st.permutations))
 @example(([{0: g(1), 3: g(2)}, {1: g(1), 3: GaussianRational(0, 1)}, {2: g(1), 4: g(-1)}], 5),
          [g(1), g(Fraction(1, 2))])
+@example(([], 0), [GaussianRational(1, 1), GaussianRational(1, Fraction(1, 2))])
 def test_sparse_vector_key_sorts_like_dense_entry_keys(system, pair):
     """The solver orders sparse kernel vectors by ``_vector_key``: the order
     of their dense tuples of entry keys, negative and imaginary entries too.
@@ -153,6 +159,8 @@ def test_sparse_vector_key_sorts_like_dense_entry_keys(system, pair):
     rows, ncols = rows + [{ncols: GR_ONE, ncols + 1: x, ncols + 2: y}], ncols + 3
     kernel = sparse_kernel_basis(rows, ncols)
     event("integer and non-integer entries of %s sign" % ("one" if (x.a > 0) == (y.a > 0) else "each"))
+    if x.re == y.re:
+        event("integer and non-integer entries with one real part")
     vectors = dense(kernel, ncols)
     by_sparse = sorted(range(len(kernel)), key=lambda i: _vector_key(kernel[i]))
     by_dense = sorted(range(len(kernel)), key=lambda i: tuple(c.sort_key() for c in vectors[i]))
