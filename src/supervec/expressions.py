@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
 from .errors import ExprSyntaxError, NumberTooLong, OddDenominator, RepeatedOddVariable
 from .grassmann import SuperFunction, idx_positions, idx_sort_key
@@ -239,13 +240,19 @@ def parse_integer(text):
 
 
 def _parts(c):
-    """(sign, body) pieces of a scalar: one, or a real and an imaginary one,
-    each integer at most MAX_DIGITS long, so that the text parses back."""
-    parts = [(q, unit) for q, unit in ((c.re, ""), (c.im, "*i")) if q] or [(c.re, "")]
-    for q, _ in parts:
-        if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+    """(sign, body) pieces of a scalar (a + b*i)/d: one, or a real and an
+    imaginary one, each part printed as ``str(Fraction)`` prints it, from its
+    own reduced integers, each at most MAX_DIGITS long, so that the text
+    parses back."""
+    parts = [(n, unit) for n, unit in ((c.a, ""), (c.b, "*i")) if n] or [(0, "")]
+    out = []
+    for n, unit in parts:
+        g = gcd(n, c.d)
+        num, den = abs(n) // g, c.d // g
+        if max(num, den) >= _TOO_LONG:
             raise NumberTooLong("cannot print an integer longer than %d digits" % MAX_DIGITS)
-    return [(1 if q >= 0 else -1, str(abs(q)) + unit) for q, unit in parts]
+        out.append((1 if n >= 0 else -1, (str(num) if den == 1 else "%d/%d" % (num, den)) + unit))
+    return out
 
 
 def _join(pieces):

@@ -70,8 +70,20 @@ def idx_mul(a, b):
 
 
 def idx_products(n):
-    """The table ``[a][b] == idx_mul(a, b)`` over the multi-indices a, b < 2^n."""
-    return [[idx_mul(a, b) for b in range(1 << n)] for a in range(1 << n)]
+    """The table ``[a][b] == idx_mul(a, b)`` over the multi-indices a, b < 2^n.
+
+    Only the 3^n pairs that do not collide are merged: for each a, the
+    submasks b of its complement, walked as ``b = (b - 1) & free``, and
+    b = 0, the unit; every other entry is (0, 0).
+    """
+    table = [[(0, 0)] * (1 << n) for _ in range(1 << n)]
+    for a, row in enumerate(table):
+        row[0] = (1, a)
+        free = b = ~a & ((1 << n) - 1)
+        while b:
+            row[b] = idx_mul(a, b)
+            b = (b - 1) & free
+    return table
 
 
 def idx_sort_key(idx):

@@ -59,15 +59,9 @@ from .geometry import (
     partials,
     term_product,
 )
-from .grassmann import PullbackData, SuperFunction, idx_products, idx_sort_key, idx_weight
+from .grassmann import PullbackData, SuperFunction, _raw_sf, idx_products, idx_sort_key, idx_weight
 from .linalg import coordinates, kernel_basis, mat_mul, rref, span_factor, sparse_kernel_basis
-from .scalars import (
-    GR_ONE,
-    GR_ZERO,
-    GaussianRational,
-    Polynomial,
-    RationalFunction,
-)
+from .scalars import _POLY_ONE, GR_ONE, GR_ZERO, GaussianRational, Polynomial, _raw_poly, _rf_raw
 
 
 class SuperalgebraBasis:
@@ -262,10 +256,10 @@ def _kernel_fields(manifold, columns, kernel):
             polys[chart][comp].setdefault(nu, {})[e] = x
         ders = []
         for chart_id, by_comp in zip((CHART0, CHART1), polys):
+            # every entry is a nonzero canonical Gaussian rational and every nu < 2^n
             even, *odds = (
-                SuperFunction(
-                    chart_id, n, {nu: RationalFunction(Polynomial(p)) for nu, p in by_nu.items()}
-                )
+                _raw_sf(chart_id, n, {nu: _rf_raw(_raw_poly(p), _POLY_ONE)
+                                      for nu, p in by_nu.items()})
                 for by_nu in by_comp
             )
             ders.append(SuperDerivation(chart_id, n, even, odds))
@@ -286,13 +280,16 @@ def _vector_key(vec):
 
     Per nonzero column c, in order: (1, -c, key) if its entry key is above
     zero's, (0, 0), else (-1, c, key), so a zero against a nonzero entry is
-    decided by the nonzero entry's sign, as in the dense tuple.  No terminator
-    is needed for kernel vectors: each is 1 at its own free column and 0 at
-    every other, so no vector's support is a prefix of another's.
+    decided by the nonzero entry's sign, as in the dense tuple.  An integer
+    entry's key is its pair of ints, which compare with ``sort_key()``'s
+    ``Fraction``s exactly.  No terminator is needed for kernel vectors: each
+    is 1 at its own free column and 0 at every other, so no vector's support
+    is a prefix of another's.
     """
     out = []
     for c in sorted(vec):
-        key = vec[c].sort_key()
+        x = vec[c]
+        key = (x.a, x.b) if x.d == 1 else x.sort_key()
         out.append((1, -c, key) if key > (0, 0) else (-1, c, key))
     return tuple(out)
 
