@@ -241,12 +241,10 @@ def parse_integer(text):
 
 def _parts(c):
     """(sign, body) pieces of a scalar (a + b*i)/d: one, or a real and an
-    imaginary one, each part printed as ``str(Fraction)`` prints it, from its
-    own reduced integers, each at most MAX_DIGITS long, so that the text
-    parses back."""
-    parts = [(n, unit) for n, unit in ((c.a, ""), (c.b, "*i")) if n] or [(0, "")]
+    imaginary one, each part n/d reduced and printed as ``str(Fraction)``
+    would, with integers at most MAX_DIGITS long, so that the text parses back."""
     out = []
-    for n, unit in parts:
+    for n, unit in [(n, unit) for n, unit in ((c.a, ""), (c.b, "*i")) if n] or [(0, "")]:
         g = gcd(n, c.d)
         num, den = abs(n) // g, c.d // g
         if max(num, den) >= _TOO_LONG:

@@ -70,12 +70,8 @@ def idx_mul(a, b):
 
 
 def idx_products(n):
-    """The table ``[a][b] == idx_mul(a, b)`` over the multi-indices a, b < 2^n.
-
-    Only the 3^n pairs that do not collide are merged: for each a, the
-    submasks b of its complement, walked as ``b = (b - 1) & free``, and
-    b = 0, the unit; every other entry is (0, 0).
-    """
+    """The table ``[a][b] == idx_mul(a, b)`` over the multi-indices a, b < 2^n;
+    only the 3^n pairs that do not collide, the submasks b of ~a, are merged."""
     table = [[(0, 0)] * (1 << n) for _ in range(1 << n)]
     for a, row in enumerate(table):
         row[0] = (1, a)
