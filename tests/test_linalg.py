@@ -133,7 +133,8 @@ def test_sparse_kernel_matches_dense_kernel(system):
     assert dense(kernel, ncols) == reference.kernel_basis(matrix, ncols)
 
 
-integer_entries = st.builds(GaussianRational, st.sampled_from([-3, -1, 1, 2]), st.sampled_from([0, 1]))
+integer_entries = st.builds(
+    GaussianRational, st.sampled_from([-3, -1, 1, 2]), st.sampled_from([0, 1]))
 # a non-integer part, real or imaginary: 1 + i/2 against 1 + i shows whether
 # an integer entry's imaginary part is read
 fractional_entries = st.one_of(
@@ -158,7 +159,8 @@ def test_sparse_vector_key_sorts_like_dense_entry_keys(system, pair):
     x, y = pair
     rows, ncols = rows + [{ncols: GR_ONE, ncols + 1: x, ncols + 2: y}], ncols + 3
     kernel = sparse_kernel_basis(rows, ncols)
-    event("integer and non-integer entries of %s sign" % ("one" if (x.a > 0) == (y.a > 0) else "each"))
+    signs = "one" if (x.a > 0) == (y.a > 0) else "each"
+    event("integer and non-integer entries of %s sign" % signs)
     if x.re == y.re:
         event("integer and non-integer entries with one real part")
     vectors = dense(kernel, ncols)
